@@ -14,8 +14,9 @@ seeded experiment harness with a small CLI.
 
 from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
                      GapConditionFailed, BlockNotInvertible,
-                     DegenerateSpectrum, ConditioningUndefined, SizeLimit,
-                     SpectralNormDidNotConverge, FileFormatError)
+                     DegenerateSpectrum, ConditioningUndefined,
+                     NonFiniteInput, SpectralNormDidNotConverge,
+                     FileFormatError)
 from .rb_core import (RBScalar, RBMatrix, rb_mul, mat_mul, hstack, vstack,
                       frobenius_norm, real_repr, complex_repr,
                       real_block_column, complex_block_column,
@@ -26,8 +27,8 @@ from .tlse_real import (ToleranceConfig, DEFAULT_TOL, TlseRealProblem,
                         TlseRealSolution, solve_real, residuals_real)
 from .tlse_complex import (TlseComplexProblem, TlseComplexSolution,
                            solve_complex, residuals_complex)
-from .perturbation import (PerturbationInstance, ConditionFactors,
-                           ConditionReport, epsilon_n, scaled_to,
+from .perturbation import (PerturbationInstance, ConditionReport,
+                           epsilon_n, scaled_to,
                            condition_real, condition_complex,
                            forward_error_bound)
 from .lse_baseline import LseSolution, lse_solve_real, lse_solve_complex
@@ -40,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RbtlseError", "DimensionMismatch", "AssumptionViolated",
     "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
-    "ConditioningUndefined", "SizeLimit", "SpectralNormDidNotConverge",
+    "ConditioningUndefined", "NonFiniteInput", "SpectralNormDidNotConverge",
     "FileFormatError",
     "RBScalar", "RBMatrix", "rb_mul", "mat_mul", "hstack", "vstack",
     "frobenius_norm", "real_repr", "complex_repr", "real_block_column",
@@ -51,7 +52,7 @@ __all__ = [
     "solve_real", "residuals_real",
     "TlseComplexProblem", "TlseComplexSolution", "solve_complex",
     "residuals_complex",
-    "PerturbationInstance", "ConditionFactors", "ConditionReport",
+    "PerturbationInstance", "ConditionReport",
     "epsilon_n", "scaled_to", "condition_real", "condition_complex",
     "forward_error_bound",
     "LseSolution", "lse_solve_real", "lse_solve_complex",

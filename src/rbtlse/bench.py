@@ -91,7 +91,6 @@ class ExperimentConfig:
     trials: Optional[int] = None
     magnitudes: tuple[float, ...] = (1e-11, 1e-8, 1e-5)
     out: Optional[str] = None
-    iterative_norm: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -273,7 +272,6 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
     kind = "real" if config.experiment.endswith("real") else "complex"
     solve = solve_real if kind == "real" else solve_complex
     condition = condition_real if kind == "real" else condition_complex
-    mode = "iterative" if config.iterative_norm else "auto"
     records = []
     for t in config.t_values:
         sizes = accuracy_sizes(kind, t)
@@ -284,7 +282,7 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
             try:
                 problem = gen_instance(kind, sizes, streams[0])
                 solution = solve(problem)
-                report = condition(problem, solution, mode=mode)
+                report = condition(problem, solution)
             except RbtlseError as exc:
                 records.append(ExperimentRecord(
                     config.experiment, t, sizes[0], point, trial,

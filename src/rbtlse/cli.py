@@ -8,7 +8,8 @@ Subcommands:
   read from RBMAT v1 files and print a labeled plain-text report.
 
 Exit codes: 0 on success, 2 when a solver assumption is violated (rank,
-gap, invertibility, sizes), 1 on I/O or file-format failures.
+gap, invertibility, sizes, non-finite data), 1 on I/O or file-format
+failures (an RBMAT file holding nan or inf is a format failure).
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "1 otherwise)")
     run.add_argument("--out", type=str, default=None,
                      help="CSV path (default <experiment>.csv)")
-    run.add_argument("--iterative-norm", action="store_true",
-                     help="force the matrix-free spectral norm in "
-                          "condition estimates")
     run.set_defaults(func=_cmd_run)
 
     for name, helptext in (("solve-real", "solve one real system"),
@@ -94,8 +92,7 @@ def _cmd_run(args) -> int:
         variant=args.variant,
         seed=args.seed,
         trials=args.trials,
-        out=args.out if args.out is not None else f"{args.experiment}.csv",
-        iterative_norm=args.iterative_norm)
+        out=args.out if args.out is not None else f"{args.experiment}.csv")
     records = run_experiment(config)
     ok = sum(1 for r in records if not r.error)
     failed = len(records) - ok

@@ -1,10 +1,9 @@
 """Dense factorization and product kernels used by the solvers.
 
 Thin wrappers over LAPACK (via numpy) for QR and SVD, plus the small
-utilities the conditioning formulas need: Moore-Penrose pseudoinverse,
-Kronecker product with an entry budget, the commutation matrix, column-major
-vec/unvec, and a spectral norm with both a dense and a matrix-free power
-iteration path.
+utilities the conditioning formulas and their tests need: Moore-Penrose
+pseudoinverse, the commutation matrix, column-major vec/unvec, and a
+spectral norm with both a dense and a matrix-free power iteration path.
 
 All kernels accept real or complex input; complex matrices are handled
 natively (conjugate transposes throughout), never through a real embedding.
@@ -17,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SizeLimit, SpectralNormDidNotConverge
+from .errors import SpectralNormDidNotConverge
 
 __all__ = [
     "QrFactors",
@@ -26,18 +25,12 @@ __all__ = [
     "svd_thin",
     "svd_skinny",
     "pinv",
-    "kron",
     "commutation_matrix",
     "vec",
     "unvec",
     "spectral_norm",
     "spectral_norm_power",
-    "KRON_ENTRY_LIMIT",
 ]
-
-# Dense Kronecker products (and dense conditioning operators built from
-# them) are refused beyond this many entries.
-KRON_ENTRY_LIMIT = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -100,18 +93,6 @@ def pinv(M: np.ndarray) -> np.ndarray:
     if f.S.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=np.asarray(M).dtype)
     return (f.V / f.S) @ f.U.conj().T
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product, refused above KRON_ENTRY_LIMIT entries."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    entries = A.shape[0] * A.shape[1] * B.shape[0] * B.shape[1]
-    if entries > KRON_ENTRY_LIMIT:
-        raise SizeLimit(
-            f"kron result would hold {entries} entries "
-            f"(limit {KRON_ENTRY_LIMIT}); use the matrix-free path")
-    return np.kron(A, B)
 
 
 def commutation_matrix(d: int, n: int) -> np.ndarray:

@@ -38,8 +38,8 @@ class ConditioningUndefined(RbtlseError):
     """A factor needed by the condition number is singular."""
 
 
-class SizeLimit(RbtlseError):
-    """A dense intermediate would exceed the configured entry budget."""
+class NonFiniteInput(RbtlseError):
+    """A data block holds nan or inf."""
 
 
 class SpectralNormDidNotConverge(RbtlseError):

@@ -12,17 +12,24 @@ representation, 4p+4m real / 2p+2m complex):
 
     H  (nd x nd)        inverse-transpose Kronecker block times the
                         commutation matrix,
-    G  (nd x 2nd)       diagonal resolvent times two diagonal Kronecker
-                        blocks,
+    G  (nd x 2nd)       diagonal resolvent D^-1 times two diagonal
+                        Kronecker blocks,
     Z  (2nd x (n*q+nd)) block diagonal of a projected representation map
-                        and a triangular coupling block.
+                        and a triangular coupling block T2.
 
-For small problems H @ G @ Z is materialized and its largest singular
-value taken densely; past a size threshold the three factors are applied
-as composed linear maps (never materializing a Kronecker product) and the
-norm comes from power iteration.  Real data uses the same code path as
-complex: every conjugate transpose degrades to a plain transpose on reals,
-which is exactly the real variant of the formulas.
+The product has only nd rows, so its 2-norm is exact as the square root of
+the largest eigenvalue of the nd x nd Gram matrix
+
+    (HGZ)(HGZ)^H = H D^-1 [diag(mask) (x) S2 (I_d + Y^H Y) S2
+                           + S T2 T2^H S (x) I_d] D^-1 H^H,
+
+with (x) the Kronecker product, Y = (P S^+)^H U2 (r x d), and S2 and S
+the diagonal singular value factors.  The bracketed middle matrix is filled by its block pattern and H
+is applied through small solves with W1^H and V22^H, so neither a
+Kronecker product nor the tall projection Q = [-(P S^+)^H; I] is ever
+formed.  Real data uses the same code path as complex: every conjugate
+transpose degrades to a plain transpose on reals, which is exactly the
+real variant of the formulas.
 
 The first-order bound is U = kappa * eps_n with eps_n the relative
 perturbation size ||[dJ, dK]||_F / ||[J, K]||_F; it holds asymptotically
@@ -39,8 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import (commutation_matrix, kron, spectral_norm,
-                            spectral_norm_power, svd_skinny, unvec, vec)
+from .dense_kernels import svd_skinny
 from .errors import ConditioningUndefined, DimensionMismatch
 from .tlse_real import (DEFAULT_TOL, TlseRealProblem, TlseRealSolution,
                         ToleranceConfig)
@@ -48,19 +54,13 @@ from .tlse_complex import TlseComplexProblem, TlseComplexSolution
 
 __all__ = [
     "PerturbationInstance",
-    "ConditionFactors",
     "ConditionReport",
     "condition_real",
     "condition_complex",
     "epsilon_n",
     "forward_error_bound",
     "scaled_to",
-    "DENSE_ENTRY_LIMIT",
 ]
-
-# Dense evaluation is used while the H @ G @ Z product stays within this
-# many entries; beyond it the matrix-free path takes over.
-DENSE_ENTRY_LIMIT = 10 ** 7
 
 AnyProblem = Union[TlseRealProblem, TlseComplexProblem]
 
@@ -132,21 +132,6 @@ def scaled_to(instance: PerturbationInstance,
 
 
 @dataclass(frozen=True)
-class ConditionFactors:
-    """Dense factor matrices, retained on request (dense path only).
-
-    S is kept as the diagonal vector of the n-by-n diagonal factor.
-    """
-
-    H: np.ndarray
-    G: np.ndarray
-    Z: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
-    W: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """kappa with optional perturbation-size, bound, and measurement."""
 
@@ -154,7 +139,6 @@ class ConditionReport:
     eps_n: Optional[float] = None
     bound: Optional[float] = None
     forward_error: Optional[float] = None
-    factors: Optional[ConditionFactors] = None
 
     def with_instance(self, instance: PerturbationInstance) -> "ConditionReport":
         e = epsilon_n(instance)
@@ -173,19 +157,24 @@ def forward_error_bound(report: ConditionReport) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Factor construction shared by the real and complex paths.
+# The exact Gram route shared by the real and complex paths.
 # ---------------------------------------------------------------------------
 
 class _Pieces:
-    """Everything both the dense builder and the matrix-free operator need."""
+    """The small factors H G Z is built from, plus the norms kappa scales by.
+
+    Attributes keep the names of the formulas: U2 and sig2 are the trailing
+    singular triples of the solve, PS = P S^+, S_diag the diagonal of S,
+    mask the 0/1 diagonal selecting the unconstrained columns, denom the
+    diagonal of D, and T2 the triangular coupling block.
+    """
 
     def __init__(self, P, S, U, sigma, V_check, r, n, d, X, jk_norm, tol):
         rep = P.shape[0]
         k = n - r
-        self.r, self.n, self.d, self.rep, self.k = r, n, d, rep, k
-        self.U1 = U[:, :k]
+        self.n, self.d = n, d
+        U1 = U[:, :k]
         self.U2 = U[:, k:]
-        self.sig1 = sigma[:k]
         self.sig2 = sigma[k:]
 
         if r > 0:
@@ -194,20 +183,17 @@ class _Pieces:
                 raise ConditioningUndefined(
                     f"constraint stack rank {fs.S.size} < {r}; "
                     f"skinny SVD factors unusable")
-            self.Us, self.Ss, self.Vs = fs.U, fs.S, fs.V
-            Spinv = (fs.V / fs.S) @ fs.U.conj().T
-            self.PS = P @ Spinv
+            Us, Ss, Vs = fs.U, fs.S, fs.V
+            self.PS = P @ ((fs.V / fs.S) @ fs.U.conj().T)
         else:
             dt = P.dtype
-            self.Us = np.zeros((0, 0), dtype=dt)
-            self.Ss = np.zeros(0)
-            self.Vs = np.zeros((n + d, 0), dtype=dt)
+            Us = np.zeros((0, 0), dtype=dt)
+            Ss = np.zeros(0)
+            Vs = np.zeros((n + d, 0), dtype=dt)
             self.PS = np.zeros((rep, 0), dtype=dt)
 
-        self.Q = np.vstack([-self.PS.conj().T, np.eye(rep, dtype=P.dtype)])
-        self.S_diag = np.concatenate([self.Ss, self.sig1])
-        self.W = np.hstack([self.Vs, V_check[:, :k]])
-        self.W1 = self.W[:n, :]
+        self.S_diag = np.concatenate([Ss, sigma[:k]])
+        self.W1 = np.hstack([Vs, V_check[:, :k]])[:n, :]
         self.V22 = V_check[n:, k:]
 
         w1_sv = np.linalg.svd(self.W1, compute_uv=False)
@@ -218,15 +204,15 @@ class _Pieces:
                 "number formula does not apply")
 
         self.mask = np.concatenate([np.zeros(r), np.ones(k)])
-        self.denom = (np.kron(self.S_diag ** 2, np.ones(d))
-                      - np.kron(self.mask, self.sig2 ** 2))
+        # D in vec order: entry j*d + i belongs to column j, row i
+        self.denom = (self.S_diag[:, None] ** 2
+                      - self.mask[:, None] * self.sig2[None, :] ** 2).ravel()
         if np.any(self.denom <= 0.0):
             raise ConditioningUndefined(
                 "diagonal resolvent in G is singular; gap condition "
                 "violated at conditioning time")
-        self.denom_mat = unvec(self.denom, (d, n))
 
-        cross = -self.U1.conj().T @ (self.PS @ self.Us)
+        cross = -U1.conj().T @ (self.PS @ Us)
         self.T2 = np.block([
             [np.eye(r, dtype=cross.dtype), np.zeros((r, k))],
             [cross, np.eye(k, dtype=cross.dtype)]])
@@ -236,142 +222,93 @@ class _Pieces:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
         self.jk_norm = jk_norm
-        self.is_complex = np.iscomplexobj(P)
 
-    # -- dense construction ------------------------------------------------
+    def apply_H(self, M: np.ndarray) -> np.ndarray:
+        """H @ M for nd-by-N M: commute each column's d-by-n matrix, then
+        multiply by W1^-H on the left and V22^-H on the right."""
+        n, d = self.n, self.d
+        N = M.shape[1]
+        step = np.linalg.solve(self.W1.conj().T, M.reshape(n, d * N))
+        step = step.reshape(n, d, N).transpose(1, 0, 2).reshape(d, n * N)
+        return np.linalg.solve(self.V22.conj().T, step).reshape(n * d, N)
 
-    def dense_factors(self) -> ConditionFactors:
-        n, d, r, rep = self.n, self.d, self.r, self.rep
-        W1_it = np.linalg.inv(self.W1).conj().T
-        V22_it = np.linalg.inv(self.V22).conj().T
-        H = kron(V22_it, W1_it) @ commutation_matrix(d, n)
-        G = (1.0 / self.denom)[:, None] * np.hstack([
-            kron(np.eye(n), np.diag(self.sig2)),
-            kron(np.diag(self.S_diag), np.eye(d))])
-        Zb1 = kron(np.diag(self.mask),
-                   self.U2.conj().T @ self.Q.conj().T)
-        Zb2 = kron(self.T2, np.eye(d))
-        q_in = n * (r + rep) + n * d
-        Z = np.zeros((2 * n * d, q_in), dtype=np.result_type(Zb1, Zb2))
-        Z[:n * d, :n * (r + rep)] = Zb1
-        Z[n * d:, n * (r + rep):] = Zb2
+    def gram(self) -> np.ndarray:
+        """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix.
 
-        # shape audit: a mismatch here is a construction bug
-        assert H.shape == (n * d, n * d), H.shape
-        assert G.shape == (n * d, 2 * n * d), G.shape
-        assert Z.shape == (2 * n * d, q_in), Z.shape
-        return ConditionFactors(H=H, G=G, Z=Z, Q=self.Q,
-                                S=self.S_diag, W=self.W)
+        Z Z^H is block diagonal with blocks diag(mask) (x) (I + Y^H Y),
+        Y = PS^H U2, and T2 T2^H (x) I_d; G folds in the diagonal
+        singular value factors and D^-1.  The middle matrix is filled by
+        its block pattern, then H is applied on both sides.
+        """
+        n, d = self.n, self.d
+        Y = self.PS.conj().T @ self.U2
+        inner = self.sig2[:, None] * (np.eye(d) + Y.conj().T @ Y) \
+            * self.sig2[None, :]
+        outer = self.S_diag[:, None] * (self.T2 @ self.T2.conj().T) \
+            * self.S_diag[None, :]
+        mid = np.zeros((n, d, n, d), dtype=np.result_type(inner, outer))
+        cols, rows = np.arange(n), np.arange(d)
+        mid[cols, :, cols, :] = self.mask[:, None, None] * inner
+        mid[:, rows, :, rows] += outer
+        mid = mid.reshape(n * d, n * d) / np.outer(self.denom, self.denom)
+        # mid is Hermitian, so H (H mid)^H = H mid H^H
+        return self.apply_H(self.apply_H(mid).conj().T)
 
-    # -- matrix-free application -------------------------------------------
-
-    @property
-    def input_dim(self) -> int:
-        return self.n * (self.r + self.rep) + self.n * self.d
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """H(G(Z v))), never materializing a Kronecker factor."""
-        n, d, r, rep = self.n, self.d, self.r, self.rep
-        split = n * (r + rep)
-        M1 = unvec(v[:split], (r + rep, n))
-        Y2 = unvec(v[split:], (d, n))
-        # Z
-        Z1 = (self.U2.conj().T @ (self.Q.conj().T @ M1)) * self.mask[None, :]
-        Z2 = Y2 @ self.T2.T
-        # G
-        Wm = (self.sig2[:, None] * Z1 + Z2 * self.S_diag[None, :]) \
-            / self.denom_mat
-        # H: commute, then the two inverse transposes
-        Y = Wm.T
-        step = np.linalg.solve(self.W1.conj().T, Y)
-        out = np.linalg.solve(self.V22.conj().T, step.T).T
-        return vec(out)
-
-    def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        Um = unvec(u, (self.n, self.d))
-        # H^H: commutation transpose after the two plain inverses
-        s1 = np.linalg.solve(self.W1, Um)
-        Wm = np.linalg.solve(self.V22, s1.T)
-        # G^H
-        Wd = Wm / self.denom_mat
-        Z1 = self.sig2[:, None] * Wd
-        Z2 = Wd * self.S_diag[None, :]
-        # Z^H
-        B1 = (self.Q @ (self.U2 @ Z1)) * self.mask[None, :]
-        B2 = Z2 @ self.T2.conj()
-        return np.concatenate([vec(B1), vec(B2)])
-
-
-def _kappa_from_pieces(pieces: _Pieces, mode: str,
-                       keep_factors: bool) -> tuple[float, Optional[ConditionFactors]]:
-    n, d = pieces.n, pieces.d
-    product_entries = n * d * pieces.input_dim
-    if mode == "auto":
-        mode = "dense" if product_entries <= DENSE_ENTRY_LIMIT else "iterative"
-    if mode == "dense":
-        factors = pieces.dense_factors()
-        op_norm = spectral_norm(factors.H @ factors.G @ factors.Z)
-        kappa = op_norm * pieces.jk_norm / pieces.x_norm
-        return kappa, (factors if keep_factors else None)
-    if mode == "iterative":
-        op_norm = spectral_norm_power(
-            pieces.apply, pieces.apply_adjoint, pieces.input_dim,
-            complex_ok=pieces.is_complex)
-        return op_norm * pieces.jk_norm / pieces.x_norm, None
-    raise ValueError(f"unknown mode {mode!r}")
+    def kappa(self) -> float:
+        gram = self.gram()
+        lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]
+        return float(np.sqrt(max(lam, 0.0))) * self.jk_norm / self.x_norm
 
 
 def _stack_norm(*leads: np.ndarray) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(L) ** 2) for L in leads)))
 
 
+def _pieces(problem: AnyProblem, solution, tol: ToleranceConfig,
+            block_column, rows_per_constraint: int) -> _Pieces:
+    """Gram-route pieces from the representation stacks of ``problem``."""
+    _, n, p, d = problem.sizes
+    Ac, Bc, Cc, Dc = (block_column(M) for M in
+                      (problem.A, problem.B, problem.C, problem.D))
+    return _Pieces(np.hstack([Ac, Bc]), np.hstack([Cc, Dc]), solution.U,
+                   solution.sigma, solution.V_check, rows_per_constraint * p,
+                   n, d, solution.X, _stack_norm(Ac, Bc, Cc, Dc), tol)
+
+
+def _condition(problem, solution, tol, instance, block_column,
+               rows_per_constraint) -> ConditionReport:
+    try:
+        kappa = _pieces(problem, solution, tol, block_column,
+                        rows_per_constraint).kappa()
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningUndefined(
+            f"linear algebra failure while conditioning: {exc}") from exc
+    report = ConditionReport(kappa=kappa)
+    return report.with_instance(instance) if instance is not None else report
+
+
 def condition_real(problem: TlseRealProblem,
                    solution: TlseRealSolution,
                    tol: ToleranceConfig = DEFAULT_TOL,
-                   mode: str = "auto",
-                   keep_factors: bool = False,
+                   *,
                    instance: Optional[PerturbationInstance] = None,
                    ) -> ConditionReport:
     """Relative normwise condition number of the real solution.
 
-    Reuses the SVD blocks retained on ``solution``.  ``mode`` is "auto"
-    (dense under DENSE_ENTRY_LIMIT entries, matrix-free beyond), "dense",
-    or "iterative".  Passing ``instance`` also fills eps_n and the bound.
+    Reuses the SVD blocks retained on ``solution``.  Passing ``instance``
+    also fills eps_n and the bound.
     """
-    m, n, p, d = problem.sizes
-    Ac = rb.real_block_column(problem.A)
-    Bc = rb.real_block_column(problem.B)
-    Cc = rb.real_block_column(problem.C)
-    Dc = rb.real_block_column(problem.D)
-    P = np.hstack([Ac, Bc])
-    S = np.hstack([Cc, Dc])
-    jk = _stack_norm(Ac, Bc, Cc, Dc)
-    pieces = _Pieces(P, S, solution.U, solution.sigma, solution.V_check,
-                     4 * p, n, d, solution.X, jk, tol)
-    kappa, factors = _kappa_from_pieces(pieces, mode, keep_factors)
-    report = ConditionReport(kappa=kappa, factors=factors)
-    return report.with_instance(instance) if instance is not None else report
+    return _condition(problem, solution, tol, instance,
+                      rb.real_block_column, 4)
 
 
 def condition_complex(problem: TlseComplexProblem,
                       solution: TlseComplexSolution,
                       tol: ToleranceConfig = DEFAULT_TOL,
-                      mode: str = "auto",
-                      keep_factors: bool = False,
+                      *,
                       instance: Optional[PerturbationInstance] = None,
                       ) -> ConditionReport:
     """Complex twin of :func:`condition_real` (conjugate transposes, 2p-row
     constraint stack)."""
-    m, n, p, d = problem.sizes
-    Ac = rb.complex_block_column(problem.A)
-    Bc = rb.complex_block_column(problem.B)
-    Cc = rb.complex_block_column(problem.C)
-    Dc = rb.complex_block_column(problem.D)
-    P = np.hstack([Ac, Bc])
-    S = np.hstack([Cc, Dc])
-    jk = _stack_norm(Ac, Bc, Cc, Dc)
-    pieces = _Pieces(P, S, solution.U, solution.sigma, solution.V_check,
-                     2 * p, n, d, solution.X, jk, tol)
-    kappa, factors = _kappa_from_pieces(pieces, mode, keep_factors)
-    report = ConditionReport(kappa=kappa, factors=factors)
-    return report.with_instance(instance) if instance is not None else report
+    return _condition(problem, solution, tol, instance,
+                      rb.complex_block_column, 2)

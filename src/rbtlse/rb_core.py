@@ -452,7 +452,10 @@ def read_rbmat(path) -> RBMatrix:
                 raise FileFormatError(
                     f"block {block} row {r}: non-numeric field") from exc
             pos += 1
-        comps.append(np.array(rows, dtype=np.float64).reshape(m, n))
+        comp = np.array(rows, dtype=np.float64).reshape(m, n)
+        if not np.isfinite(comp).all():
+            raise FileFormatError(f"block {block}: nan or inf entry")
+        comps.append(comp)
     if any(line.strip() for line in lines[pos:]):
         raise FileFormatError("trailing content after block 3")
     return RBMatrix(*comps)

@@ -26,9 +26,8 @@ import numpy as np
 from . import rb_core as rb
 from .dense_kernels import qr_full, svd_skinny, svd_thin
 from .errors import (AssumptionViolated, BlockNotInvertible,
-                     DegenerateSpectrum, DimensionMismatch,
-                     GapConditionFailed)
-from .tlse_real import DEFAULT_TOL, ToleranceConfig
+                     DegenerateSpectrum, GapConditionFailed)
+from .tlse_real import DEFAULT_TOL, ToleranceConfig, _validate_blocks
 
 __all__ = [
     "TlseComplexProblem",
@@ -41,7 +40,8 @@ __all__ = [
 @dataclass(frozen=True)
 class TlseComplexProblem:
     """Data (A, B, C, D) for a complex-solution solve; shapes as in the
-    real variant, p = 0 accepted."""
+    real variant, p = 0 accepted, n = 0, d = 0 and non-finite entries
+    rejected."""
 
     A: rb.RBMatrix
     B: rb.RBMatrix
@@ -49,18 +49,7 @@ class TlseComplexProblem:
     D: rb.RBMatrix
 
     def __post_init__(self):
-        m, n = self.A.shape
-        if self.B.rows != m:
-            raise DimensionMismatch(
-                f"A has {m} rows but B has {self.B.rows}")
-        p = self.C.rows
-        if self.C.cols != n:
-            raise DimensionMismatch(
-                f"A has {n} cols but C has {self.C.cols}")
-        if self.D.shape != (p, self.B.cols):
-            raise DimensionMismatch(
-                f"D shape {self.D.shape} incompatible with C/B "
-                f"({p}, {self.B.cols})")
+        _validate_blocks(self.A, self.B, self.C, self.D)
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:

@@ -33,7 +33,7 @@ from . import rb_core as rb
 from .dense_kernels import qr_full, svd_skinny, svd_thin
 from .errors import (AssumptionViolated, BlockNotInvertible,
                      DegenerateSpectrum, DimensionMismatch,
-                     GapConditionFailed)
+                     GapConditionFailed, NonFiniteInput)
 
 __all__ = [
     "ToleranceConfig",
@@ -70,12 +70,33 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _validate_blocks(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
+                     D: rb.RBMatrix) -> None:
+    """Shape and finiteness checks shared by both problem types."""
+    m, n = A.shape
+    if B.rows != m:
+        raise DimensionMismatch(f"A has {m} rows but B has {B.rows}")
+    p = C.rows
+    if C.cols != n:
+        raise DimensionMismatch(f"A has {n} cols but C has {C.cols}")
+    if D.shape != (p, B.cols):
+        raise DimensionMismatch(
+            f"D shape {D.shape} incompatible with C/B ({p}, {B.cols})")
+    if n == 0 or B.cols == 0:
+        raise DimensionMismatch(
+            f"empty problem: n = {n}, d = {B.cols}; both must be >= 1")
+    for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+        if not all(np.isfinite(c).all() for c in (M.p0, M.p1, M.p2, M.p3)):
+            raise NonFiniteInput(f"{name} holds nan or inf")
+
+
 @dataclass(frozen=True)
 class TlseRealProblem:
     """Data (A, B, C, D) for a real-solution solve.
 
-    A is m-by-n, B m-by-d, C p-by-n, D p-by-d.  p = 0 (empty constraint)
-    is accepted and degrades to an unconstrained total least squares solve.
+    A is m-by-n, B m-by-d, C p-by-n, D p-by-d with n, d >= 1 and every
+    entry finite.  p = 0 (empty constraint) is accepted and degrades to an
+    unconstrained total least squares solve.
     """
 
     A: rb.RBMatrix
@@ -84,18 +105,7 @@ class TlseRealProblem:
     D: rb.RBMatrix
 
     def __post_init__(self):
-        m, n = self.A.shape
-        if self.B.rows != m:
-            raise DimensionMismatch(
-                f"A has {m} rows but B has {self.B.rows}")
-        p = self.C.rows
-        if self.C.cols != n:
-            raise DimensionMismatch(
-                f"A has {n} cols but C has {self.C.cols}")
-        if self.D.shape != (p, self.B.cols):
-            raise DimensionMismatch(
-                f"D shape {self.D.shape} incompatible with C/B "
-                f"({p}, {self.B.cols})")
+        _validate_blocks(self.A, self.B, self.C, self.D)
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:

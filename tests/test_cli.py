@@ -146,3 +146,30 @@ def test_solve_assumption_violation_exit_code(tmp_path, capsys):
                  "--c", c2.as_posix(), "--d", d2.as_posix()])
     assert code == 2
     assert "AssumptionViolated" in capsys.readouterr().err
+
+
+def test_solve_non_finite_file_is_io_error(tmp_path, capsys):
+    paths = _write_consistent_system(tmp_path, seed=9)
+    lines = open(paths["a"]).read().splitlines()
+    fields = lines[1].split()
+    fields[0] = "nan"
+    lines[1] = " ".join(fields)
+    with open(paths["a"], "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"]])
+    assert code == 1
+    assert "nan or inf" in capsys.readouterr().err
+
+
+def test_solve_empty_rhs_is_solver_error(tmp_path, capsys):
+    # zero-row files: A and C are 0 x 3, B and D are 0 x 0, so d = 0
+    paths = {}
+    for name, cols in (("a", 3), ("b", 0), ("c", 3), ("d", 0)):
+        path = tmp_path / f"{name}.rbmat"
+        rb.write_rbmat(path, rb.RBMatrix.zeros(0, cols))
+        paths[name] = str(path)
+    code = main(["solve-complex", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"]])
+    assert code == 2
+    assert "DimensionMismatch" in capsys.readouterr().err

@@ -400,6 +400,17 @@ def test_rbmat_malformed(tmp_path, mutate):
         rb.read_rbmat(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_rbmat_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "bad.rbmat"
+    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    lines = path.read_text().splitlines()
+    lines[-1] = f"0.0 {token}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError):
+        rb.read_rbmat(path)
+
+
 def test_rbmat_missing_blank_separator(tmp_path):
     P = rb.RBMatrix.eye(1)
     path = tmp_path / "sep.rbmat"

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import rbtlse.rb_core as rb
-from rbtlse.errors import AssumptionViolated, DimensionMismatch
+from rbtlse.bench import gen_instance
+from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
+                           NonFiniteInput)
 from rbtlse.tlse_real import solve_real
 from rbtlse.tlse_complex import (TlseComplexProblem, solve_complex,
                                  residuals_complex)
@@ -35,6 +37,23 @@ def test_problem_shape_validation():
     with pytest.raises(DimensionMismatch):
         TlseComplexProblem(A=_rand_rb(rng, 5, 3), B=_rand_rb(rng, 4, 2),
                            C=_rand_rb(rng, 1, 3), D=_rand_rb(rng, 1, 2))
+
+
+def test_non_finite_input_rejected():
+    rng = np.random.default_rng(0)
+    D = _rand_rb(rng, 1, 2)
+    p3 = D.p3.copy()
+    p3[0, 1] = np.inf
+    with pytest.raises(NonFiniteInput):
+        TlseComplexProblem(A=_rand_rb(rng, 5, 3), B=_rand_rb(rng, 5, 2),
+                           C=_rand_rb(rng, 1, 3),
+                           D=rb.RBMatrix(D.p0, D.p1, D.p2, p3))
+
+
+@pytest.mark.parametrize("sizes", [(50, 6, 2, 0), (50, 0, 0, 3)])
+def test_empty_dimensions_rejected(sizes):
+    with pytest.raises(DimensionMismatch):
+        gen_instance("complex", sizes, 0)
 
 
 def test_consistent_recovery():

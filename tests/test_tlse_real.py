@@ -12,9 +12,10 @@ import pytest
 
 import rbtlse.rb_core as rb
 from rbtlse.dense_kernels import qr_full
+from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
-                           GapConditionFailed)
+                           GapConditionFailed, NonFiniteInput, RbtlseError)
 from rbtlse.tlse_real import (DEFAULT_TOL, ToleranceConfig, TlseRealProblem,
                               solve_real, residuals_real)
 
@@ -45,6 +46,25 @@ def test_problem_shape_validation():
     D2 = _rand_rb(rng, 1, 3)  # wrong column count
     with pytest.raises(DimensionMismatch):
         TlseRealProblem(A=A, B=B2, C=C, D=D2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    rng = np.random.default_rng(0)
+    A = _rand_rb(rng, 30, 10)
+    p0 = A.p0.copy()
+    p0[3, 4] = bad
+    A_bad = rb.RBMatrix(p0, A.p1, A.p2, A.p3)
+    with pytest.raises(NonFiniteInput):
+        TlseRealProblem(A=A_bad, B=_rand_rb(rng, 30, 2),
+                        C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    assert issubclass(NonFiniteInput, RbtlseError)
+
+
+@pytest.mark.parametrize("sizes", [(30, 10, 2, 0), (30, 0, 0, 2)])
+def test_empty_dimensions_rejected(sizes):
+    with pytest.raises(DimensionMismatch):
+        gen_instance("real", sizes, 0)
 
 
 def test_consistent_recovery():
