@@ -23,10 +23,10 @@ from .rb_core import (RBScalar, RBMatrix, rb_mul, mat_mul, hstack, vstack,
                       from_real_block_column, from_complex_block_column,
                       from_complex_pair, to_complex_pair,
                       read_rbmat, write_rbmat)
-from .tlse_real import (ToleranceConfig, DEFAULT_TOL, TlseRealProblem,
-                        TlseRealSolution, solve_real, residuals_real)
-from .tlse_complex import (TlseComplexProblem, TlseComplexSolution,
-                           solve_complex, residuals_complex)
+from .tlse import (ToleranceConfig, DEFAULT_TOL, TlseProblem,
+                   TlseRealProblem, TlseComplexProblem, TlseSolution,
+                   solve_real, solve_complex, residuals_real,
+                   residuals_complex)
 from .perturbation import (PerturbationInstance, ConditionReport,
                            epsilon_n, scaled_to,
                            condition_real, condition_complex,
@@ -48,10 +48,9 @@ __all__ = [
     "complex_block_column", "from_real_block_column",
     "from_complex_block_column", "from_complex_pair", "to_complex_pair",
     "read_rbmat", "write_rbmat",
-    "ToleranceConfig", "DEFAULT_TOL", "TlseRealProblem", "TlseRealSolution",
-    "solve_real", "residuals_real",
-    "TlseComplexProblem", "TlseComplexSolution", "solve_complex",
-    "residuals_complex",
+    "ToleranceConfig", "DEFAULT_TOL", "TlseProblem", "TlseRealProblem",
+    "TlseComplexProblem", "TlseSolution", "solve_real", "solve_complex",
+    "residuals_real", "residuals_complex",
     "PerturbationInstance", "ConditionReport",
     "epsilon_n", "scaled_to", "condition_real", "condition_complex",
     "forward_error_bound",

@@ -31,8 +31,6 @@ a crashed run never leaves a half-written report.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,10 +39,11 @@ import numpy as np
 from . import rb_core as rb
 from .errors import RbtlseError
 from .lse_baseline import lse_solve_real, lse_solve_complex
-from .perturbation import (PerturbationInstance, condition_real,
-                           condition_complex, epsilon_n, scaled_to)
-from .tlse_real import TlseRealProblem, solve_real, residuals_real
-from .tlse_complex import TlseComplexProblem, solve_complex, residuals_complex
+# condition_real and residuals_real serve both algebras
+from .perturbation import (PerturbationInstance, condition_real, epsilon_n,
+                           scaled_to)
+from .tlse import (TlseComplexProblem, TlseRealProblem, residuals_real,
+                   solve_complex, solve_real)
 
 __all__ = [
     "EXPERIMENTS",
@@ -150,14 +149,15 @@ def gen_instance(kind: str, sizes: Sequence[int], seed):
     parts of the complex pair).
     """
     m, n, p, d = sizes
-    rng = np.random.default_rng(seed)
     if kind == "real":
-        return TlseRealProblem(A=_rb_randn(rng, m, n), B=_rb_randn(rng, m, d),
-                               C=_rb_randn(rng, p, n), D=_rb_randn(rng, p, d))
-    if kind == "complex":
-        return TlseComplexProblem(A=_rb_rand(rng, m, n), B=_rb_rand(rng, m, d),
-                                  C=_rb_rand(rng, p, n), D=_rb_rand(rng, p, d))
-    raise ValueError(f"unknown kind {kind!r}")
+        cls, draw = TlseRealProblem, _rb_randn
+    elif kind == "complex":
+        cls, draw = TlseComplexProblem, _rb_rand
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    return cls(A=draw(rng, m, n), B=draw(rng, m, d),
+               C=draw(rng, p, n), D=draw(rng, p, d))
 
 
 def random_perturbation(problem, rng, eps_target: float) -> PerturbationInstance:
@@ -248,7 +248,6 @@ def _point_seed(seed: int, t: int, trial: int) -> int:
 def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
     kind = "real" if config.experiment.endswith("real") else "complex"
     solve = solve_real if kind == "real" else solve_complex
-    residuals = residuals_real if kind == "real" else residuals_complex
     records = []
     for t in config.t_values:
         sizes = accuracy_sizes(kind, t)
@@ -257,7 +256,7 @@ def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
             problem = gen_instance(kind, sizes, point)
             try:
                 solution = solve(problem)
-                e1, e2 = residuals(problem, solution)
+                e1, e2 = residuals_real(problem, solution)
                 records.append(ExperimentRecord(
                     config.experiment, t, sizes[0], point, trial,
                     eps1=e1, eps2=e2))
@@ -271,7 +270,6 @@ def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
 def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
     kind = "real" if config.experiment.endswith("real") else "complex"
     solve = solve_real if kind == "real" else solve_complex
-    condition = condition_real if kind == "real" else condition_complex
     records = []
     for t in config.t_values:
         sizes = accuracy_sizes(kind, t)
@@ -282,7 +280,7 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
             try:
                 problem = gen_instance(kind, sizes, streams[0])
                 solution = solve(problem)
-                report = condition(problem, solution)
+                report = condition_real(problem, solution)
             except RbtlseError as exc:
                 records.append(ExperimentRecord(
                     config.experiment, t, sizes[0], point, trial,
@@ -311,7 +309,9 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
-    real = config.variant == "real"
+    solve, lse_solve = ((solve_real, lse_solve_real)
+                        if config.variant == "real"
+                        else (solve_complex, lse_solve_complex))
     records = []
     for m in config.m_values:
         errs_t, errs_l = [], []
@@ -320,12 +320,8 @@ def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
             base, pert, x_star = gen_compare_instance(
                 config.case, m, inst_seed, config.variant)
             try:
-                if real:
-                    xt = solve_real(pert).X
-                    xl = lse_solve_real(pert.A, pert.B, pert.C, pert.D).X
-                else:
-                    xt = solve_complex(pert).X
-                    xl = lse_solve_complex(pert.A, pert.B, pert.C, pert.D).X
+                xt = solve(pert).X
+                xl = lse_solve(pert.A, pert.B, pert.C, pert.D).X
             except RbtlseError as exc:
                 records.append(ExperimentRecord(
                     config.experiment, None, m, inst_seed, trial,
@@ -365,18 +361,10 @@ def _cell(value) -> str:
 
 
 def write_csv(path: str, records: list[ExperimentRecord]) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                writer.writerow(
-                    [_cell(getattr(rec, col)) for col in CSV_COLUMNS])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Atomic CSV write (see :func:`rbtlse.rb_core.atomic_open`)."""
+    with rb.atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow(
+                [_cell(getattr(rec, col)) for col in CSV_COLUMNS])

@@ -23,10 +23,10 @@ import numpy as np
 from . import rb_core as rb
 from .bench import EXPERIMENTS, ExperimentConfig, run_experiment
 from .errors import FileFormatError, RbtlseError
-from .perturbation import (PerturbationInstance, condition_real,
-                           condition_complex, epsilon_n)
-from .tlse_real import TlseRealProblem, solve_real, residuals_real
-from .tlse_complex import TlseComplexProblem, solve_complex, residuals_complex
+# condition_real and residuals_real serve both algebras
+from .perturbation import PerturbationInstance, condition_real, epsilon_n
+from .tlse import (TlseComplexProblem, TlseRealProblem, residuals_real,
+                   solve_complex, solve_real)
 
 __all__ = ["main"]
 
@@ -121,25 +121,18 @@ def _format_matrix(x: np.ndarray) -> str:
 def _cmd_solve(args) -> int:
     blocks = {key: rb.read_rbmat(getattr(args, key)) for key in "abcd"}
     lines = []
-    if args.flavor == "real":
-        problem = TlseRealProblem(A=blocks["a"], B=blocks["b"],
-                                  C=blocks["c"], D=blocks["d"])
-        solution = solve_real(problem)
-        e1, e2 = residuals_real(problem, solution)
-        report = condition_real(problem, solution)
-        corrections = (solution.E_bar, solution.F_bar)
-    else:
-        problem = TlseComplexProblem(A=blocks["a"], B=blocks["b"],
-                                     C=blocks["c"], D=blocks["d"])
-        solution = solve_complex(problem)
-        e1, e2 = residuals_complex(problem, solution)
-        report = condition_complex(problem, solution)
-        corrections = (solution.G_bar, solution.H_bar)
+    real = args.flavor == "real"
+    problem_type = TlseRealProblem if real else TlseComplexProblem
+    problem = problem_type(A=blocks["a"], B=blocks["b"],
+                           C=blocks["c"], D=blocks["d"])
+    solution = (solve_real if real else solve_complex)(problem)
+    e1, e2 = residuals_real(problem, solution)
+    report = condition_real(problem, solution)
     m, n, p, d = problem.sizes
     # relative size of the fitted correction, reused as the perturbation
     # level in the printed first-order bound
     fitted = PerturbationInstance(
-        problem=problem, dA=corrections[0], dB=corrections[1],
+        problem=problem, dA=solution.E_bar, dB=solution.F_bar,
         dC=rb.RBMatrix.zeros(p, n), dD=rb.RBMatrix.zeros(p, d))
     eps_fit = epsilon_n(fitted)
     lines.append(f"solver: {args.flavor}")
@@ -156,7 +149,7 @@ def _cmd_solve(args) -> int:
                  f"{report.kappa * eps_fit:.6e}")
     text = "\n".join(lines) + "\n"
     if args.report is not None:
-        with open(args.report, "w") as fh:
+        with rb.atomic_open(args.report) as fh:
             fh.write(text)
         print(f"report written to {args.report}")
     else:

@@ -5,12 +5,13 @@ right-hand side is treated as uncertain, so the problem is
 
     minimize ||A X - B||_F  subject to  C X = D,
 
-transported to leading block columns exactly as in the solvers (real
-stacks for real X, complex stacks for complex X) and solved by the
-classical null-space reduction: a full QR of the transposed constraint
-stack yields a particular solution from the triangular system and an
-orthonormal basis of the admissible variations, and an ordinary least
-squares solve fixes the null-space coefficient.
+transported to leading block columns exactly as in the solver (real
+stacks for real X, complex stacks for complex X), with the solver's data
+validation and constraint rank check, and solved by the classical
+null-space reduction: a full QR of the transposed constraint stack yields
+a particular solution from the triangular system and an orthonormal basis
+of the admissible variations, and an ordinary least squares solve fixes
+the null-space coefficient.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import qr_full, svd_skinny
-from .errors import AssumptionViolated, DimensionMismatch
-from .tlse_real import DEFAULT_TOL, ToleranceConfig
+from .dense_kernels import qr_full
+from .tlse import (_COMPLEX, _REAL, _Representation, _check_constraint_rank,
+                   _validate_blocks)
 
 __all__ = ["LseSolution", "lse_solve_real", "lse_solve_complex"]
 
@@ -36,65 +37,38 @@ class LseSolution:
     constraint_residual: float
 
 
-def _check_shapes(A, B, C, D):
-    if A.rows != B.rows:
-        raise DimensionMismatch(f"A has {A.rows} rows, B has {B.rows}")
-    if C.cols != A.cols:
-        raise DimensionMismatch(f"A has {A.cols} cols, C has {C.cols}")
-    if D.shape != (C.rows, B.cols):
-        raise DimensionMismatch(
-            f"D shape {D.shape} incompatible with ({C.rows}, {B.cols})")
-
-
-def _nullspace_lse(Ar, Br, Cr, Dr, rows_needed):
-    """Null-space reduction on representation stacks (real or complex)."""
-    n = Ar.shape[1]
-    if rows_needed == 0:
+def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
+         rep: _Representation) -> LseSolution:
+    _validate_blocks(A, B, C, D)
+    Ar, Br, Cr, Dr = (rep.column(M) for M in (A, B, C, D))
+    r = Cr.shape[0]
+    if r == 0:
         X, *_ = np.linalg.lstsq(Ar, Br, rcond=None)
-        return X
-    rank = svd_skinny(Cr).S.size
-    if rank < rows_needed:
-        raise AssumptionViolated(
-            f"constraint stack has numerical rank {rank}, needs "
-            f"{rows_needed}")
-    qf = qr_full(Cr.conj().T)
-    Q1 = qf.Q[:, :rows_needed]
-    Q2 = qf.Q[:, rows_needed:]
-    # Cr = [R^H 0] Q^H, so Cr X = Dr becomes R^H (Q1^H X) = Dr
-    y = np.linalg.solve(qf.R.conj().T, Dr)
-    X0 = Q1 @ y
-    Z, *_ = np.linalg.lstsq(Ar @ Q2, Br - Ar @ X0, rcond=None)
-    return X0 + Q2 @ Z
+    else:
+        _check_constraint_rank(Cr)
+        qf = qr_full(Cr.conj().T)
+        Q1 = qf.Q[:, :r]
+        Q2 = qf.Q[:, r:]
+        # Cr = [R^H 0] Q^H, so Cr X = Dr becomes R^H (Q1^H X) = Dr
+        y = np.linalg.solve(qf.R.conj().T, Dr)
+        X0 = Q1 @ y
+        Z, *_ = np.linalg.lstsq(Ar @ Q2, Br - Ar @ X0, rcond=None)
+        X = X0 + Q2 @ Z
+    return LseSolution(
+        X=X,
+        residual=float(np.linalg.norm(Ar @ X - Br)),
+        constraint_residual=float(np.linalg.norm(Cr @ X - Dr)))
 
 
 def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
-                   D: rb.RBMatrix,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> LseSolution:
+                   D: rb.RBMatrix) -> LseSolution:
     """Real-solution constrained least squares; p = 0 degrades to plain
-    least squares."""
-    _check_shapes(A, B, C, D)
-    Ar = rb.real_block_column(A)
-    Br = rb.real_block_column(B)
-    Cr = rb.real_block_column(C)
-    Dr = rb.real_block_column(D)
-    X = _nullspace_lse(Ar, Br, Cr, Dr, 4 * C.rows)
-    return LseSolution(
-        X=X,
-        residual=float(np.linalg.norm(Ar @ X - Br)),
-        constraint_residual=float(np.linalg.norm(Cr @ X - Dr)))
+    least squares.  Raises DimensionMismatch, NonFiniteInput or
+    AssumptionViolated like the total least squares solver."""
+    return _lse(A, B, C, D, _REAL)
 
 
 def lse_solve_complex(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
-                      D: rb.RBMatrix,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> LseSolution:
+                      D: rb.RBMatrix) -> LseSolution:
     """Complex-solution variant over the complex-pair stacks."""
-    _check_shapes(A, B, C, D)
-    Ar = rb.complex_block_column(A)
-    Br = rb.complex_block_column(B)
-    Cr = rb.complex_block_column(C)
-    Dr = rb.complex_block_column(D)
-    X = _nullspace_lse(Ar, Br, Cr, Dr, 2 * C.rows)
-    return LseSolution(
-        X=X,
-        residual=float(np.linalg.norm(Ar @ X - Br)),
-        constraint_residual=float(np.linalg.norm(Cr @ X - Dr)))
+    return _lse(A, B, C, D, _COMPLEX)

@@ -41,16 +41,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import rb_core as rb
 from .dense_kernels import svd_skinny
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse_real import (DEFAULT_TOL, TlseRealProblem, TlseRealSolution,
-                        ToleranceConfig)
-from .tlse_complex import TlseComplexProblem, TlseComplexSolution
+from .tlse import DEFAULT_TOL, TlseProblem, TlseSolution, ToleranceConfig
 
 __all__ = [
     "PerturbationInstance",
@@ -62,14 +60,12 @@ __all__ = [
     "scaled_to",
 ]
 
-AnyProblem = Union[TlseRealProblem, TlseComplexProblem]
-
 
 @dataclass(frozen=True)
 class PerturbationInstance:
     """A base problem together with perturbations of all four blocks."""
 
-    problem: AnyProblem
+    problem: TlseProblem
     dA: rb.RBMatrix
     dB: rb.RBMatrix
     dC: rb.RBMatrix
@@ -99,7 +95,7 @@ class PerturbationInstance:
     def dK(self) -> rb.RBMatrix:
         return rb.vstack(self.dD, self.dB)
 
-    def perturbed(self) -> AnyProblem:
+    def perturbed(self) -> TlseProblem:
         """The perturbed problem, same solution type as the base."""
         cls = type(self.problem)
         return cls(A=self.problem.A + self.dA, B=self.problem.B + self.dB,
@@ -169,8 +165,12 @@ class _Pieces:
     diagonal of D, and T2 the triangular coupling block.
     """
 
-    def __init__(self, P, S, U, sigma, V_check, r, n, d, X, jk_norm, tol):
-        rep = P.shape[0]
+    def __init__(self, solution: TlseSolution, tol: ToleranceConfig):
+        P, S, U, sigma, V_check, X = (
+            solution.P, solution.S, solution.U, solution.sigma,
+            solution.V_check, solution.X)
+        rep, r = P.shape[0], S.shape[0]
+        n, d = X.shape
         k = n - r
         self.n, self.d = n, d
         U1 = U[:, :k]
@@ -221,7 +221,9 @@ class _Pieces:
         if self.x_norm == 0.0:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
-        self.jk_norm = jk_norm
+        # ||[J, K]||_F equals the norm of the representation stacks
+        self.jk_norm = float(np.sqrt(np.sum(np.abs(P) ** 2)
+                                     + np.sum(np.abs(S) ** 2)))
 
     def apply_H(self, M: np.ndarray) -> np.ndarray:
         """H @ M for nd-by-N M: commute each column's d-by-n matrix, then
@@ -260,26 +262,19 @@ class _Pieces:
         return float(np.sqrt(max(lam, 0.0))) * self.jk_norm / self.x_norm
 
 
-def _stack_norm(*leads: np.ndarray) -> float:
-    return float(np.sqrt(sum(np.sum(np.abs(L) ** 2) for L in leads)))
+def condition_real(problem: TlseProblem, solution: TlseSolution,
+                   tol: ToleranceConfig = DEFAULT_TOL,
+                   *,
+                   instance: Optional[PerturbationInstance] = None,
+                   ) -> ConditionReport:
+    """Relative normwise condition number of a real or complex solution.
 
-
-def _pieces(problem: AnyProblem, solution, tol: ToleranceConfig,
-            block_column, rows_per_constraint: int) -> _Pieces:
-    """Gram-route pieces from the representation stacks of ``problem``."""
-    _, n, p, d = problem.sizes
-    Ac, Bc, Cc, Dc = (block_column(M) for M in
-                      (problem.A, problem.B, problem.C, problem.D))
-    return _Pieces(np.hstack([Ac, Bc]), np.hstack([Cc, Dc]), solution.U,
-                   solution.sigma, solution.V_check, rows_per_constraint * p,
-                   n, d, solution.X, _stack_norm(Ac, Bc, Cc, Dc), tol)
-
-
-def _condition(problem, solution, tol, instance, block_column,
-               rows_per_constraint) -> ConditionReport:
+    Works from the stacks and SVD blocks retained on ``solution`` alone;
+    ``problem`` (the data ``solution`` solves) is not read.  Passing
+    ``instance`` also fills eps_n and the bound.
+    """
     try:
-        kappa = _pieces(problem, solution, tol, block_column,
-                        rows_per_constraint).kappa()
+        kappa = _Pieces(solution, tol).kappa()
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc
@@ -287,28 +282,4 @@ def _condition(problem, solution, tol, instance, block_column,
     return report.with_instance(instance) if instance is not None else report
 
 
-def condition_real(problem: TlseRealProblem,
-                   solution: TlseRealSolution,
-                   tol: ToleranceConfig = DEFAULT_TOL,
-                   *,
-                   instance: Optional[PerturbationInstance] = None,
-                   ) -> ConditionReport:
-    """Relative normwise condition number of the real solution.
-
-    Reuses the SVD blocks retained on ``solution``.  Passing ``instance``
-    also fills eps_n and the bound.
-    """
-    return _condition(problem, solution, tol, instance,
-                      rb.real_block_column, 4)
-
-
-def condition_complex(problem: TlseComplexProblem,
-                      solution: TlseComplexSolution,
-                      tol: ToleranceConfig = DEFAULT_TOL,
-                      *,
-                      instance: Optional[PerturbationInstance] = None,
-                      ) -> ConditionReport:
-    """Complex twin of :func:`condition_real` (conjugate transposes, 2p-row
-    constraint stack)."""
-    return _condition(problem, solution, tol, instance,
-                      rb.complex_block_column, 2)
+condition_complex = condition_real

@@ -36,6 +36,9 @@ the norm of the full complex representation.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,7 @@ __all__ = [
     "apply_n",
     "read_rbmat",
     "write_rbmat",
+    "atomic_open",
 ]
 
 
@@ -398,15 +402,37 @@ def frobenius_norm(P: RBMatrix) -> float:
 # separated by exactly one blank line.
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path, **kwargs):
+    """Text file handle whose content replaces ``path`` all at once.
+
+    Writes go to a new uniquely named temp file beside ``path``, renamed
+    over it when the block ends; on any failure the temp file is deleted
+    and ``path`` is left as it was.  The temp file is created by plain
+    exclusive ``open`` so the result gets the usual umask-derived mode.
+    ``kwargs`` go to :func:`open`.
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x", **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_rbmat(path, P: RBMatrix) -> None:
-    """Write in the RBMAT v1 format with full round-trip precision."""
+    """Write in the RBMAT v1 format with full round-trip precision;
+    atomic, as :func:`atomic_open`."""
     m, n = P.shape
     blocks = []
     for comp in to_components(P):
         blocks.append("\n".join(
             " ".join(repr(float(v)) for v in row) for row in comp))
     body = "\n\n".join(blocks)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, encoding="ascii") as fh:
         fh.write(f"RBMAT {m} {n}\n{body}\n")
 
 

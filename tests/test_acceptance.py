@@ -13,8 +13,8 @@ import rbtlse.rb_core as rb
 from rbtlse.bench import ExperimentConfig, run_experiment
 from rbtlse.perturbation import (PerturbationInstance, condition_real,
                                  condition_complex, scaled_to)
-from rbtlse.tlse_real import TlseRealProblem, solve_real
-from rbtlse.tlse_complex import TlseComplexProblem, solve_complex
+from rbtlse.tlse import (TlseComplexProblem, TlseRealProblem, solve_complex,
+                         solve_real)
 
 
 def _verdict(ok: bool, label: str) -> None:

@@ -10,8 +10,7 @@ from rbtlse.bench import (CSV_COLUMNS, ExperimentConfig, ExperimentRecord,
                           accuracy_sizes, gen_instance, gen_compare_instance,
                           random_perturbation, run_experiment, write_csv)
 from rbtlse.perturbation import epsilon_n
-from rbtlse.tlse_real import TlseRealProblem
-from rbtlse.tlse_complex import TlseComplexProblem
+from rbtlse.tlse import TlseComplexProblem, TlseRealProblem
 
 
 # ---------------------------------------------------------------------------

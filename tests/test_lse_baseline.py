@@ -10,9 +10,9 @@ import pytest
 
 import rbtlse.rb_core as rb
 from rbtlse.dense_kernels import qr_full
-from rbtlse.errors import AssumptionViolated
+from rbtlse.errors import AssumptionViolated, DimensionMismatch, NonFiniteInput
 from rbtlse.lse_baseline import lse_solve_real, lse_solve_complex
-from rbtlse.tlse_real import TlseRealProblem, solve_real
+from rbtlse.tlse import TlseRealProblem, solve_real
 
 
 def _rand_rb(rng, m, n):
@@ -131,3 +131,21 @@ def test_rank_deficient_constraint_rejected():
     A, B = _rand_rb(rng, 20, 8), _rand_rb(rng, 20, 2)
     with pytest.raises(AssumptionViolated):
         lse_solve_real(A, B, rb.RBMatrix.zeros(1, 8), rb.RBMatrix.zeros(1, 2))
+
+
+@pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
+def test_invalid_data_rejected(solve):
+    """The baseline validates its data like the total solver: nan/inf is
+    NonFiniteInput (not a LAPACK failure), empty n or d DimensionMismatch
+    (not an empty X)."""
+    rng = np.random.default_rng(8)
+    A, B = _rand_rb(rng, 20, 6), _rand_rb(rng, 20, 2)
+    C, D = _rand_rb(rng, 1, 6), _rand_rb(rng, 1, 2)
+    p0 = A.p0.copy()
+    p0[2, 3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        solve(rb.RBMatrix(p0, A.p1, A.p2, A.p3), B, C, D)
+    with pytest.raises(DimensionMismatch):
+        solve(A, rb.RBMatrix.zeros(20, 0), C, rb.RBMatrix.zeros(1, 0))
+    with pytest.raises(DimensionMismatch):
+        solve(rb.RBMatrix.zeros(20, 0), B, rb.RBMatrix.zeros(1, 0), D)

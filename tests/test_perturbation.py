@@ -18,11 +18,11 @@ import rbtlse.dense_kernels as dk
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import ConditioningUndefined
-from rbtlse.perturbation import (PerturbationInstance, _pieces,
+from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to, forward_error_bound)
-from rbtlse.tlse_real import DEFAULT_TOL, TlseRealProblem, solve_real
-from rbtlse.tlse_complex import TlseComplexProblem, solve_complex
+from rbtlse.tlse import (DEFAULT_TOL, TlseComplexProblem, TlseRealProblem,
+                         solve_complex, solve_real)
 
 
 def _rand_rb(rng, m, n, uniform=False):
@@ -176,9 +176,7 @@ def test_kappa_equals_brute_force_jacobian_complex():
 # ---------------------------------------------------------------------------
 
 def _pieces_of(problem, solution):
-    if isinstance(problem, TlseRealProblem):
-        return _pieces(problem, solution, DEFAULT_TOL, rb.real_block_column, 4)
-    return _pieces(problem, solution, DEFAULT_TOL, rb.complex_block_column, 2)
+    return _Pieces(solution, DEFAULT_TOL)
 
 
 def _dense_factors(pieces):

@@ -5,6 +5,8 @@ the representations, explicit permutation matrices for the block maps,
 and hand-computed products for the multiplication table.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -419,3 +421,26 @@ def test_rbmat_missing_blank_separator(tmp_path):
     path.write_text(text)
     with pytest.raises(FileFormatError):
         rb.read_rbmat(path)
+
+
+def test_rbmat_write_is_atomic(tmp_path, monkeypatch):
+    """A failed write leaves an existing file byte-identical and no temp
+    file behind."""
+    path = tmp_path / "p.rbmat"
+    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        rb.write_rbmat(path, rb.RBMatrix.zeros(3, 3))
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["p.rbmat"]
+
+
+def test_rbmat_write_to_missing_directory(tmp_path):
+    with pytest.raises(OSError):
+        rb.write_rbmat(tmp_path / "nope" / "p.rbmat", rb.RBMatrix.eye(2))
+    assert list(tmp_path.iterdir()) == []

@@ -12,9 +12,8 @@ import rbtlse.rb_core as rb
 from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            NonFiniteInput)
-from rbtlse.tlse_real import solve_real
-from rbtlse.tlse_complex import (TlseComplexProblem, solve_complex,
-                                 residuals_complex)
+from rbtlse.tlse import (TlseComplexProblem, solve_complex, solve_real,
+                         residuals_complex)
 
 
 def _rand_rb(rng, m, n, uniform=False):
@@ -89,7 +88,7 @@ def test_correction_norm_matches_trailing_singular_values():
     k = 6 - 2 * 2
     want = np.sqrt(np.sum(sol.sigma[k:] ** 2))
     assert sol.residual_perturbation_norm == pytest.approx(want, rel=1e-12)
-    assert rb.frobenius_norm(rb.hstack(sol.G_bar, sol.H_bar)) == pytest.approx(
+    assert rb.frobenius_norm(rb.hstack(sol.E_bar, sol.F_bar)) == pytest.approx(
         want, rel=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_real_data_agrees_with_real_solver():
     Xrb = rb.RBMatrix.from_real(Xs)
     B = rb.mat_mul(A, Xrb)
     D = rb.mat_mul(C, Xrb)
-    from rbtlse.tlse_real import TlseRealProblem
+    from rbtlse.tlse import TlseRealProblem
     xr = solve_real(TlseRealProblem(A=A, B=B, C=C, D=D)).X
     xc = solve_complex(TlseComplexProblem(A=A, B=B, C=C, D=D)).X
     assert np.linalg.norm(xc.imag) <= 1e-9 * np.linalg.norm(Xs)

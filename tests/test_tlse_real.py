@@ -16,8 +16,8 @@ from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
                            GapConditionFailed, NonFiniteInput, RbtlseError)
-from rbtlse.tlse_real import (DEFAULT_TOL, ToleranceConfig, TlseRealProblem,
-                              solve_real, residuals_real)
+from rbtlse.tlse import (DEFAULT_TOL, ToleranceConfig, TlseRealProblem,
+                         solve_real, residuals_real)
 
 
 def _rand_rb(rng, m, n):
