@@ -15,8 +15,8 @@ seeded experiment harness with a small CLI.
 from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
                      GapConditionFailed, BlockNotInvertible,
                      DegenerateSpectrum, ConditioningUndefined,
-                     NonFiniteInput, SpectralNormDidNotConverge,
-                     FileFormatError)
+                     FactorizationFailed, NonFiniteInput,
+                     SpectralNormDidNotConverge, FileFormatError)
 from .rb_core import (RBScalar, RBMatrix, rb_mul, mat_mul, hstack, vstack,
                       frobenius_norm, real_repr, complex_repr,
                       real_block_column, complex_block_column,
@@ -41,8 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "RbtlseError", "DimensionMismatch", "AssumptionViolated",
     "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
-    "ConditioningUndefined", "NonFiniteInput", "SpectralNormDidNotConverge",
-    "FileFormatError",
+    "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
+    "SpectralNormDidNotConverge", "FileFormatError",
     "RBScalar", "RBMatrix", "rb_mul", "mat_mul", "hstack", "vstack",
     "frobenius_norm", "real_repr", "complex_repr", "real_block_column",
     "complex_block_column", "from_real_block_column",

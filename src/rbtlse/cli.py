@@ -8,8 +8,9 @@ Subcommands:
   read from RBMAT v1 files and print a labeled plain-text report.
 
 Exit codes: 0 on success, 2 when a solver assumption is violated (rank,
-gap, invertibility, sizes, non-finite data), 1 on I/O or file-format
-failures (an RBMAT file holding nan or inf is a format failure).
+gap, invertibility, sizes, non-finite data) or a LAPACK factorization
+fails, 1 on I/O or file-format failures (an RBMAT file holding nan or inf
+is a format failure).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Dense factorization and product kernels used by the solvers.
 
-Thin wrappers over LAPACK (via numpy) for QR and SVD, plus the small
-utilities the conditioning formulas and their tests need: Moore-Penrose
-pseudoinverse, the commutation matrix, column-major vec/unvec, and a
-spectral norm with both a dense and a matrix-free power iteration path.
+Thin wrappers over LAPACK (via numpy) for QR and SVD, a values-only
+numerical rank, singular values and right singular vectors of a tall
+matrix taken from its R factor, plus the small utilities the conditioning
+formulas and their tests need: Moore-Penrose pseudoinverse, the
+commutation matrix, column-major vec/unvec, and a spectral norm with both
+a dense and a matrix-free power iteration path.
 
 All kernels accept real or complex input; complex matrices are handled
 natively (conjugate transposes throughout), never through a real embedding.
@@ -24,6 +26,8 @@ __all__ = [
     "qr_full",
     "svd_thin",
     "svd_skinny",
+    "svd_right",
+    "numerical_rank",
     "pinv",
     "commutation_matrix",
     "vec",
@@ -72,18 +76,36 @@ def svd_thin(M: np.ndarray) -> SvdFactors:
     return SvdFactors(U=u, S=s, V=vh.conj().T)
 
 
-def svd_skinny(M: np.ndarray) -> SvdFactors:
-    """SVD truncated to the numerical rank.
+def svd_right(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values S and right singular vectors V (c-by-k, with
+    k = min(r, c)) of r-by-c M.
 
-    A singular value is kept iff it exceeds max(r, c) * eps * sigma_1, the
-    standard numerical-rank convention.
+    Taken from the thin SVD of the R factor of M = Q R, which shares S and
+    V with M, so for tall M the r-row left factor is never formed.
     """
+    f = svd_thin(np.linalg.qr(np.asarray(M), mode="r"))
+    return f.S, f.V
+
+
+def _rank_of(S: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Number of singular values above max(r, c) * eps * sigma_1, the
+    standard numerical-rank convention."""
+    if S.size == 0:
+        return 0
+    return int(np.sum(S > max(shape) * np.finfo(np.float64).eps * S[0]))
+
+
+def numerical_rank(M: np.ndarray) -> int:
+    """Numerical rank from the singular values alone."""
+    M = np.asarray(M)
+    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def svd_skinny(M: np.ndarray) -> SvdFactors:
+    """SVD truncated to the numerical rank (see :func:`numerical_rank`)."""
     M = np.asarray(M)
     f = svd_thin(M)
-    if f.S.size == 0:
-        return f
-    cutoff = max(M.shape) * np.finfo(np.float64).eps * f.S[0]
-    k = int(np.sum(f.S > cutoff))
+    k = _rank_of(f.S, M.shape)
     return SvdFactors(U=f.U[:, :k], S=f.S[:k], V=f.V[:, :k])
 
 

@@ -38,6 +38,11 @@ class ConditioningUndefined(RbtlseError):
     """A factor needed by the condition number is singular."""
 
 
+class FactorizationFailed(RbtlseError):
+    """A LAPACK factorization or solve inside a solver failed (for
+    example, an SVD that did not converge)."""
+
+
 class NonFiniteInput(RbtlseError):
     """A data block holds nan or inf."""
 

@@ -7,11 +7,11 @@ right-hand side is treated as uncertain, so the problem is
 
 transported to leading block columns exactly as in the solver (real
 stacks for real X, complex stacks for complex X), with the solver's data
-validation and constraint rank check, and solved by the classical
-null-space reduction: a full QR of the transposed constraint stack yields
-a particular solution from the triangular system and an orthonormal basis
-of the admissible variations, and an ordinary least squares solve fixes
-the null-space coefficient.
+validation, constraint rank check and LAPACK failure mapping, and solved
+by the classical null-space reduction: a full QR of the transposed
+constraint stack yields a particular solution from the triangular system
+and an orthonormal basis of the admissible variations, and an ordinary
+least squares solve fixes the null-space coefficient.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import rb_core as rb
 from .dense_kernels import qr_full
 from .tlse import (_COMPLEX, _REAL, _Representation, _check_constraint_rank,
-                   _validate_blocks)
+                   _lapack_failures, _validate_blocks)
 
 __all__ = ["LseSolution", "lse_solve_real", "lse_solve_complex"]
 
@@ -37,6 +37,7 @@ class LseSolution:
     constraint_residual: float
 
 
+@_lapack_failures
 def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
          rep: _Representation) -> LseSolution:
     _validate_blocks(A, B, C, D)
@@ -63,8 +64,9 @@ def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
 def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
                    D: rb.RBMatrix) -> LseSolution:
     """Real-solution constrained least squares; p = 0 degrades to plain
-    least squares.  Raises DimensionMismatch, NonFiniteInput or
-    AssumptionViolated like the total least squares solver."""
+    least squares.  Raises DimensionMismatch, NonFiniteInput,
+    AssumptionViolated or FactorizationFailed like the total least
+    squares solver."""
     return _lse(A, B, C, D, _REAL)
 
 

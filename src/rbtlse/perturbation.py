@@ -20,16 +20,26 @@ representation, 4p+4m real / 2p+2m complex):
 The product has only nd rows, so its 2-norm is exact as the square root of
 the largest eigenvalue of the nd x nd Gram matrix
 
-    (HGZ)(HGZ)^H = H D^-1 [diag(mask) (x) S2 (I_d + Y^H Y) S2
-                           + S T2 T2^H S (x) I_d] D^-1 H^H,
+    (HGZ)(HGZ)^H = H D^-1 [diag(mask) (x) (S2^2 + Y^H Y)
+                           + (S T2)(S T2)^H (x) I_d] D^-1 H^H,
 
-with (x) the Kronecker product, Y = (P S^+)^H U2 (r x d), and S2 and S
-the diagonal singular value factors.  The bracketed middle matrix is filled by its block pattern and H
-is applied through small solves with W1^H and V22^H, so neither a
-Kronecker product nor the tall projection Q = [-(P S^+)^H; I] is ever
-formed.  Real data uses the same code path as complex: every conjugate
-transpose degrades to a plain transpose on reals, which is exactly the
-real variant of the formulas.
+with (x) the Kronecker product, S2 and S the diagonal singular value
+factors, and Y = (P S^+)^H P V2 (r x d).  Every left singular vector
+enters scaled by its singular value, and P V_check = U diag(sigma), so
+the formulas read P V_check instead: P V2 (V2 the d trailing right
+singular vectors) stands for U2 S2 in Y, and P V1 (the leading n-r) for
+U1 S1 in the lower-left block -(P V1)^H (P S^+) Us of S T2.  The solve
+never forms U, and the trailing singular values, ~1e-15 on consistent
+data, are never divided by.  With S = Us Ss Vs^H, (P S^+) Us = P Vs / Ss
+comes from the same product as P V_check, and P S^+ itself is not
+needed: Y enters only as Y^H Y, which Us^H Y leaves unchanged.
+
+The bracketed middle matrix is filled by its block pattern and H is
+applied through small solves with W1^H and V22^H, so neither a Kronecker
+product nor the tall projection Q = [-(P S^+)^H; I] is ever formed.  Real
+data uses the same code path as complex: every conjugate transpose
+degrades to a plain transpose on reals, which is exactly the real variant
+of the formulas.
 
 The first-order bound is U = kappa * eps_n with eps_n the relative
 perturbation size ||[dJ, dK]||_F / ||[J, K]||_F; it holds asymptotically
@@ -159,22 +169,21 @@ def forward_error_bound(report: ConditionReport) -> float:
 class _Pieces:
     """The small factors H G Z is built from, plus the norms kappa scales by.
 
-    Attributes keep the names of the formulas: U2 and sig2 are the trailing
-    singular triples of the solve, PS = P S^+, S_diag the diagonal of S,
-    mask the 0/1 diagonal selecting the unconstrained columns, denom the
-    diagonal of D, and T2 the triangular coupling block.
+    Attributes keep the names of the formulas: PV2 = P V2 (= U2 S2) and
+    sig2 belong to the trailing singular triples of the solve, PSU =
+    (P S^+) Us, S_diag is the diagonal of S, mask the 0/1 diagonal
+    selecting the unconstrained columns, denom the diagonal of D, and ST2
+    the triangular coupling block T2 with its rows scaled by S_diag.
     """
 
     def __init__(self, solution: TlseSolution, tol: ToleranceConfig):
-        P, S, U, sigma, V_check, X = (
-            solution.P, solution.S, solution.U, solution.sigma,
-            solution.V_check, solution.X)
-        rep, r = P.shape[0], S.shape[0]
+        P, S, sigma, V_check, X = (
+            solution.P, solution.S, solution.sigma, solution.V_check,
+            solution.X)
+        r = S.shape[0]
         n, d = X.shape
         k = n - r
         self.n, self.d = n, d
-        U1 = U[:, :k]
-        self.U2 = U[:, k:]
         self.sig2 = sigma[k:]
 
         if r > 0:
@@ -183,14 +192,14 @@ class _Pieces:
                 raise ConditioningUndefined(
                     f"constraint stack rank {fs.S.size} < {r}; "
                     f"skinny SVD factors unusable")
-            Us, Ss, Vs = fs.U, fs.S, fs.V
-            self.PS = P @ ((fs.V / fs.S) @ fs.U.conj().T)
+            Ss, Vs = fs.S, fs.V
         else:
-            dt = P.dtype
-            Us = np.zeros((0, 0), dtype=dt)
             Ss = np.zeros(0)
-            Vs = np.zeros((n + d, 0), dtype=dt)
-            self.PS = np.zeros((rep, 0), dtype=dt)
+            Vs = np.zeros((n + d, 0), dtype=P.dtype)
+        # one product gives P Vs / Ss = (P S^+) Us and
+        # P V_check = U diag(sigma), the left singular vectors scaled
+        PV = P @ np.hstack([Vs / Ss, V_check])
+        self.PSU, PV1, self.PV2 = PV[:, :r], PV[:, r:n], PV[:, n:]
 
         self.S_diag = np.concatenate([Ss, sigma[:k]])
         self.W1 = np.hstack([Vs, V_check[:, :k]])[:n, :]
@@ -212,10 +221,11 @@ class _Pieces:
                 "diagonal resolvent in G is singular; gap condition "
                 "violated at conditioning time")
 
-        cross = -U1.conj().T @ (self.PS @ Us)
-        self.T2 = np.block([
-            [np.eye(r, dtype=cross.dtype), np.zeros((r, k))],
-            [cross, np.eye(k, dtype=cross.dtype)]])
+        # S1 times the lower-left block -U1^H (P S^+) Us of T2
+        cross = -PV1.conj().T @ self.PSU
+        self.ST2 = np.block([
+            [np.diag(Ss), np.zeros((r, k))],
+            [cross, np.diag(sigma[:k])]])
 
         self.x_norm = float(np.linalg.norm(X))
         if self.x_norm == 0.0:
@@ -237,17 +247,17 @@ class _Pieces:
     def gram(self) -> np.ndarray:
         """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix.
 
-        Z Z^H is block diagonal with blocks diag(mask) (x) (I + Y^H Y),
-        Y = PS^H U2, and T2 T2^H (x) I_d; G folds in the diagonal
-        singular value factors and D^-1.  The middle matrix is filled by
-        its block pattern, then H is applied on both sides.
+        G Z Z^H G^H is D^-1 times a block matrix with blocks
+        diag(mask) (x) (S2^2 + Y^H Y), Y = (P S^+)^H PV2, and
+        (S T2)(S T2)^H (x) I_d, times D^-1.  Y enters only through
+        Y^H Y, and Us is unitary, so Us^H Y = PSU^H PV2 stands in for Y.
+        The middle matrix is filled by its block pattern, then H is
+        applied on both sides.
         """
         n, d = self.n, self.d
-        Y = self.PS.conj().T @ self.U2
-        inner = self.sig2[:, None] * (np.eye(d) + Y.conj().T @ Y) \
-            * self.sig2[None, :]
-        outer = self.S_diag[:, None] * (self.T2 @ self.T2.conj().T) \
-            * self.S_diag[None, :]
+        Y = self.PSU.conj().T @ self.PV2
+        inner = np.diag(self.sig2 ** 2) + Y.conj().T @ Y
+        outer = self.ST2 @ self.ST2.conj().T
         mid = np.zeros((n, d, n, d), dtype=np.result_type(inner, outer))
         cols, rows = np.arange(n), np.arange(d)
         mid[cols, :, cols, :] = self.mask[:, None, None] * inner

@@ -398,8 +398,8 @@ def frobenius_norm(P: RBMatrix) -> float:
 # RBMAT v1 text files.
 #
 # Line 1:  "RBMAT <m> <n>".  Then four blocks, components 0..3 in order,
-# each m lines of n space-separated decimal floats, consecutive blocks
-# separated by exactly one blank line.
+# each m lines of n space-separated decimal floats (blank lines when
+# n = 0), consecutive blocks separated by exactly one blank line.
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -466,7 +466,8 @@ def read_rbmat(path) -> RBMatrix:
                 raise FileFormatError(
                     f"block {block} truncated at row {r} (expected {m} rows)")
             raw = lines[pos].split()
-            if not raw:
+            # a row of a zero-column block is written as a blank line
+            if not raw and n > 0:
                 raise FileFormatError(
                     f"block {block} row {r} is blank (ragged block)")
             if len(raw) != n:

@@ -19,11 +19,15 @@ row; the solve is one classical null-space reduction, written with
 conjugate transposes (plain transposes on real stacks), with r = q*p:
 
 1. stack P = [Ac, Bc] and S = [Cc, Dc];
-2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S);
-3. thin SVD of P @ Q2; the d trailing right singular vectors, pushed back
-   through Q2 and partitioned, give X = -V12 @ inv(V22);
-4. the minimizing perturbation stacks -U2 S2 V12^H and -U2 S2 V22^H,
-   read back through the inverse map.
+2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
+   (with p = 0 there is no constraint and Q2 is the identity, skipped);
+3. singular values and right singular vectors of P @ Q2, taken from the
+   SVD of its small R factor, so the tall left factor U is never formed;
+   the d trailing right singular vectors, pushed back through Q2 into
+   V_check and partitioned, give X = -V12 @ inv(V22);
+4. with W2 = P @ V_check[:, n-r:], which equals U2 S2, the minimizing
+   perturbation stacks are -W2 V12^H and -W2 V22^H, read back through
+   the inverse map; their norm is sqrt(sum S2^2).
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2 and an invertible V22; both are checked and reported through the
@@ -32,16 +36,18 @@ error taxonomy rather than patched over.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import qr_full, svd_skinny, svd_thin
+from .dense_kernels import numerical_rank, qr_full, svd_right
 from .errors import (AssumptionViolated, BlockNotInvertible,
                      DegenerateSpectrum, DimensionMismatch,
-                     GapConditionFailed, NonFiniteInput)
+                     FactorizationFailed, GapConditionFailed,
+                     NonFiniteInput)
 
 __all__ = [
     "ToleranceConfig",
@@ -122,11 +128,26 @@ def _check_constraint_rank(Cc: np.ndarray) -> None:
     """Numerical full-row-rank check of a constraint block column;
     failure is an error, never a silent regularization."""
     r, n = Cc.shape
-    rank = svd_skinny(Cc).S.size
+    rank = numerical_rank(Cc)
     if rank < r:
         raise AssumptionViolated(
             f"constraint block column ({r} x {n}) has numerical rank "
             f"{rank}, needs full row rank {r}")
+
+
+def _lapack_failures(body: Callable) -> Callable:
+    """Re-raise a LinAlgError from ``body`` (a QR, SVD, solve or least
+    squares call that failed) as FactorizationFailed."""
+
+    @functools.wraps(body)
+    def guarded(*args, **kwargs):
+        try:
+            return body(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailed(
+                f"linear algebra failure while solving: {exc}") from exc
+
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -165,13 +186,16 @@ class TlseSolution:
     """Solution of a real- or complex-solution solve.
 
     X is the n-by-d solution (real or complex); E_bar and F_bar the
-    minimizing perturbations of A and B.  sigma holds all n-r+d singular
-    values of the reduced matrix, gap the uniqueness margin sigma[n-r-1] -
-    sigma[n-r], and v22_condition the 2-norm condition number of the
-    inverted trailing block.  The stacks P = [Ac, Bc] and S = [Cc, Dc]
-    (r = S.shape[0] rows), U and V_check retain the data and the
-    factorization for the conditioning module, which reuses them instead
-    of rebuilding or refactoring.
+    minimizing perturbations of A and B, and residual_perturbation_norm
+    their Frobenius norm, sqrt(sum(sigma[n-r:]**2)).  sigma holds all
+    n-r+d singular values of the reduced matrix, gap the uniqueness margin
+    sigma[n-r-1] - sigma[n-r], and v22_condition the 2-norm condition
+    number of the inverted trailing block.  The stacks P = [Ac, Bc] and
+    S = [Cc, Dc] (r = S.shape[0] rows) and the right singular vectors
+    V_check retain the data and the factorization for the conditioning
+    module, which reuses them instead of rebuilding or refactoring; the
+    left singular vectors are not kept (P @ V_check gives them scaled by
+    sigma).
     """
 
     X: np.ndarray
@@ -183,10 +207,10 @@ class TlseSolution:
     residual_perturbation_norm: float
     P: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)
     V_check: np.ndarray = field(repr=False)
 
 
+@_lapack_failures
 def _solve(problem: TlseProblem, rep: _Representation,
            tol: ToleranceConfig) -> TlseSolution:
     m, n, p, d = problem.sizes
@@ -208,11 +232,11 @@ def _solve(problem: TlseProblem, rep: _Representation,
     if p > 0:
         _check_constraint_rank(Cc)
         Q2 = qr_full(S.conj().T).Q[:, r:]
+        sigma, V = svd_right(P @ Q2)
+        V_check = Q2 @ V
     else:
-        Q2 = np.eye(n + d, dtype=P.dtype)
+        sigma, V_check = svd_right(P)
 
-    f = svd_thin(P @ Q2)
-    sigma = f.S
     k = n - r
     if sigma[-1] <= tol.positive_sigma:
         raise DegenerateSpectrum(
@@ -224,7 +248,6 @@ def _solve(problem: TlseProblem, rep: _Representation,
             f"singular value gap {gap:.3e} at position {k} is below "
             f"tolerance; the solution is not unique")
 
-    V_check = Q2 @ f.V
     V12 = V_check[:n, k:]
     V22 = V_check[n:, k:]
     sv = np.linalg.svd(V22, compute_uv=False)
@@ -236,18 +259,15 @@ def _solve(problem: TlseProblem, rep: _Representation,
 
     X = -np.linalg.solve(V22.T, V12.T).T
 
-    U2 = f.U[:, k:]
-    scaled = sigma[k:, None]
-    E_stack = -U2 @ (scaled * V12.conj().T)
-    F_stack = -U2 @ (scaled * V22.conj().T)
-    pert_norm = float(np.sqrt(
-        np.sum(np.abs(E_stack) ** 2) + np.sum(np.abs(F_stack) ** 2)))
+    W2 = P @ V_check[:, k:]
+    E_stack = -W2 @ V12.conj().T
+    F_stack = -W2 @ V22.conj().T
 
     return TlseSolution(
         X=X, E_bar=rep.from_column(E_stack), F_bar=rep.from_column(F_stack),
         sigma=sigma, gap=gap, v22_condition=v22_cond,
-        residual_perturbation_norm=pert_norm,
-        P=P, S=S, U=f.U, V_check=V_check)
+        residual_perturbation_norm=float(np.sqrt(np.sum(sigma[k:] ** 2))),
+        P=P, S=S, V_check=V_check)
 
 
 def solve_real(problem: TlseProblem,
@@ -256,7 +276,8 @@ def solve_real(problem: TlseProblem,
     module docstring for the steps.
 
     Raises AssumptionViolated, GapConditionFailed, BlockNotInvertible or
-    DegenerateSpectrum when the data leaves the theory's premises.
+    DegenerateSpectrum when the data leaves the theory's premises, and
+    FactorizationFailed when a LAPACK call fails.
     """
     return _solve(problem, _REAL, tol)
 

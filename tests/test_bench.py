@@ -176,6 +176,21 @@ def test_compare_run_records():
     assert rec.eps_T > 0 and rec.eps_L > 0
 
 
+def test_lapack_failure_becomes_error_rows(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    # one error row per trial: 2 t values x 2 trials, 1 m value x 2 trials
+    for experiment, rows in (("accuracy-real", 4), ("compare-lse", 2)):
+        config = ExperimentConfig(experiment=experiment, t_values=(1, 2),
+                                  m_values=(60,), trials=2, seed=6)
+        records = run_experiment(config)
+        assert len(records) == rows
+        assert all(rec.error.startswith("FactorizationFailed: ")
+                   for rec in records)
+
+
 def test_records_sorted_by_scale():
     config = ExperimentConfig(experiment="accuracy-real", t_values=(2, 1),
                               seed=6)

@@ -173,3 +173,18 @@ def test_solve_empty_rhs_is_solver_error(tmp_path, capsys):
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 2
     assert "DimensionMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("routine", ["svd", "qr"])
+def test_solve_lapack_failure_is_solver_error(tmp_path, capsys, monkeypatch,
+                                              routine):
+    paths = _write_consistent_system(tmp_path, seed=10)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"]])
+    assert code == 2
+    assert "FactorizationFailed" in capsys.readouterr().err

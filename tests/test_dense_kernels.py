@@ -2,7 +2,8 @@
 
 Reconstruction oracles: Q [R; 0] and U diag(s) V^H must rebuild the
 input; singular values are cross-checked against the eigenvalues of the
-Gram matrix; the commutation matrix is checked against its defining sum
+Gram matrix; the R-factor SVD and the values-only rank against the thin
+and skinny SVDs; the commutation matrix is checked against its defining sum
 of elementary Kronecker products.
 """
 
@@ -79,6 +80,37 @@ def test_svd_skinny_rank():
     assert np.allclose(f.U @ (f.S[:, None] * f.V.conj().T), u @ v.T, atol=1e-13)
     z = dk.svd_skinny(np.zeros((3, 3)))
     assert z.S.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 4), (0, 3), (3, 0)])
+def test_numerical_rank_matches_svd_skinny(shape):
+    rng = np.random.default_rng(6)
+    k = min(shape) // 2
+    M = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
+    assert dk.numerical_rank(M) == dk.svd_skinny(M).S.size == k
+    assert dk.numerical_rank(np.zeros((3, 3))) == 0
+    if min(shape) > 0:
+        assert dk.numerical_rank(rng.standard_normal(shape)) == min(shape)
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (7, 7), (4, 6)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_svd_right_matches_thin_svd(shape, dtype):
+    """Same singular values and right singular vectors as the thin SVD,
+    each vector up to a unimodular factor; M V = U diag(S) shows in the
+    norms of M V's columns."""
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.standard_normal(shape)
+    S, V = dk.svd_right(M)
+    f = dk.svd_thin(M)
+    assert V.shape == f.V.shape
+    assert np.allclose(S, f.S, rtol=1e-13, atol=0)
+    phases = np.sum(f.V.conj() * V, axis=0)
+    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+    assert np.allclose(V, f.V * phases, atol=1e-12)
+    assert np.allclose(np.linalg.norm(M @ V, axis=0), S, rtol=1e-12)
 
 
 def test_svd_complex():

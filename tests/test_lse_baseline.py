@@ -10,7 +10,8 @@ import pytest
 
 import rbtlse.rb_core as rb
 from rbtlse.dense_kernels import qr_full
-from rbtlse.errors import AssumptionViolated, DimensionMismatch, NonFiniteInput
+from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
+                           FactorizationFailed, NonFiniteInput)
 from rbtlse.lse_baseline import lse_solve_real, lse_solve_complex
 from rbtlse.tlse import TlseRealProblem, solve_real
 
@@ -149,3 +150,18 @@ def test_invalid_data_rejected(solve):
         solve(A, rb.RBMatrix.zeros(20, 0), C, rb.RBMatrix.zeros(1, 0))
     with pytest.raises(DimensionMismatch):
         solve(rb.RBMatrix.zeros(20, 0), B, rb.RBMatrix.zeros(1, 0), D)
+
+
+@pytest.mark.parametrize("routine", ["svd", "qr"])
+@pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
+def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve):
+    rng = np.random.default_rng(9)
+    A, B = _rand_rb(rng, 20, 6), _rand_rb(rng, 20, 2)
+    C, D = _rand_rb(rng, 1, 6), _rand_rb(rng, 1, 2)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(FactorizationFailed, match="did not converge"):
+        solve(A, B, C, D)

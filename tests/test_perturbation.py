@@ -153,22 +153,37 @@ def _brute_kappa(problem, solve, h=1e-7):
     return op * jk / xn, sol
 
 
+def _consistent(problem, seed):
+    """The same A and C with B = A X and D = C X for a random X of the
+    problem's algebra: the trailing singular values drop to ~1e-15."""
+    m, n, p, d = problem.sizes
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if isinstance(problem, TlseComplexProblem):
+        X = X + 1j * rng.standard_normal((n, d))
+    Xrb = rb.RBMatrix.from_complex(X)
+    return type(problem)(A=problem.A, B=rb.mat_mul(problem.A, Xrb),
+                         C=problem.C, D=rb.mat_mul(problem.C, Xrb))
+
+
 def test_kappa_equals_brute_force_jacobian_real():
-    prob = _real_problem(10, m=8, n=4, p=1, d=2)
-    brute, sol = _brute_kappa(prob, solve_real)
-    kappa = condition_real(prob, sol).kappa
-    assert kappa == pytest.approx(brute, rel=1e-6)
+    noisy = _real_problem(10, m=8, n=4, p=1, d=2)
+    for prob in (noisy, _consistent(noisy, 26)):
+        brute, sol = _brute_kappa(prob, solve_real)
+        kappa = condition_real(prob, sol).kappa
+        assert kappa == pytest.approx(brute, rel=1e-6)
 
 
 def test_kappa_equals_brute_force_jacobian_complex():
-    prob = _complex_problem(11, m=8, n=4, p=1, d=2)
-    brute, sol = _brute_kappa(prob, solve_complex)
-    kappa = condition_complex(prob, sol).kappa
-    # the complex path measures the derivative with a complex matrix
-    # 2-norm while the actual map is real-linear; the two can differ at
-    # the ~1e-4 level (step-size independent), inside the 0.1% slack the
-    # sampling criterion allows
-    assert brute == pytest.approx(kappa, rel=1e-3)
+    noisy = _complex_problem(11, m=8, n=4, p=1, d=2)
+    for prob in (noisy, _consistent(noisy, 27)):
+        brute, sol = _brute_kappa(prob, solve_complex)
+        kappa = condition_complex(prob, sol).kappa
+        # the complex path measures the derivative with a complex matrix
+        # 2-norm while the actual map is real-linear; the two can differ
+        # at the ~1e-4 level (step-size independent), inside the 0.1%
+        # slack the sampling criterion allows
+        assert brute == pytest.approx(kappa, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +194,23 @@ def _pieces_of(problem, solution):
     return _Pieces(solution, DEFAULT_TOL)
 
 
-def _dense_factors(pieces):
+def _dense_factors(pieces, solution):
     """H, G, Z (and the projection Q inside Z) as dense matrices."""
     n, d = pieces.n, pieces.d
-    rep = pieces.PS.shape[0]
-    Q = np.vstack([-pieces.PS.conj().T, np.eye(rep)])
+    PS = solution.P @ np.linalg.pinv(solution.S)
+    Q = np.vstack([-PS.conj().T, np.eye(PS.shape[0])])
     H = np.kron(np.linalg.inv(pieces.V22).conj().T,
                 np.linalg.inv(pieces.W1).conj().T) \
         @ dk.commutation_matrix(d, n)
     G = (1.0 / pieces.denom)[:, None] * np.hstack([
         np.kron(np.eye(n), np.diag(pieces.sig2)),
         np.kron(np.diag(pieces.S_diag), np.eye(d))])
-    Zb1 = np.kron(np.diag(pieces.mask), pieces.U2.conj().T @ Q.conj().T)
-    Zb2 = np.kron(pieces.T2, np.eye(d))
+    # the pieces carry U2 S2 and S T2; the oracle cases are noisy, so
+    # the trailing singular values are far from zero
+    U2 = pieces.PV2 / pieces.sig2
+    T2 = pieces.ST2 / pieces.S_diag[:, None]
+    Zb1 = np.kron(np.diag(pieces.mask), U2.conj().T @ Q.conj().T)
+    Zb2 = np.kron(T2, np.eye(d))
     Z = np.zeros((2 * n * d, Zb1.shape[1] + n * d),
                  dtype=np.result_type(Zb1, Zb2))
     Z[:n * d, :Zb1.shape[1]] = Zb1
@@ -201,7 +220,7 @@ def _dense_factors(pieces):
 
 def _oracle_op(problem, solution):
     pieces = _pieces_of(problem, solution)
-    H, G, Z, _ = _dense_factors(pieces)
+    H, G, Z, _ = _dense_factors(pieces, solution)
     return H @ G @ Z, pieces
 
 
@@ -297,7 +316,7 @@ def test_factor_shapes():
     m, n, p, d = prob.sizes
     sol = solve_real(prob)
     pieces = _pieces_of(prob, sol)
-    H, G, Z, Q = _dense_factors(pieces)
+    H, G, Z, Q = _dense_factors(pieces, sol)
     nd = n * d
     q_in = n * (4 * p + 4 * m) + nd
     assert H.shape == (nd, nd)
@@ -307,7 +326,7 @@ def test_factor_shapes():
     assert pieces.S_diag.shape == (n,)
     assert pieces.W1.shape == (n, n)
     assert pieces.V22.shape == (d, d)
-    assert pieces.T2.shape == (n, n)
+    assert pieces.ST2.shape == (n, n)
     gram = pieces.gram()
     assert gram.shape == (nd, nd)
     assert np.allclose(gram, gram.conj().T, rtol=0,

@@ -4,11 +4,15 @@ Hypothesis draws the algebra, the shape and a seed; numpy draws the data
 from that seed.  Both algebras and the least squares baseline run through
 the same strategies, which include an empty constraint (p = 0), a fully
 constrained solution (k = n - r = 0) and several right-hand sides.
-Examples are derandomized so the suite is reproducible.
+Examples are derandomized so the suite is reproducible.  Besides the
+exact-recovery and error-taxonomy oracles, two invariances of the
+problem check the solve on noisy data: jointly scaling (A, B, C, D)
+leaves X and kappa unchanged, and so does permuting the rows of A and B
+together (for X).
 """
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rbtlse.rb_core as rb
 from rbtlse.errors import RbtlseError
@@ -98,3 +102,65 @@ def test_every_failure_is_an_rbtlse_error(case):
             call()
         except RbtlseError:
             pass
+
+
+def _noisy(kind, sizes, seed):
+    """A random problem of the drawn kind and sizes, and the generator
+    that drew it."""
+    m, n, p, d = sizes
+    problem_type = KINDS[kind][1]
+    rng = np.random.default_rng(seed)
+    return problem_type(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                        C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)), rng
+
+
+def _solve_and_condition(kind, problem):
+    _, _, solve, condition, _ = KINDS[kind]
+    solution = solve(problem)
+    return solution.X, condition(problem, solution).kappa
+
+
+def _base(kind, problem):
+    """(X, kappa) of the base problem; a draw that leaves the theory's
+    premises is discarded, not failed."""
+    try:
+        return _solve_and_condition(kind, problem)
+    except RbtlseError:
+        assume(False)
+
+
+def _close(X, Y, kappa):
+    """X and Y agree to the first-order forward error of a solve that is
+    backward stable to ~4500 unit roundoffs."""
+    return np.linalg.norm(X - Y) <= 1e-12 * kappa * np.linalg.norm(X)
+
+
+@SETTINGS
+@given(well_posed(), st.floats(1e-3, 1e3))
+def test_joint_scaling_leaves_x_and_kappa(case, zeta):
+    kind, sizes, seed = case
+    problem, _ = _noisy(kind, sizes, seed)
+    X, kappa = _base(kind, problem)
+    scaled = type(problem)(A=problem.A * zeta, B=problem.B * zeta,
+                           C=problem.C * zeta, D=problem.D * zeta)
+    X2, kappa2 = _solve_and_condition(kind, scaled)
+    assert _close(X, X2, kappa)
+    assert abs(kappa2 - kappa) <= 1e-10 * kappa
+
+
+def _rows(M, order):
+    return rb.RBMatrix(*(c[order] for c in (M.p0, M.p1, M.p2, M.p3)))
+
+
+@SETTINGS
+@given(well_posed())
+def test_row_permutation_leaves_x(case):
+    kind, sizes, seed = case
+    problem, rng = _noisy(kind, sizes, seed)
+    X, kappa = _base(kind, problem)
+    order = rng.permutation(sizes[0])
+    permuted = type(problem)(A=_rows(problem.A, order),
+                             B=_rows(problem.B, order),
+                             C=problem.C, D=problem.D)
+    X2, _ = _solve_and_condition(kind, permuted)
+    assert _close(X, X2, kappa)

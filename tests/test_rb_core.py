@@ -360,11 +360,14 @@ def test_matrix_norm_method():
 
 def test_rbmat_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    P = _rand_rb(rng, 3, 2)
     path = tmp_path / "p.rbmat"
-    rb.write_rbmat(path, P)
-    Q = rb.read_rbmat(path)
-    assert P == Q  # exact: repr round-trips float64
+    # a zero-column block is m blank rows
+    for shape in ((3, 2), (3, 0), (0, 3), (0, 0)):
+        P = _rand_rb(rng, *shape)
+        rb.write_rbmat(path, P)
+        Q = rb.read_rbmat(path)
+        assert Q.shape == shape
+        assert P == Q  # exact: repr round-trips float64
 
 
 def test_rbmat_zero_rows(tmp_path):

@@ -15,9 +15,11 @@ from rbtlse.dense_kernels import qr_full
 from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
-                           GapConditionFailed, NonFiniteInput, RbtlseError)
-from rbtlse.tlse import (DEFAULT_TOL, ToleranceConfig, TlseRealProblem,
-                         solve_real, residuals_real)
+                           FactorizationFailed, GapConditionFailed,
+                           NonFiniteInput, RbtlseError)
+from rbtlse.tlse import (DEFAULT_TOL, ToleranceConfig, TlseComplexProblem,
+                         TlseRealProblem, solve_complex, solve_real,
+                         residuals_real)
 
 
 def _rand_rb(rng, m, n):
@@ -270,3 +272,21 @@ def test_default_tolerances():
     assert DEFAULT_TOL.gap_abs == 0.0
     assert DEFAULT_TOL.v22_cond_max == 1e12
     assert DEFAULT_TOL.positive_sigma == 0.0
+
+
+def _fail_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("routine", ["svd", "qr"])
+@pytest.mark.parametrize("problem_type,solve", [
+    (TlseRealProblem, solve_real), (TlseComplexProblem, solve_complex)])
+@pytest.mark.parametrize("p", [0, 1])
+def test_lapack_failure_is_factorization_failed(monkeypatch, routine,
+                                                problem_type, solve, p):
+    rng = np.random.default_rng(15)
+    problem = problem_type(A=_rand_rb(rng, 20, 6), B=_rand_rb(rng, 20, 2),
+                           C=_rand_rb(rng, p, 6), D=_rand_rb(rng, p, 2))
+    monkeypatch.setattr(np.linalg, routine, _fail_linalg)
+    with pytest.raises(FactorizationFailed, match="did not converge"):
+        solve(problem)
