@@ -7,19 +7,17 @@ maps them to real or complex block representations, and solves
     min ||[E, F]||_F  subject to  (A + E) X = B + F,  C X = D
 
 for real and complex solutions X.  Alongside the solvers it computes the
-relative normwise condition number of the solution map and first-order
-forward-error bounds, plus a constrained least squares baseline and a
-seeded experiment harness with a small CLI.
+relative normwise condition number of the solution map, plus a
+constrained least squares baseline and a seeded experiment harness with a
+small CLI.
 """
 
 from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
                      GapConditionFailed, BlockNotInvertible,
                      DegenerateSpectrum, ConditioningUndefined,
-                     FactorizationFailed, NonFiniteInput,
-                     SpectralNormDidNotConverge, FileFormatError)
+                     FactorizationFailed, NonFiniteInput, FileFormatError)
 from .rb_core import (RBScalar, RBMatrix, rb_mul, mat_mul, hstack, vstack,
-                      frobenius_norm, real_repr, complex_repr,
-                      real_block_column, complex_block_column,
+                      frobenius_norm, real_block_column, complex_block_column,
                       from_real_block_column, from_complex_block_column,
                       from_complex_pair, to_complex_pair,
                       read_rbmat, write_rbmat)
@@ -29,8 +27,7 @@ from .tlse import (ToleranceConfig, DEFAULT_TOL, TlseProblem,
                    residuals_complex)
 from .perturbation import (PerturbationInstance, ConditionReport,
                            epsilon_n, scaled_to,
-                           condition_real, condition_complex,
-                           forward_error_bound)
+                           condition_real, condition_complex)
 from .lse_baseline import LseSolution, lse_solve_real, lse_solve_complex
 from .bench import (EXPERIMENTS, ExperimentConfig, ExperimentRecord,
                     accuracy_sizes, gen_instance, gen_compare_instance,
@@ -42,18 +39,17 @@ __all__ = [
     "RbtlseError", "DimensionMismatch", "AssumptionViolated",
     "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
     "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
-    "SpectralNormDidNotConverge", "FileFormatError",
+    "FileFormatError",
     "RBScalar", "RBMatrix", "rb_mul", "mat_mul", "hstack", "vstack",
-    "frobenius_norm", "real_repr", "complex_repr", "real_block_column",
-    "complex_block_column", "from_real_block_column",
-    "from_complex_block_column", "from_complex_pair", "to_complex_pair",
+    "frobenius_norm", "real_block_column", "complex_block_column",
+    "from_real_block_column", "from_complex_block_column",
+    "from_complex_pair", "to_complex_pair",
     "read_rbmat", "write_rbmat",
     "ToleranceConfig", "DEFAULT_TOL", "TlseProblem", "TlseRealProblem",
     "TlseComplexProblem", "TlseSolution", "solve_real", "solve_complex",
     "residuals_real", "residuals_complex",
     "PerturbationInstance", "ConditionReport",
     "epsilon_n", "scaled_to", "condition_real", "condition_complex",
-    "forward_error_bound",
     "LseSolution", "lse_solve_real", "lse_solve_complex",
     "EXPERIMENTS", "ExperimentConfig", "ExperimentRecord", "accuracy_sizes",
     "gen_instance", "gen_compare_instance", "random_perturbation",

@@ -98,6 +98,14 @@ class ExperimentConfig:
             raise ValueError("case must be 1 or 2")
         if self.variant not in ("real", "complex"):
             raise ValueError("variant must be 'real' or 'complex'")
+        if not (self.t_values and self.m_values and self.magnitudes):
+            raise ValueError("t_values, m_values and magnitudes must not "
+                             "be empty")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not all(np.isfinite(e) and e > 0 for e in self.magnitudes):
+            raise ValueError(f"magnitudes must be finite and > 0, got "
+                             f"{self.magnitudes}")
         if self.experiment == "compare-lse":
             bad = [m for m in self.m_values if m <= _CMP_N]
             if bad:

@@ -1,11 +1,10 @@
-"""Dense factorization and product kernels used by the solvers.
+"""Dense factorization kernels used by the solvers.
 
 Thin wrappers over LAPACK (via numpy) for QR and SVD, a values-only
-numerical rank, singular values and right singular vectors of a tall
-matrix taken from its R factor, plus the small utilities the conditioning
-formulas and their tests need: Moore-Penrose pseudoinverse, the
-commutation matrix, column-major vec/unvec, and a spectral norm with both
-a dense and a matrix-free power iteration path.
+numerical rank, and singular values and right singular vectors of a tall
+matrix taken from its R factor.  The dense reference builds that check
+the solvers (pseudoinverse, commutation matrix, vec, spectral norms) live
+in the test suite, ``tests/oracles.py``.
 
 All kernels accept real or complex input; complex matrices are handled
 natively (conjugate transposes throughout), never through a real embedding.
@@ -14,11 +13,8 @@ natively (conjugate transposes throughout), never through a real embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .errors import SpectralNormDidNotConverge
 
 __all__ = [
     "QrFactors",
@@ -28,12 +24,6 @@ __all__ = [
     "svd_skinny",
     "svd_right",
     "numerical_rank",
-    "pinv",
-    "commutation_matrix",
-    "vec",
-    "unvec",
-    "spectral_norm",
-    "spectral_norm_power",
 ]
 
 
@@ -107,98 +97,3 @@ def svd_skinny(M: np.ndarray) -> SvdFactors:
     f = svd_thin(M)
     k = _rank_of(f.S, M.shape)
     return SvdFactors(U=f.U[:, :k], S=f.S[:k], V=f.V[:, :k])
-
-
-def pinv(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the skinny SVD."""
-    f = svd_skinny(M)
-    if f.S.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=np.asarray(M).dtype)
-    return (f.V / f.S) @ f.U.conj().T
-
-
-def commutation_matrix(d: int, n: int) -> np.ndarray:
-    """Permutation matrix mapping vec(X) to vec(X^T) for d-by-n X.
-
-    vec is column-major here and everywhere in this package.
-    """
-    if d < 1 or n < 1:
-        raise ValueError("commutation_matrix needs d, n >= 1")
-    P = np.zeros((d * n, d * n))
-    i = np.repeat(np.arange(d), n)
-    j = np.tile(np.arange(n), d)
-    P[j + i * n, i + j * d] = 1.0
-    return P
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(X).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    return np.asarray(v).reshape(shape, order="F")
-
-
-def spectral_norm(M: np.ndarray, method: str = "dense",
-                  tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Largest singular value.
-
-    method="dense" goes through the thin SVD; method="power" runs the
-    matrix-free power iteration (useful when M is only cheap to apply).
-    """
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0.0
-    if method == "dense":
-        f = svd_thin(M)
-        return float(f.S[0]) if f.S.size else 0.0
-    if method == "power":
-        return spectral_norm_power(
-            lambda v: M @ v,
-            lambda w: M.conj().T @ w,
-            M.shape[1],
-            complex_ok=np.iscomplexobj(M),
-            tol=tol, max_iter=max_iter)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def spectral_norm_power(matvec: Callable[[np.ndarray], np.ndarray],
-                        rmatvec: Callable[[np.ndarray], np.ndarray],
-                        ncols: int,
-                        complex_ok: bool = False,
-                        tol: float = 1e-10,
-                        max_iter: int = 5000,
-                        seed: int = 1905) -> float:
-    """Power iteration for the spectral norm of an implicitly given matrix.
-
-    Iterates v <- M^H M v on a deterministic random start vector and reads
-    the estimate off ||M v||.  Stops when consecutive estimates agree to
-    ``tol`` relative; hitting ``max_iter`` raises
-    SpectralNormDidNotConverge with the best estimate attached.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(ncols)
-    if complex_ok:
-        v = v + 1j * rng.standard_normal(ncols)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v = v / nv
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        new_estimate = float(np.linalg.norm(w))
-        if new_estimate == 0.0:
-            return 0.0
-        z = rmatvec(w)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return new_estimate
-        v = z / nz
-        if abs(new_estimate - estimate) <= tol * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-    raise SpectralNormDidNotConverge(
-        f"power iteration did not converge in {max_iter} iterations",
-        estimate=estimate)

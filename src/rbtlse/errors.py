@@ -1,5 +1,12 @@
 """Exception taxonomy shared by the solvers and the conditioning module."""
 
+__all__ = [
+    "RbtlseError", "DimensionMismatch", "AssumptionViolated",
+    "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
+    "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
+    "FileFormatError",
+]
+
 
 class RbtlseError(Exception):
     """Base class for all library-specific errors."""
@@ -45,17 +52,6 @@ class FactorizationFailed(RbtlseError):
 
 class NonFiniteInput(RbtlseError):
     """A data block holds nan or inf."""
-
-
-class SpectralNormDidNotConverge(RbtlseError):
-    """Power iteration hit the iteration cap.
-
-    The best estimate reached so far is carried in ``estimate``.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class FileFormatError(RbtlseError):

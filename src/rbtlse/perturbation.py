@@ -1,4 +1,4 @@
-"""Condition numbers and first-order forward-error bounds for both solvers.
+"""Condition numbers of the solutions of both solvers.
 
 The solution map is conditioned with respect to unstructured perturbations
 of the stacked data [J, K], J = [C; A], K = [D; B], measured relative to
@@ -41,17 +41,16 @@ data uses the same code path as complex: every conjugate transpose
 degrades to a plain transpose on reals, which is exactly the real variant
 of the formulas.
 
-The first-order bound is U = kappa * eps_n with eps_n the relative
-perturbation size ||[dJ, dK]||_F / ||[J, K]||_F; it holds asymptotically
-as eps_n -> 0 and is verified in the tests with slack 1.05 at finite
-eps_n <= 1e-5.
+kappa is returned finite and positive, or ConditioningUndefined is raised.
+Callers form the first-order bound U = kappa * eps_n themselves, with
+eps_n = ||[dJ, dK]||_F / ||[J, K]||_F from :func:`epsilon_n`; it holds
+asymptotically as eps_n -> 0 and is verified in the tests with slack 1.05
+at finite eps_n <= 1e-5.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,7 +65,6 @@ __all__ = [
     "condition_real",
     "condition_complex",
     "epsilon_n",
-    "forward_error_bound",
     "scaled_to",
 ]
 
@@ -139,27 +137,9 @@ def scaled_to(instance: PerturbationInstance,
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """kappa with optional perturbation-size, bound, and measurement."""
+    """The relative normwise condition number of one solution."""
 
     kappa: float
-    eps_n: Optional[float] = None
-    bound: Optional[float] = None
-    forward_error: Optional[float] = None
-
-    def with_instance(self, instance: PerturbationInstance) -> "ConditionReport":
-        e = epsilon_n(instance)
-        return dataclasses.replace(self, eps_n=e, bound=self.kappa * e)
-
-    def with_forward_error(self, forward_error: float) -> "ConditionReport":
-        return dataclasses.replace(self, forward_error=forward_error)
-
-
-def forward_error_bound(report: ConditionReport) -> float:
-    """First-order bound U = kappa * eps_n."""
-    if report.eps_n is None:
-        raise ValueError("attach a PerturbationInstance before asking "
-                         "for the bound")
-    return report.kappa * report.eps_n
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +242,35 @@ class _Pieces:
         cols, rows = np.arange(n), np.arange(d)
         mid[cols, :, cols, :] = self.mask[:, None, None] * inner
         mid[:, rows, :, rows] += outer
-        mid = mid.reshape(n * d, n * d) / np.outer(self.denom, self.denom)
+        # two divisions, not one by outer(denom, denom), which overflows
+        # or underflows for data scaled by 1e+-80 and beyond
+        mid = mid.reshape(n * d, n * d) / self.denom[:, None] / self.denom
         # mid is Hermitian, so H (H mid)^H = H mid H^H
         return self.apply_H(self.apply_H(mid).conj().T)
 
     def kappa(self) -> float:
         gram = self.gram()
         lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]
-        return float(np.sqrt(max(lam, 0.0))) * self.jk_norm / self.x_norm
+        kappa = float(np.sqrt(max(lam, 0.0))) * self.jk_norm / self.x_norm
+        if not (np.isfinite(kappa) and kappa > 0.0):
+            raise ConditioningUndefined(
+                f"condition number {kappa!r} is not finite and positive")
+        return kappa
 
 
 def condition_real(problem: TlseProblem, solution: TlseSolution,
-                   tol: ToleranceConfig = DEFAULT_TOL,
-                   *,
-                   instance: Optional[PerturbationInstance] = None,
-                   ) -> ConditionReport:
+                   tol: ToleranceConfig = DEFAULT_TOL) -> ConditionReport:
     """Relative normwise condition number of a real or complex solution.
 
     Works from the stacks and SVD blocks retained on ``solution`` alone;
-    ``problem`` (the data ``solution`` solves) is not read.  Passing
-    ``instance`` also fills eps_n and the bound.
+    ``problem`` (the data ``solution`` solves) is not read.
     """
     try:
         kappa = _Pieces(solution, tol).kappa()
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc
-    report = ConditionReport(kappa=kappa)
-    return report.with_instance(instance) if instance is not None else report
+    return ConditionReport(kappa=kappa)
 
 
 condition_complex = condition_real

@@ -20,8 +20,8 @@ that pair form, which is both the cheapest route and the one that keeps
 complex conjugation semantics obvious.
 
 An m-by-n matrix over this algebra is stored component-major: four real
-m-by-n arrays (components of 1, i, j, k).  Two linear representations are
-provided:
+m-by-n arrays (components of 1, i, j, k).  It has two linear
+representations, of which the solvers use only the leading block columns:
 
 * a real 4m-by-4n block matrix whose first block column stacks the four
   components, the remaining three block columns being signed block
@@ -48,25 +48,17 @@ from .errors import DimensionMismatch, FileFormatError
 __all__ = [
     "RBScalar",
     "RBMatrix",
-    "RealRepr",
-    "ComplexRepr",
     "rb_mul",
     "mat_mul",
-    "real_repr",
-    "complex_repr",
-    "from_components",
-    "to_components",
     "from_complex_pair",
     "to_complex_pair",
+    "real_block_column",
+    "complex_block_column",
     "from_real_block_column",
     "from_complex_block_column",
     "hstack",
     "vstack",
     "frobenius_norm",
-    "apply_k",
-    "apply_l",
-    "apply_m",
-    "apply_n",
     "read_rbmat",
     "write_rbmat",
     "atomic_open",
@@ -225,33 +217,6 @@ class RBMatrix:
         return frobenius_norm(self)
 
 
-@dataclass(frozen=True)
-class RealRepr:
-    """Real representation: ``full`` is 4m-by-4n, the leading block column
-    is 4m-by-n and already carries the whole matrix."""
-
-    full: np.ndarray
-    leading_block_column: np.ndarray
-
-
-@dataclass(frozen=True)
-class ComplexRepr:
-    """Complex representation: ``full`` is 2m-by-2n, leading block column
-    2m-by-n."""
-
-    full: np.ndarray
-    leading_block_column: np.ndarray
-
-
-def from_components(p0, p1, p2, p3) -> RBMatrix:
-    return RBMatrix(p0, p1, p2, p3)
-
-
-def to_components(P: RBMatrix):
-    """The four stored components (read-only views, order 0,1,2,3)."""
-    return P.p0, P.p1, P.p2, P.p3
-
-
 def from_complex_pair(r1, r2) -> RBMatrix:
     """Build from the complex pair P = R1 + R2*j."""
     r1 = np.asarray(r1, dtype=np.complex128)
@@ -268,11 +233,13 @@ def to_complex_pair(P: RBMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Signed block permutations.
+# Leading block columns.
 #
 # The full real representation is [Pc, K*Pc, L*Pc, M*Pc] where Pc stacks the
-# four components.  K, L, M (and N for the complex form) are only ever
-# applied, never materialized; their dense forms live in the test suite.
+# four components, and the complex one is [Pc, N*Pc] with Pc = [R1; R2].
+# The other block columns are signed block permutations of Pc and carry
+# nothing new, so the solvers work on Pc alone.  The full representations
+# are built only as test oracles (tests/oracles.py).
 # ---------------------------------------------------------------------------
 
 def _blocks4(Y: np.ndarray):
@@ -280,33 +247,6 @@ def _blocks4(Y: np.ndarray):
         raise DimensionMismatch(f"row count {Y.shape[0]} not divisible by 4")
     m = Y.shape[0] // 4
     return Y[:m], Y[m:2 * m], Y[2 * m:3 * m], Y[3 * m:]
-
-
-def apply_k(Y: np.ndarray) -> np.ndarray:
-    """Signed block permutation carrying the leading block column to the
-    second block column of the real representation."""
-    y0, y1, y2, y3 = _blocks4(Y)
-    return np.vstack([-y1, y0, -y3, y2])
-
-
-def apply_l(Y: np.ndarray) -> np.ndarray:
-    """Block permutation producing the third block column."""
-    y0, y1, y2, y3 = _blocks4(Y)
-    return np.vstack([y2, y3, y0, y1])
-
-
-def apply_m(Y: np.ndarray) -> np.ndarray:
-    """Signed block permutation producing the fourth block column."""
-    y0, y1, y2, y3 = _blocks4(Y)
-    return np.vstack([-y3, y2, -y1, y0])
-
-
-def apply_n(Y: np.ndarray) -> np.ndarray:
-    """Swap the two row blocks of a complex representation column."""
-    if Y.shape[0] % 2 != 0:
-        raise DimensionMismatch(f"row count {Y.shape[0]} not divisible by 2")
-    m = Y.shape[0] // 2
-    return np.vstack([Y[m:], Y[:m]])
 
 
 def real_block_column(P: RBMatrix) -> np.ndarray:
@@ -333,25 +273,6 @@ def from_complex_block_column(Y: np.ndarray) -> RBMatrix:
         raise DimensionMismatch(f"row count {Y.shape[0]} not divisible by 2")
     m = Y.shape[0] // 2
     return from_complex_pair(Y[:m], Y[m:])
-
-
-def real_repr(P: RBMatrix) -> RealRepr:
-    """Real 4m-by-4n representation.
-
-    Products of reduced biquaternion matrices turn into ordinary real
-    products of these representations, which is what makes the real-solution
-    solver a plain real computation.
-    """
-    lead = real_block_column(P)
-    full = np.hstack([lead, apply_k(lead), apply_l(lead), apply_m(lead)])
-    return RealRepr(full=full, leading_block_column=lead)
-
-
-def complex_repr(P: RBMatrix) -> ComplexRepr:
-    """Complex 2m-by-2n representation [[R1, R2], [R2, R1]]."""
-    lead = complex_block_column(P)
-    full = np.hstack([lead, apply_n(lead)])
-    return ComplexRepr(full=full, leading_block_column=lead)
 
 
 def mat_mul(P: RBMatrix, T: RBMatrix) -> RBMatrix:
@@ -428,7 +349,7 @@ def write_rbmat(path, P: RBMatrix) -> None:
     atomic, as :func:`atomic_open`."""
     m, n = P.shape
     blocks = []
-    for comp in to_components(P):
+    for comp in (P.p0, P.p1, P.p2, P.p3):
         blocks.append("\n".join(
             " ".join(repr(float(v)) for v in row) for row in comp))
     body = "\n\n".join(blocks)
@@ -440,9 +361,9 @@ def read_rbmat(path) -> RBMatrix:
     """Read an RBMAT v1 file; malformed layout raises FileFormatError."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().split("\n")
-    if not lines or not lines[0].startswith("RBMAT"):
-        raise FileFormatError("missing RBMAT header")
     fields = lines[0].split()
+    if not fields or fields[0] != "RBMAT":
+        raise FileFormatError("missing RBMAT header")
     if len(fields) != 3:
         raise FileFormatError(f"bad header: {lines[0]!r}")
     try:

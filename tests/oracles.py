@@ -1,0 +1,155 @@
+"""Dense reference builds that check the library.
+
+The library works on leading block columns, the Gram route to kappa and
+the R-factor SVD; the builds here spell the same objects out densely so
+the tests can compare against them:
+
+* the full real and complex representations of a reduced biquaternion
+  matrix, written as explicit block grids;
+* the Moore-Penrose pseudoinverse, the commutation matrix and column-major
+  vec/unvec that the dense condition-number formula is written in;
+* the spectral norm, by a dense SVD or by matrix-free power iteration.
+
+Import with ``import oracles`` (pytest puts ``tests/`` on the path).
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from rbtlse.dense_kernels import svd_skinny, svd_thin
+
+
+class SpectralNormDidNotConverge(Exception):
+    """Power iteration hit the iteration cap.
+
+    The best estimate reached so far is carried in ``estimate``.
+    """
+
+    def __init__(self, message: str, estimate: float):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+# ---------------------------------------------------------------------------
+# representations
+# ---------------------------------------------------------------------------
+
+def real_repr(P) -> np.ndarray:
+    """Real 4m-by-4n representation, built as its 4x4 block grid."""
+    p0, p1, p2, p3 = P.p0, P.p1, P.p2, P.p3
+    return np.block([
+        [p0, -p1, p2, -p3],
+        [p1, p0, p3, p2],
+        [p2, -p3, p0, -p1],
+        [p3, p2, p1, p0],
+    ])
+
+
+def complex_repr(P) -> np.ndarray:
+    """Complex 2m-by-2n representation [[R1, R2], [R2, R1]]."""
+    r1 = P.p0 + 1j * P.p1
+    r2 = P.p2 + 1j * P.p3
+    return np.block([[r1, r2], [r2, r1]])
+
+
+# ---------------------------------------------------------------------------
+# pseudoinverse, commutation, vec
+# ---------------------------------------------------------------------------
+
+def pinv(M: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via the skinny SVD."""
+    f = svd_skinny(M)
+    if f.S.size == 0:
+        return np.zeros((M.shape[1], M.shape[0]), dtype=np.asarray(M).dtype)
+    return (f.V / f.S) @ f.U.conj().T
+
+
+def commutation_matrix(d: int, n: int) -> np.ndarray:
+    """Permutation matrix mapping vec(X) to vec(X^T) for d-by-n X."""
+    if d < 1 or n < 1:
+        raise ValueError("commutation_matrix needs d, n >= 1")
+    P = np.zeros((d * n, d * n))
+    i = np.repeat(np.arange(d), n)
+    j = np.tile(np.arange(n), d)
+    P[j + i * n, i + j * d] = 1.0
+    return P
+
+
+def vec(X: np.ndarray) -> np.ndarray:
+    """Column-major vectorization."""
+    return np.asarray(X).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    return np.asarray(v).reshape(shape, order="F")
+
+
+# ---------------------------------------------------------------------------
+# spectral norm
+# ---------------------------------------------------------------------------
+
+def spectral_norm(M: np.ndarray, method: str = "dense",
+                  tol: float = 1e-10, max_iter: int = 5000) -> float:
+    """Largest singular value.
+
+    method="dense" goes through the thin SVD; method="power" runs the
+    matrix-free power iteration, an answer independent of LAPACK's SVD.
+    """
+    M = np.asarray(M)
+    if M.size == 0:
+        return 0.0
+    if method == "dense":
+        f = svd_thin(M)
+        return float(f.S[0]) if f.S.size else 0.0
+    if method == "power":
+        return spectral_norm_power(
+            lambda v: M @ v,
+            lambda w: M.conj().T @ w,
+            M.shape[1],
+            complex_ok=np.iscomplexobj(M),
+            tol=tol, max_iter=max_iter)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def spectral_norm_power(matvec: Callable[[np.ndarray], np.ndarray],
+                        rmatvec: Callable[[np.ndarray], np.ndarray],
+                        ncols: int,
+                        complex_ok: bool = False,
+                        tol: float = 1e-10,
+                        max_iter: int = 5000,
+                        seed: int = 1905) -> float:
+    """Power iteration for the spectral norm of an implicitly given matrix.
+
+    Iterates v <- M^H M v on a deterministic random start vector and reads
+    the estimate off ||M v||.  Stops when consecutive estimates agree to
+    ``tol`` relative; hitting ``max_iter`` raises
+    SpectralNormDidNotConverge with the best estimate attached.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(ncols)
+    if complex_ok:
+        v = v + 1j * rng.standard_normal(ncols)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    v = v / nv
+    estimate = 0.0
+    for _ in range(max_iter):
+        w = matvec(v)
+        new_estimate = float(np.linalg.norm(w))
+        if new_estimate == 0.0:
+            return 0.0
+        z = rmatvec(w)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return new_estimate
+        v = z / nz
+        if abs(new_estimate - estimate) <= tol * new_estimate:
+            return new_estimate
+        estimate = new_estimate
+    raise SpectralNormDidNotConverge(
+        f"power iteration did not converge in {max_iter} iterations",
+        estimate=estimate)

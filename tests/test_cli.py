@@ -62,6 +62,14 @@ def test_run_rejects_bad_t_range(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "acc.csv"
+    code = main(["run", "accuracy-real", "--trials", "0", "--out", str(out)])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_real_stdout(tmp_path, capsys):
     paths = _write_consistent_system(tmp_path)
     code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],

@@ -1,17 +1,20 @@
-"""Factorization, Kronecker, and spectral-norm kernel tests.
+"""Factorization kernel tests, and tests of the dense oracles in
+``tests/oracles.py`` that other tests rely on.
 
 Reconstruction oracles: Q [R; 0] and U diag(s) V^H must rebuild the
 input; singular values are cross-checked against the eigenvalues of the
 Gram matrix; the R-factor SVD and the values-only rank against the thin
-and skinny SVDs; the commutation matrix is checked against its defining sum
-of elementary Kronecker products.
+and skinny SVDs.  Of the oracles, the pseudoinverse must satisfy the
+Penrose conditions, the commutation matrix must equal its defining sum of
+elementary Kronecker products, and power iteration must agree with the
+dense spectral norm.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 import rbtlse.dense_kernels as dk
-from rbtlse.errors import SpectralNormDidNotConverge
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def test_svd_complex():
 
 
 # ---------------------------------------------------------------------------
-# pseudo-inverse
+# pseudo-inverse (oracle)
 # ---------------------------------------------------------------------------
 
 def _check_penrose(M, Mp, tol=1e-10):
@@ -135,20 +138,20 @@ def _check_penrose(M, Mp, tol=1e-10):
 def test_pinv_penrose():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((6, 4))
-    _check_penrose(M, dk.pinv(M))
+    _check_penrose(M, oracles.pinv(M))
     C = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    _check_penrose(C, dk.pinv(C))
+    _check_penrose(C, oracles.pinv(C))
 
 
 def test_pinv_diagonal_with_zero():
     M = np.diag([2.0, 0.0])
-    assert np.allclose(dk.pinv(M), np.diag([0.5, 0.0]), atol=1e-15)
+    assert np.allclose(oracles.pinv(M), np.diag([0.5, 0.0]), atol=1e-15)
 
 
 def test_pinv_full_row_rank_right_inverse():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((3, 8))
-    assert np.allclose(M @ dk.pinv(M), np.eye(3), atol=1e-12)
+    assert np.allclose(M @ oracles.pinv(M), np.eye(3), atol=1e-12)
 
 
 def test_pinv_rank_deficient():
@@ -156,11 +159,11 @@ def test_pinv_rank_deficient():
     u = rng.standard_normal((5, 2))
     v = rng.standard_normal((4, 2))
     M = u @ v.T
-    _check_penrose(M, dk.pinv(M))
+    _check_penrose(M, oracles.pinv(M))
 
 
 # ---------------------------------------------------------------------------
-# Kronecker, vec, commutation
+# Kronecker, vec, commutation (oracles)
 # ---------------------------------------------------------------------------
 
 def test_kron_vec_identity():
@@ -169,40 +172,40 @@ def test_kron_vec_identity():
     A = rng.standard_normal((3, 4))
     B = rng.standard_normal((5, 2))
     X = rng.standard_normal((2, 4))
-    lhs = np.kron(A, B) @ dk.vec(X)
-    rhs = dk.vec(B @ X @ A.T)
+    lhs = np.kron(A, B) @ oracles.vec(X)
+    rhs = oracles.vec(B @ X @ A.T)
     assert np.allclose(lhs, rhs, atol=1e-13)
     # complex uses the plain transpose in the identity too
     Ac = A + 1j * rng.standard_normal(A.shape)
     Xc = X + 1j * rng.standard_normal(X.shape)
-    assert np.allclose(np.kron(Ac, B) @ dk.vec(Xc),
-                       dk.vec(B @ Xc @ Ac.T), atol=1e-13)
+    assert np.allclose(np.kron(Ac, B) @ oracles.vec(Xc),
+                       oracles.vec(B @ Xc @ Ac.T), atol=1e-13)
 
 
 def test_vec_unvec():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((3, 5))
-    v = dk.vec(X)
+    v = oracles.vec(X)
     assert v.shape == (15,)
     assert np.array_equal(v[:3], X[:, 0])
-    assert np.array_equal(dk.unvec(v, (3, 5)), X)
+    assert np.array_equal(oracles.unvec(v, (3, 5)), X)
 
 
 def test_commutation_identity_cases():
-    assert np.array_equal(dk.commutation_matrix(1, 4), np.eye(4))
-    assert np.array_equal(dk.commutation_matrix(4, 1), np.eye(4))
+    assert np.array_equal(oracles.commutation_matrix(1, 4), np.eye(4))
+    assert np.array_equal(oracles.commutation_matrix(4, 1), np.eye(4))
 
 
 def test_commutation_transposes():
     rng = np.random.default_rng(12)
     for d, n in [(2, 3), (3, 3), (4, 2)]:
-        P = dk.commutation_matrix(d, n)
+        P = oracles.commutation_matrix(d, n)
         X = rng.standard_normal((d, n))
-        assert np.allclose(P @ dk.vec(X), dk.vec(X.T), atol=0)
+        assert np.allclose(P @ oracles.vec(X), oracles.vec(X.T), atol=0)
         # permutation structure: exactly one 1 per row and column
         assert np.array_equal(np.sort(P, axis=0)[-1], np.ones(d * n))
         assert P.sum() == d * n
-        assert np.array_equal(P.T, dk.commutation_matrix(n, d))
+        assert np.array_equal(P.T, oracles.commutation_matrix(n, d))
         assert np.allclose(P.T @ P, np.eye(d * n))
 
 
@@ -214,58 +217,58 @@ def test_commutation_matches_elementary_sum():
             E = np.zeros((d, n))
             E[i, j] = 1.0
             want += np.kron(E, E.T)
-    assert np.array_equal(dk.commutation_matrix(d, n), want)
+    assert np.array_equal(oracles.commutation_matrix(d, n), want)
 
 
 def test_commutation_validates_dims():
     with pytest.raises(ValueError):
-        dk.commutation_matrix(0, 3)
+        oracles.commutation_matrix(0, 3)
 
 
 # ---------------------------------------------------------------------------
-# spectral norm
+# spectral norm (oracle)
 # ---------------------------------------------------------------------------
 
 def test_spectral_norm_known_values():
-    assert dk.spectral_norm(np.eye(4)) == pytest.approx(1.0)
-    assert dk.spectral_norm(np.diag([5.0, 1.0])) == pytest.approx(5.0)
-    assert dk.spectral_norm(np.zeros((0, 3))) == 0.0
-    assert dk.spectral_norm(np.zeros((3, 0))) == 0.0
+    assert oracles.spectral_norm(np.eye(4)) == pytest.approx(1.0)
+    assert oracles.spectral_norm(np.diag([5.0, 1.0])) == pytest.approx(5.0)
+    assert oracles.spectral_norm(np.zeros((0, 3))) == 0.0
+    assert oracles.spectral_norm(np.zeros((3, 0))) == 0.0
 
 
 def test_spectral_norm_dense_vs_power():
     rng = np.random.default_rng(13)
     M = rng.standard_normal((50, 80))
-    dense = dk.spectral_norm(M, method="dense")
-    power = dk.spectral_norm(M, method="power")
+    dense = oracles.spectral_norm(M, method="dense")
+    power = oracles.spectral_norm(M, method="power")
     assert power == pytest.approx(dense, rel=1e-8)
 
 
 def test_spectral_norm_power_matrix_free():
     rng = np.random.default_rng(14)
     M = rng.standard_normal((30, 20))
-    est = dk.spectral_norm_power(lambda v: M @ v, lambda u: M.T @ u, 20)
+    est = oracles.spectral_norm_power(lambda v: M @ v, lambda u: M.T @ u, 20)
     assert est == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
 
 
 def test_spectral_norm_power_complex():
     rng = np.random.default_rng(15)
     M = rng.standard_normal((10, 12)) + 1j * rng.standard_normal((10, 12))
-    est = dk.spectral_norm_power(lambda v: M @ v,
-                                 lambda u: M.conj().T @ u, 12,
-                                 complex_ok=True)
+    est = oracles.spectral_norm_power(lambda v: M @ v,
+                                      lambda u: M.conj().T @ u, 12,
+                                      complex_ok=True)
     assert est == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
 
 
 def test_spectral_norm_nonconvergence_carries_estimate():
     rng = np.random.default_rng(16)
     M = rng.standard_normal((15, 15))
-    with pytest.raises(SpectralNormDidNotConverge) as exc:
-        dk.spectral_norm_power(lambda v: M @ v, lambda u: M.T @ u, 15,
-                               max_iter=1)
+    with pytest.raises(oracles.SpectralNormDidNotConverge) as exc:
+        oracles.spectral_norm_power(lambda v: M @ v, lambda u: M.T @ u, 15,
+                                    max_iter=1)
     assert exc.value.estimate > 0
 
 
 def test_spectral_norm_bad_method():
     with pytest.raises(ValueError):
-        dk.spectral_norm(np.eye(2), method="magic")
+        oracles.spectral_norm(np.eye(2), method="magic")

@@ -7,20 +7,21 @@ norms.  Everything else checks the result against a dense reference
 product, invariances, and the bound's empirical validity.
 
 The dense reference builds H, G and Z with Kronecker products and the
-commutation matrix and takes the SVD of their product; the library must
-reproduce its norm from the nd x nd Gram matrix.
+commutation matrix and takes the SVD of their product (commutation matrix
+and spectral norm from ``tests/oracles.py``); the library must reproduce
+its norm from the nd x nd Gram matrix.
 """
 
 import numpy as np
 import pytest
 
-import rbtlse.dense_kernels as dk
+import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import ConditioningUndefined
 from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
-                                 epsilon_n, scaled_to, forward_error_bound)
+                                 epsilon_n, scaled_to)
 from rbtlse.tlse import (DEFAULT_TOL, TlseComplexProblem, TlseRealProblem,
                          solve_complex, solve_real)
 
@@ -201,7 +202,7 @@ def _dense_factors(pieces, solution):
     Q = np.vstack([-PS.conj().T, np.eye(PS.shape[0])])
     H = np.kron(np.linalg.inv(pieces.V22).conj().T,
                 np.linalg.inv(pieces.W1).conj().T) \
-        @ dk.commutation_matrix(d, n)
+        @ oracles.commutation_matrix(d, n)
     G = (1.0 / pieces.denom)[:, None] * np.hstack([
         np.kron(np.eye(n), np.diag(pieces.sig2)),
         np.kron(np.diag(pieces.S_diag), np.eye(d))])
@@ -247,7 +248,7 @@ def test_kappa_matches_dense_oracle(kind, sizes):
                         else (solve_complex, condition_complex))
     sol = solve(prob)
     op, pieces = _oracle_op(prob, sol)
-    dense = dk.spectral_norm(op) * pieces.jk_norm / pieces.x_norm
+    dense = oracles.spectral_norm(op) * pieces.jk_norm / pieces.x_norm
     assert condition(prob, sol).kappa == pytest.approx(dense, rel=1e-12)
     gram = op @ op.conj().T
     assert np.allclose(pieces.gram(), gram, rtol=0,
@@ -264,8 +265,8 @@ def _check_paths_agree(prob, sol, kappa):
     op, pieces = _oracle_op(prob, sol)
     assert np.isfinite(kappa) and kappa > 0
     scale = pieces.jk_norm / pieces.x_norm
-    assert kappa == pytest.approx(dk.spectral_norm(op) * scale, rel=1e-12)
-    assert dk.spectral_norm(op, method="power") * scale == pytest.approx(
+    assert kappa == pytest.approx(oracles.spectral_norm(op) * scale, rel=1e-12)
+    assert oracles.spectral_norm(op, method="power") * scale == pytest.approx(
         kappa, rel=1e-8)
 
 
@@ -291,6 +292,22 @@ def test_kappa_scale_invariance():
     sol2 = solve_real(scaled)
     kappa2 = condition_real(scaled, sol2).kappa
     assert kappa2 == pytest.approx(kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("e", [-150, -100, 100, 150])
+def test_kappa_at_extreme_scale(kind, e):
+    """Scaling all data by 10**e leaves kappa unchanged far beyond the
+    range where the products of squared singular values stay finite."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    kappa = condition(prob, solve(prob)).kappa
+    z = 10.0 ** e
+    scaled = type(prob)(A=prob.A * z, B=prob.B * z, C=prob.C * z,
+                        D=prob.D * z)
+    assert condition(scaled, solve(scaled)).kappa == pytest.approx(
+        kappa, rel=1e-10)
 
 
 def test_kappa_real_vs_complex_on_real_data():
@@ -334,7 +351,7 @@ def test_factor_shapes():
     # the oracle product norm reproduces kappa
     jk = rb.frobenius_norm(rb.hstack(
         rb.vstack(prob.C, prob.A), rb.vstack(prob.D, prob.B)))
-    op = dk.spectral_norm(H @ G @ Z)
+    op = oracles.spectral_norm(H @ G @ Z)
     assert condition_real(prob, sol).kappa == pytest.approx(
         op * jk / np.linalg.norm(sol.X), rel=1e-12)
 
@@ -351,28 +368,20 @@ def test_linalg_failure_is_conditioning_undefined(monkeypatch):
         condition_real(prob, sol)
 
 
+@pytest.mark.parametrize("lam", [0.0, np.inf, np.nan])
+def test_kappa_not_finite_and_positive_is_undefined(monkeypatch, lam):
+    """kappa is never returned as 0, inf or nan."""
+    prob = _real_problem(17)
+    sol = solve_real(prob)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: np.full(M.shape[0], lam))
+    with pytest.raises(ConditioningUndefined):
+        condition_real(prob, sol)
+
+
 # ---------------------------------------------------------------------------
 # first-order bound
 # ---------------------------------------------------------------------------
-
-def test_report_wiring():
-    prob = _real_problem(18)
-    sol = solve_real(prob)
-    report = condition_real(prob, sol)
-    with pytest.raises(ValueError):
-        forward_error_bound(report)
-    rng = np.random.default_rng(19)
-    inst = scaled_to(_rand_instance(prob, rng), 1e-8)
-    filled = report.with_instance(inst)
-    assert filled.eps_n == pytest.approx(1e-8, rel=1e-12)
-    assert forward_error_bound(filled) == pytest.approx(
-        filled.kappa * 1e-8, rel=1e-12)
-    done = filled.with_forward_error(1e-9)
-    assert done.forward_error == 1e-9
-    # condition_* can take the instance directly
-    direct = condition_real(prob, sol, instance=inst)
-    assert direct.bound == pytest.approx(filled.bound, rel=1e-12)
-
 
 def test_directional_sampling_respects_kappa_real():
     prob = _real_problem(20)

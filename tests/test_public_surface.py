@@ -1,13 +1,21 @@
-"""The public surface resolves: every name in ``rbtlse.__all__``, and every
-``rbtlse.<name>`` the benchmark workloads reach, so a refactor that drops
-or renames one fails here instead of in a benchmark run."""
+"""The public surface resolves: every name in the ``__all__`` of
+``rbtlse`` and of each of its submodules, and every ``rbtlse.<name>`` the
+benchmark workloads reach, so a refactor that drops or renames one fails
+here instead of in a benchmark run."""
 
 import ast
 import functools
+import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
 
 import rbtlse
 import rbtlse.cli
+
+MODULES = ["rbtlse"] + sorted(
+    f"rbtlse.{m.name}" for m in pkgutil.iter_modules(rbtlse.__path__))
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -23,8 +31,10 @@ def _rbtlse_path(node):
     return None
 
 
-def test_all_names_resolve():
-    missing = [name for name in rbtlse.__all__ if not hasattr(rbtlse, name)]
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
 
 

@@ -98,7 +98,7 @@ def test_conjugation_symmetry():
     m, n, p, d = 30, 6, 1, 2
 
     def conj_rb(P):
-        return rb.from_components(P.p0, -P.p1, P.p2, -P.p3)
+        return rb.RBMatrix(P.p0, -P.p1, P.p2, -P.p3)
 
     prob = TlseComplexProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
                               C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
