@@ -6,8 +6,8 @@ Five experiments are provided:
                      m=30t, n=10t, p=2t, d=2 with standard normal data;
 * accuracy-complex   complex solver at m=50t, n=6t, p=2t, d=3 with
                      uniform [0,1) components;
-* bound-real         forward error against the first-order bound, three
-                     perturbation magnitudes per t;
+* bound-real         forward error against the first-order bound at each
+                     perturbation magnitude in MAGNITUDES, per t;
 * bound-complex      complex twin of bound-real;
 * compare-lse        total least squares vs constrained least squares on
                      consistent systems with injected inconsistency, two
@@ -50,6 +50,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "CSV_COLUMNS",
+    "MAGNITUDES",
     "accuracy_sizes",
     "gen_instance",
     "gen_compare_instance",
@@ -66,6 +67,9 @@ CSV_COLUMNS = ("experiment", "t", "m", "seed", "trial", "eps1", "eps2",
 
 # compare-lse geometry fixed by the comparison protocol
 _CMP_N, _CMP_D, _CMP_P = 50, 35, 10
+
+# relative perturbation sizes eps_n of the bound experiments
+MAGNITUDES = (1e-11, 1e-8, 1e-5)
 
 
 def accuracy_sizes(kind: str, t: int) -> tuple[int, int, int, int]:
@@ -88,7 +92,6 @@ class ExperimentConfig:
     variant: str = "real"
     seed: int = 0
     trials: Optional[int] = None
-    magnitudes: tuple[float, ...] = (1e-11, 1e-8, 1e-5)
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -98,14 +101,10 @@ class ExperimentConfig:
             raise ValueError("case must be 1 or 2")
         if self.variant not in ("real", "complex"):
             raise ValueError("variant must be 'real' or 'complex'")
-        if not (self.t_values and self.m_values and self.magnitudes):
-            raise ValueError("t_values, m_values and magnitudes must not "
-                             "be empty")
+        if not (self.t_values and self.m_values):
+            raise ValueError("t_values and m_values must not be empty")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not all(np.isfinite(e) and e > 0 for e in self.magnitudes):
-            raise ValueError(f"magnitudes must be finite and > 0, got "
-                             f"{self.magnitudes}")
         if self.experiment == "compare-lse":
             bad = [m for m in self.m_values if m <= _CMP_N]
             if bad:
@@ -192,57 +191,47 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
     the injected error nearly rank one with norm above the data's top
     singular values, which poisons the fitted subspace of the total
     solver and inverts the comparison this generator exists to support.
-    Complex variant: same plan in complex-pair form, the shared complex
-    product replicated into both pair slots.
+    Complex variant: same plan in complex-pair form, with complex normal
+    solution and factors; the shared complex product is replicated into
+    both pair slots.  A and C take the same draws in both variants.
     """
     if m <= _CMP_N:
         raise ValueError(f"need m > {_CMP_N}")
-    n, d, p = _CMP_N, _CMP_D, _CMP_P
     rng = np.random.default_rng(seed)
     if variant == "real":
-        E = _rb_randn(rng, m, n)
-        C = _rb_randn(rng, p, n)
-        X1 = rng.standard_normal((n, d))
-        Xrb = rb.RBMatrix.from_real(X1)
-        F = rb.mat_mul(E, Xrb)
-        D = rb.mat_mul(C, Xrb)
-        if case == 1:
-            G = rng.standard_normal((n + d, n + d))
-            H = 0.01 * rng.standard_normal((m, n + d)) @ G
-            dE = rb.RBMatrix(H[:, :n], H[:, :n], H[:, :n], H[:, :n])
-            dF = rb.RBMatrix(H[:, n:], H[:, n:], H[:, n:], H[:, n:])
-        else:
-            G = rng.standard_normal((d, d))
-            H = 0.01 * rng.standard_normal((m, d)) @ G
-            dE = rb.RBMatrix.zeros(m, n)
-            dF = rb.RBMatrix(H, H, H, H)
-        base = TlseRealProblem(A=E, B=F, C=C, D=D)
-        pert = TlseRealProblem(A=E + dE, B=F + dF, C=C, D=D)
-        return base, pert, X1
-    if variant == "complex":
-        def crandn(r, c):
-            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        cls, draw = TlseRealProblem, rng.standard_normal
 
-        M = rb.from_complex_pair(crandn(m, n), crandn(m, n))
-        R = rb.from_complex_pair(crandn(p, n), crandn(p, n))
-        X2 = crandn(n, d)
-        Xrb = rb.RBMatrix.from_complex(X2)
-        N = rb.mat_mul(M, Xrb)
-        S = rb.mat_mul(R, Xrb)
-        if case == 1:
-            T = crandn(n + d, n + d)
-            J = 0.01 * crandn(m, n + d) @ T
-            dM = rb.from_complex_pair(J[:, :n], J[:, :n])
-            dN = rb.from_complex_pair(J[:, n:], J[:, n:])
-        else:
-            T = crandn(d, d)
-            J = 0.01 * crandn(m, d) @ T
-            dM = rb.RBMatrix.zeros(m, n)
-            dN = rb.from_complex_pair(J, J)
-        base = TlseComplexProblem(A=M, B=N, C=R, D=S)
-        pert = TlseComplexProblem(A=M + dM, B=N + dN, C=R, D=S)
-        return base, pert, X2
-    raise ValueError(f"unknown variant {variant!r}")
+        def replicate(h):
+            return rb.RBMatrix(h, h, h, h)
+    elif variant == "complex":
+        cls = TlseComplexProblem
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def replicate(h):
+            return rb.from_complex_pair(h, h)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    n, d, p = _CMP_N, _CMP_D, _CMP_P
+    # four standard normal components, as a real draw or a complex pair
+    A = _rb_randn(rng, m, n)
+    C = _rb_randn(rng, p, n)
+    X = draw((n, d))
+    Xrb = rb.RBMatrix.from_complex(X)
+    B = rb.mat_mul(A, Xrb)
+    D = rb.mat_mul(C, Xrb)
+    if case == 1:
+        G = draw((n + d, n + d))
+        H = 0.01 * draw((m, n + d)) @ G
+        dA, dB = replicate(H[:, :n]), replicate(H[:, n:])
+    else:
+        G = draw((d, d))
+        H = 0.01 * draw((m, d)) @ G
+        dA, dB = rb.RBMatrix.zeros(m, n), replicate(H)
+    base = cls(A=A, B=B, C=C, D=D)
+    pert = cls(A=A + dA, B=B + dB, C=C, D=D)
+    return base, pert, X
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +273,7 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
         for trial in range(config.effective_trials):
             point = _point_seed(config.seed, t, trial)
             ss = np.random.SeedSequence(point)
-            streams = ss.spawn(1 + len(config.magnitudes))
+            streams = ss.spawn(1 + len(MAGNITUDES))
             try:
                 problem = gen_instance(kind, sizes, streams[0])
                 solution = solve(problem)
@@ -295,7 +284,7 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                     error=f"{type(exc).__name__}: {exc}"))
                 continue
             x_norm = np.linalg.norm(solution.X)
-            for idx, mag in enumerate(config.magnitudes):
+            for idx, mag in enumerate(MAGNITUDES):
                 rng = np.random.default_rng(streams[1 + idx])
                 inst = random_perturbation(problem, rng, mag)
                 try:

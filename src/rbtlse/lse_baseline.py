@@ -43,18 +43,16 @@ def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
     _validate_blocks(A, B, C, D)
     Ar, Br, Cr, Dr = (rep.column(M) for M in (A, B, C, D))
     r = Cr.shape[0]
-    if r == 0:
-        X, *_ = np.linalg.lstsq(Ar, Br, rcond=None)
-    else:
-        _check_constraint_rank(Cr)
-        qf = qr_full(Cr.conj().T)
-        Q1 = qf.Q[:, :r]
-        Q2 = qf.Q[:, r:]
-        # Cr = [R^H 0] Q^H, so Cr X = Dr becomes R^H (Q1^H X) = Dr
-        y = np.linalg.solve(qf.R.conj().T, Dr)
-        X0 = Q1 @ y
-        Z, *_ = np.linalg.lstsq(Ar @ Q2, Br - Ar @ X0, rcond=None)
-        X = X0 + Q2 @ Z
+    _check_constraint_rank(Cr)
+    qf = qr_full(Cr.conj().T)
+    Q1 = qf.Q[:, :r]
+    Q2 = qf.Q[:, r:]
+    # Cr = [R^H 0] Q^H, so Cr X = Dr becomes R^H (Q1^H X) = Dr; with
+    # r = 0, Q2 is the identity and X0 is zero
+    y = np.linalg.solve(qf.R.conj().T, Dr)
+    X0 = Q1 @ y
+    Z, *_ = np.linalg.lstsq(Ar @ Q2, Br - Ar @ X0, rcond=None)
+    X = X0 + Q2 @ Z
     return LseSolution(
         X=X,
         residual=float(np.linalg.norm(Ar @ X - Br)),
@@ -63,10 +61,10 @@ def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
 
 def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
                    D: rb.RBMatrix) -> LseSolution:
-    """Real-solution constrained least squares; p = 0 degrades to plain
-    least squares.  Raises DimensionMismatch, NonFiniteInput,
-    AssumptionViolated or FactorizationFailed like the total least
-    squares solver."""
+    """Real-solution constrained least squares; with p = 0 the same
+    reduction is plain least squares.  Raises DimensionMismatch,
+    NonFiniteInput, AssumptionViolated or FactorizationFailed like the
+    total least squares solver."""
     return _lse(A, B, C, D, _REAL)
 
 

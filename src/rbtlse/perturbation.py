@@ -57,7 +57,7 @@ import numpy as np
 from . import rb_core as rb
 from .dense_kernels import svd_skinny
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import DEFAULT_TOL, TlseProblem, TlseSolution, ToleranceConfig
+from .tlse import _COND_MAX, TlseProblem, TlseSolution
 
 __all__ = [
     "PerturbationInstance",
@@ -156,7 +156,7 @@ class _Pieces:
     the triangular coupling block T2 with its rows scaled by S_diag.
     """
 
-    def __init__(self, solution: TlseSolution, tol: ToleranceConfig):
+    def __init__(self, solution: TlseSolution):
         P, S, sigma, V_check, X = (
             solution.P, solution.S, solution.sigma, solution.V_check,
             solution.X)
@@ -166,16 +166,12 @@ class _Pieces:
         self.n, self.d = n, d
         self.sig2 = sigma[k:]
 
-        if r > 0:
-            fs = svd_skinny(S)
-            if fs.S.size < r:
-                raise ConditioningUndefined(
-                    f"constraint stack rank {fs.S.size} < {r}; "
-                    f"skinny SVD factors unusable")
-            Ss, Vs = fs.S, fs.V
-        else:
-            Ss = np.zeros(0)
-            Vs = np.zeros((n + d, 0), dtype=P.dtype)
+        fs = svd_skinny(S)
+        if fs.S.size < r:
+            raise ConditioningUndefined(
+                f"constraint stack rank {fs.S.size} < {r}; "
+                f"skinny SVD factors unusable")
+        Ss, Vs = fs.S, fs.V
         # one product gives P Vs / Ss = (P S^+) Us and
         # P V_check = U diag(sigma), the left singular vectors scaled
         PV = P @ np.hstack([Vs / Ss, V_check])
@@ -186,8 +182,7 @@ class _Pieces:
         self.V22 = V_check[n:, k:]
 
         w1_sv = np.linalg.svd(self.W1, compute_uv=False)
-        if w1_sv.size == 0 or w1_sv[-1] == 0.0 \
-                or w1_sv[0] / w1_sv[-1] > tol.v22_cond_max:
+        if w1_sv[-1] == 0.0 or w1_sv[0] / w1_sv[-1] > _COND_MAX:
             raise ConditioningUndefined(
                 "W1 block is singular (or nearly so); the condition "
                 "number formula does not apply")
@@ -258,15 +253,15 @@ class _Pieces:
         return kappa
 
 
-def condition_real(problem: TlseProblem, solution: TlseSolution,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> ConditionReport:
+def condition_real(problem: TlseProblem,
+                   solution: TlseSolution) -> ConditionReport:
     """Relative normwise condition number of a real or complex solution.
 
     Works from the stacks and SVD blocks retained on ``solution`` alone;
     ``problem`` (the data ``solution`` solves) is not read.
     """
     try:
-        kappa = _Pieces(solution, tol).kappa()
+        kappa = _Pieces(solution).kappa()
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc

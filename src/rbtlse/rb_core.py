@@ -360,7 +360,10 @@ def write_rbmat(path, P: RBMatrix) -> None:
 def read_rbmat(path) -> RBMatrix:
     """Read an RBMAT v1 file; malformed layout raises FileFormatError."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"non-ASCII content: {exc}") from exc
     fields = lines[0].split()
     if not fields or fields[0] != "RBMAT":
         raise FileFormatError("missing RBMAT header")

@@ -20,18 +20,20 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
 
 1. stack P = [Ac, Bc] and S = [Cc, Dc];
 2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
-   (with p = 0 there is no constraint and Q2 is the identity, skipped);
+   (with p = 0, S^H has no columns and Q2 is the identity);
 3. singular values and right singular vectors of P @ Q2, taken from the
    SVD of its small R factor, so the tall left factor U is never formed;
    the d trailing right singular vectors, pushed back through Q2 into
    V_check and partitioned, give X = -V12 @ inv(V22);
 4. with W2 = P @ V_check[:, n-r:], which equals U2 S2, the minimizing
    perturbation stacks are -W2 V12^H and -W2 V22^H, read back through
-   the inverse map; their norm is sqrt(sum S2^2).
+   the inverse map; their norm is sqrt(sum S2^2), summed scaled by a
+   power of two so that it neither overflows nor underflows.
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
-P @ Q2 and an invertible V22; both are checked and reported through the
-error taxonomy rather than patched over.
+P @ Q2, strictly positive singular values and an invertible V22; each is
+checked against a fixed threshold (_GAP_REL, _COND_MAX below) and
+reported through the error taxonomy rather than patched over.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from .errors import (AssumptionViolated, BlockNotInvertible,
                      NonFiniteInput)
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "TlseProblem",
     "TlseRealProblem",
     "TlseComplexProblem",
@@ -63,30 +63,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds of the solver.
-
-    gap_rel / gap_abs
-        The spectrum gap guaranteeing uniqueness must exceed
-        gap_abs + gap_rel * sigma_1.  The theory's strict inequality is
-        exact-arithmetic; this makes it checkable in floating point.
-    v22_cond_max
-        Largest acceptable 2-norm condition number of the trailing block
-        V22 before the solve refuses to invert it.
-    positive_sigma
-        The smallest retained singular value must exceed this.  Zero by
-        default so that machine-precision zeros on consistent data do not
-        spuriously fail the solve.
-    """
-
-    gap_rel: float = 1e-10
-    gap_abs: float = 0.0
-    v22_cond_max: float = 1e12
-    positive_sigma: float = 0.0
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The theory's strict gap sigma[k-1] > sigma[k] holds in exact arithmetic;
+# in floating point a gap at or below this fraction of sigma_1 is none.
+_GAP_REL = 1e-10
+# Largest 2-norm condition number of a block the formulas invert: V22 in
+# the solve, W1 in the condition number.
+_COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -155,7 +137,8 @@ class TlseProblem:
     """Data (A, B, C, D) for a solve.
 
     A is m-by-n, B m-by-d, C p-by-n, D p-by-d with n, d >= 1 and every
-    entry finite.  p = 0 (empty constraint) is accepted and degrades to an
+    entry finite.  p = 0 (empty constraint) is accepted; the solve then
+    runs unchanged with an identity null-space basis, which makes it an
     unconstrained total least squares solve.
     """
 
@@ -211,8 +194,7 @@ class TlseSolution:
 
 
 @_lapack_failures
-def _solve(problem: TlseProblem, rep: _Representation,
-           tol: ToleranceConfig) -> TlseSolution:
+def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
     m, n, p, d = problem.sizes
     q = rep.rows
     r = q * p
@@ -229,35 +211,37 @@ def _solve(problem: TlseProblem, rep: _Representation,
                       (problem.A, problem.B, problem.C, problem.D))
     P = np.hstack([Ac, Bc])
     S = np.hstack([Cc, Dc])
-    if p > 0:
-        _check_constraint_rank(Cc)
-        Q2 = qr_full(S.conj().T).Q[:, r:]
-        sigma, V = svd_right(P @ Q2)
-        V_check = Q2 @ V
-    else:
-        sigma, V_check = svd_right(P)
+    _check_constraint_rank(Cc)
+    Q2 = qr_full(S.conj().T).Q[:, r:]
+    sigma, V = svd_right(P @ Q2)
+    V_check = Q2 @ V
 
     k = n - r
-    if sigma[-1] <= tol.positive_sigma:
+    if sigma[-1] <= 0.0:
         raise DegenerateSpectrum(
             f"smallest retained singular value {sigma[-1]:.3e} is not "
-            f"strictly positive (threshold {tol.positive_sigma:.3e})")
+            f"strictly positive")
     gap = np.inf if k == 0 else float(sigma[k - 1] - sigma[k])
-    if k > 0 and gap <= tol.gap_abs + tol.gap_rel * sigma[0]:
+    if k > 0 and gap <= _GAP_REL * sigma[0]:
         raise GapConditionFailed(
-            f"singular value gap {gap:.3e} at position {k} is below "
-            f"tolerance; the solution is not unique")
+            f"singular value gap {gap:.3e} at position {k} is not above "
+            f"{_GAP_REL:.0e} * sigma_1; the solution is not unique")
 
     V12 = V_check[:n, k:]
     V22 = V_check[n:, k:]
     sv = np.linalg.svd(V22, compute_uv=False)
     v22_cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    if not np.isfinite(v22_cond) or v22_cond > tol.v22_cond_max:
+    if not np.isfinite(v22_cond) or v22_cond > _COND_MAX:
         raise BlockNotInvertible(
             f"trailing block V22 condition {v22_cond:.3e} exceeds "
-            f"{tol.v22_cond_max:.3e}")
+            f"{_COND_MAX:.3e}")
 
     X = -np.linalg.solve(V22.T, V12.T).T
+
+    # scaled by the power of two of sigma[k] > 0 (exact), the squares
+    # never over- or underflow; at ordinary scales the bits are unchanged
+    e = np.frexp(sigma[k])[1]
+    norm = float(np.ldexp(np.sqrt(np.sum(np.ldexp(sigma[k:], -e) ** 2)), e))
 
     W2 = P @ V_check[:, k:]
     E_stack = -W2 @ V12.conj().T
@@ -266,12 +250,11 @@ def _solve(problem: TlseProblem, rep: _Representation,
     return TlseSolution(
         X=X, E_bar=rep.from_column(E_stack), F_bar=rep.from_column(F_stack),
         sigma=sigma, gap=gap, v22_condition=v22_cond,
-        residual_perturbation_norm=float(np.sqrt(np.sum(sigma[k:] ** 2))),
+        residual_perturbation_norm=norm,
         P=P, S=S, V_check=V_check)
 
 
-def solve_real(problem: TlseProblem,
-               tol: ToleranceConfig = DEFAULT_TOL) -> TlseSolution:
+def solve_real(problem: TlseProblem) -> TlseSolution:
     """Solve for the unique real X over the 4m-row real stacks; see the
     module docstring for the steps.
 
@@ -279,14 +262,13 @@ def solve_real(problem: TlseProblem,
     DegenerateSpectrum when the data leaves the theory's premises, and
     FactorizationFailed when a LAPACK call fails.
     """
-    return _solve(problem, _REAL, tol)
+    return _solve(problem, _REAL)
 
 
-def solve_complex(problem: TlseProblem,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> TlseSolution:
+def solve_complex(problem: TlseProblem) -> TlseSolution:
     """Solve for the unique complex X over the 2m-row complex stacks;
     errors as in :func:`solve_real`."""
-    return _solve(problem, _COMPLEX, tol)
+    return _solve(problem, _COMPLEX)
 
 
 def residuals_real(problem: TlseProblem,

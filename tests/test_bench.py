@@ -36,10 +36,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="accuracy-real", t_values=(0,))
     for bad in (dict(trials=0), dict(trials=-1), dict(t_values=()),
-                dict(m_values=()), dict(magnitudes=()),
-                dict(magnitudes=(-1.0,)), dict(magnitudes=(0.0,)),
-                dict(magnitudes=(1e-8, float("nan"))),
-                dict(magnitudes=(float("inf"),))):
+                dict(m_values=())):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="bound-real", **bad)
     assert ExperimentConfig(experiment="compare-lse").effective_trials == 20

@@ -170,6 +170,16 @@ def test_solve_non_finite_file_is_io_error(tmp_path, capsys):
     assert "nan or inf" in capsys.readouterr().err
 
 
+def test_solve_non_ascii_file_is_io_error(tmp_path, capsys):
+    paths = _write_consistent_system(tmp_path, seed=9)
+    with open(paths["a"], "a", encoding="utf-8") as fh:
+        fh.write("\u00b5\n")
+    code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"]])
+    assert code == 1
+    assert "non-ASCII" in capsys.readouterr().err
+
+
 def test_solve_empty_rhs_is_solver_error(tmp_path, capsys):
     # zero-row files: A and C are 0 x 3, B and D are 0 x 0, so d = 0
     paths = {}

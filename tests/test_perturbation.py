@@ -22,8 +22,8 @@ from rbtlse.errors import ConditioningUndefined
 from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
-from rbtlse.tlse import (DEFAULT_TOL, TlseComplexProblem, TlseRealProblem,
-                         solve_complex, solve_real)
+from rbtlse.tlse import (TlseComplexProblem, TlseRealProblem, solve_complex,
+                         solve_real)
 
 
 def _rand_rb(rng, m, n, uniform=False):
@@ -192,7 +192,7 @@ def test_kappa_equals_brute_force_jacobian_complex():
 # ---------------------------------------------------------------------------
 
 def _pieces_of(problem, solution):
-    return _Pieces(solution, DEFAULT_TOL)
+    return _Pieces(solution)
 
 
 def _dense_factors(pieces, solution):
@@ -308,6 +308,25 @@ def test_kappa_at_extreme_scale(kind, e):
                         D=prob.D * z)
     assert condition(scaled, solve(scaled)).kappa == pytest.approx(
         kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("problem_type,solve,condition", [
+    (TlseRealProblem, solve_real, condition_real),
+    (TlseComplexProblem, solve_complex, condition_complex)])
+def test_singular_w1_is_conditioning_undefined(problem_type, solve,
+                                               condition):
+    """A nearly zero column of A leaves V22 (d = 1) invertible but makes
+    W1 singular: the solve succeeds and kappa is refused."""
+    rng = np.random.default_rng(11)
+    A = _rand_rb(rng, 8, 3)
+    A = rb.RBMatrix(*(np.hstack([c[:, :1] * 1e-13, c[:, 1:]])
+                      for c in (A.p0, A.p1, A.p2, A.p3)))
+    problem = problem_type(A=A, B=_rand_rb(rng, 8, 1),
+                           C=rb.RBMatrix.zeros(0, 3),
+                           D=rb.RBMatrix.zeros(0, 1))
+    solution = solve(problem)
+    with pytest.raises(ConditioningUndefined, match="W1 block is singular"):
+        condition(problem, solution)
 
 
 def test_kappa_real_vs_complex_on_real_data():

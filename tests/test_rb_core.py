@@ -379,13 +379,14 @@ def test_rbmat_header_format(tmp_path):
     lambda lines: lines + ["", "5.0 5.0"],               # trailing junk
     lambda lines: lines[:1] + ["1.0 oops"] + lines[2:],  # non-float entry
     lambda lines: ["RBMATRIX 2 2"] + lines[1:],         # magic as a prefix
+    lambda lines: lines[:1] + ["1.0 \u00b5"] + lines[2:],  # non-ASCII
 ])
 def test_rbmat_malformed(tmp_path, mutate):
     P = rb.RBMatrix.eye(2)
     path = tmp_path / "bad.rbmat"
     rb.write_rbmat(path, P)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(mutate(lines)) + "\n")
+    path.write_text("\n".join(mutate(lines)) + "\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
         rb.read_rbmat(path)
 

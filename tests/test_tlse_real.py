@@ -12,14 +12,17 @@ import pytest
 
 import rbtlse.rb_core as rb
 from rbtlse.dense_kernels import qr_full
-from rbtlse.bench import gen_instance
+from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
-from rbtlse.tlse import (DEFAULT_TOL, ToleranceConfig, TlseComplexProblem,
+from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseComplexProblem,
                          TlseRealProblem, solve_complex, solve_real,
                          residuals_real)
+
+ALGEBRAS = {"real": (TlseRealProblem, solve_real),
+            "complex": (TlseComplexProblem, solve_complex)}
 
 
 def _rand_rb(rng, m, n):
@@ -215,28 +218,76 @@ def test_optimality_random_search():
     assert min_seen >= best * (1 - 1e-6)
 
 
-def test_gap_condition_failure_raised():
+def _unconstrained(problem_type, A, B):
+    n, d = A.cols, B.cols
+    return problem_type(A=A, B=B, C=rb.RBMatrix.zeros(0, n),
+                        D=rb.RBMatrix.zeros(0, d))
+
+
+def _first_column_scaled(M, factor):
+    comps = [c.copy() for c in (M.p0, M.p1, M.p2, M.p3)]
+    for c in comps:
+        c[:, 0] *= factor
+    return rb.RBMatrix(*comps)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_gap_condition_failure_raised(kind):
+    # [Ac, Bc] with orthonormal columns: every singular value is 1, so
+    # there is no gap at all
+    problem_type, solve = ALGEBRAS[kind]
     rng = np.random.default_rng(9)
-    prob, _ = _consistent(rng, 20, 8, 1, 2)
-    strict = ToleranceConfig(gap_rel=10.0)  # no realistic gap can pass
+    if kind == "real":
+        Q = np.linalg.qr(rng.standard_normal((20, 5)))[0]
+        from_column = rb.from_real_block_column
+    else:
+        Q = np.linalg.qr(rng.standard_normal((10, 5))
+                         + 1j * rng.standard_normal((10, 5)))[0]
+        from_column = rb.from_complex_block_column
+    problem = _unconstrained(problem_type, from_column(Q[:, :3]),
+                             from_column(Q[:, 3:]))
     with pytest.raises(GapConditionFailed):
-        solve_real(prob, tol=strict)
+        solve(problem)
 
 
-def test_degenerate_spectrum_raised():
-    rng = np.random.default_rng(10)
-    prob, _ = _consistent(rng, 20, 8, 1, 2)
-    # consistent data has trailing singular values ~1e-14; a raised floor
-    # must flag them
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_degenerate_spectrum_raised(kind):
+    # all-zero data: every singular value is exactly 0
+    problem_type, solve = ALGEBRAS[kind]
+    problem = _unconstrained(problem_type, rb.RBMatrix.zeros(20, 8),
+                             rb.RBMatrix.zeros(20, 2))
     with pytest.raises(DegenerateSpectrum):
-        solve_real(prob, tol=ToleranceConfig(positive_sigma=1e-6))
+        solve(problem)
 
 
-def test_block_not_invertible_raised():
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_block_not_invertible_raised(kind):
+    # a nearly zero column of A puts the trailing right singular vectors
+    # almost entirely on that column, so V22 is nearly singular
+    problem_type, solve = ALGEBRAS[kind]
     rng = np.random.default_rng(11)
-    prob, _ = _consistent(rng, 20, 8, 1, 2)
+    A = _first_column_scaled(_rand_rb(rng, 8, 3), 1e-14)
+    problem = _unconstrained(problem_type, A, _rand_rb(rng, 8, 2))
     with pytest.raises(BlockNotInvertible):
-        solve_real(prob, tol=ToleranceConfig(v22_cond_max=0.5))
+        solve(problem)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("e", [-170, -160, 160, 170])
+def test_correction_norm_at_extreme_scale(kind, e):
+    """Scaling all data by 10**e scales X by 1 and the correction norm by
+    10**e, where the plain sum of squared singular values over- or
+    underflows."""
+    problem_type, solve = ALGEBRAS[kind]
+    prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
+    sol = solve(prob)
+    z = 10.0 ** e
+    scaled = solve(problem_type(A=prob.A * z, B=prob.B * z, C=prob.C * z,
+                                D=prob.D * z))
+    assert np.isfinite(scaled.residual_perturbation_norm)
+    assert scaled.residual_perturbation_norm == pytest.approx(
+        z * sol.residual_perturbation_norm, rel=1e-12)
+    assert np.linalg.norm(scaled.X - sol.X) <= 1e-12 * np.linalg.norm(sol.X)
 
 
 def test_rank_deficient_constraint_rejected():
@@ -268,10 +319,8 @@ def test_too_few_rows_rejected():
 
 
 def test_default_tolerances():
-    assert DEFAULT_TOL.gap_rel == 1e-10
-    assert DEFAULT_TOL.gap_abs == 0.0
-    assert DEFAULT_TOL.v22_cond_max == 1e12
-    assert DEFAULT_TOL.positive_sigma == 0.0
+    assert _GAP_REL == 1e-10
+    assert _COND_MAX == 1e12
 
 
 def _fail_linalg(*args, **kwargs):
