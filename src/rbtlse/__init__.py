@@ -21,9 +21,8 @@ from .rb_core import (RBScalar, RBMatrix, rb_mul, mat_mul, hstack, vstack,
                       from_real_block_column, from_complex_block_column,
                       from_complex_pair, to_complex_pair,
                       read_rbmat, write_rbmat)
-from .tlse import (TlseProblem, TlseRealProblem, TlseComplexProblem,
-                   TlseSolution, solve_real, solve_complex, residuals_real,
-                   residuals_complex)
+from .tlse import (TlseProblem, TlseSolution, solve_real, solve_complex,
+                   residuals_real, residuals_complex)
 from .perturbation import (PerturbationInstance, ConditionReport,
                            epsilon_n, scaled_to,
                            condition_real, condition_complex)
@@ -44,8 +43,7 @@ __all__ = [
     "from_real_block_column", "from_complex_block_column",
     "from_complex_pair", "to_complex_pair",
     "read_rbmat", "write_rbmat",
-    "TlseProblem", "TlseRealProblem", "TlseComplexProblem",
-    "TlseSolution", "solve_real", "solve_complex",
+    "TlseProblem", "TlseSolution", "solve_real", "solve_complex",
     "residuals_real", "residuals_complex",
     "PerturbationInstance", "ConditionReport",
     "epsilon_n", "scaled_to", "condition_real", "condition_complex",

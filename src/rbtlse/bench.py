@@ -40,10 +40,9 @@ from . import rb_core as rb
 from .errors import RbtlseError
 from .lse_baseline import lse_solve_real, lse_solve_complex
 # condition_real and residuals_real serve both algebras
-from .perturbation import (PerturbationInstance, condition_real, epsilon_n,
-                           scaled_to)
-from .tlse import (TlseComplexProblem, TlseRealProblem, residuals_real,
-                   solve_complex, solve_real)
+from .perturbation import (PerturbationInstance, _stacked_norm,
+                           condition_real, epsilon_n, scaled_to)
+from .tlse import TlseProblem, residuals_real, solve_complex, solve_real
 
 __all__ = [
     "EXPERIMENTS",
@@ -147,7 +146,7 @@ def _rb_rand(rng, m, n) -> rb.RBMatrix:
     return rb.RBMatrix(*(rng.random((m, n)) for _ in range(4)))
 
 
-def gen_instance(kind: str, sizes: Sequence[int], seed):
+def gen_instance(kind: str, sizes: Sequence[int], seed) -> TlseProblem:
     """Random problem instance; components drawn block by block (A, B, C,
     D), components 0..3 within each block.
 
@@ -157,14 +156,14 @@ def gen_instance(kind: str, sizes: Sequence[int], seed):
     """
     m, n, p, d = sizes
     if kind == "real":
-        cls, draw = TlseRealProblem, _rb_randn
+        draw = _rb_randn
     elif kind == "complex":
-        cls, draw = TlseComplexProblem, _rb_rand
+        draw = _rb_rand
     else:
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)
-    return cls(A=draw(rng, m, n), B=draw(rng, m, d),
-               C=draw(rng, p, n), D=draw(rng, p, d))
+    return TlseProblem(A=draw(rng, m, n), B=draw(rng, m, d),
+                       C=draw(rng, p, n), D=draw(rng, p, d))
 
 
 def random_perturbation(problem, rng, eps_target: float) -> PerturbationInstance:
@@ -199,13 +198,11 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
         raise ValueError(f"need m > {_CMP_N}")
     rng = np.random.default_rng(seed)
     if variant == "real":
-        cls, draw = TlseRealProblem, rng.standard_normal
+        draw = rng.standard_normal
 
         def replicate(h):
             return rb.RBMatrix(h, h, h, h)
     elif variant == "complex":
-        cls = TlseComplexProblem
-
         def draw(shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -229,8 +226,8 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
         G = draw((d, d))
         H = 0.01 * draw((m, d)) @ G
         dA, dB = rb.RBMatrix.zeros(m, n), replicate(H)
-    base = cls(A=A, B=B, C=C, D=D)
-    pert = cls(A=A + dA, B=B + dB, C=C, D=D)
+    base = TlseProblem(A=A, B=B, C=C, D=D)
+    pert = TlseProblem(A=A + dA, B=B + dB, C=C, D=D)
     return base, pert, X
 
 
@@ -284,6 +281,8 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                     error=f"{type(exc).__name__}: {exc}"))
                 continue
             x_norm = np.linalg.norm(solution.X)
+            jk_norm = _stacked_norm(problem.C, problem.A, problem.D,
+                                    problem.B)
             for idx, mag in enumerate(MAGNITUDES):
                 rng = np.random.default_rng(streams[1 + idx])
                 inst = random_perturbation(problem, rng, mag)
@@ -297,10 +296,9 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                 fwd = float(np.linalg.norm(pert_solution.X - solution.X)
                             / x_norm)
                 eps = epsilon_n(inst)
-                delta = eps * rb.frobenius_norm(rb.hstack(inst.J, inst.K))
                 records.append(ExperimentRecord(
                     config.experiment, t, sizes[0], point, trial,
-                    delta_norm=delta, fwd_err=fwd,
+                    delta_norm=eps * jk_norm, fwd_err=fwd,
                     bound=report.kappa * eps))
     return records
 

@@ -25,9 +25,8 @@ from . import rb_core as rb
 from .bench import EXPERIMENTS, ExperimentConfig, run_experiment
 from .errors import FileFormatError, RbtlseError
 # condition_real and residuals_real serve both algebras
-from .perturbation import PerturbationInstance, condition_real, epsilon_n
-from .tlse import (TlseComplexProblem, TlseRealProblem, residuals_real,
-                   solve_complex, solve_real)
+from .perturbation import _stacked_norm, condition_real
+from .tlse import TlseProblem, residuals_real, solve_complex, solve_real
 
 __all__ = ["main"]
 
@@ -122,20 +121,17 @@ def _format_matrix(x: np.ndarray) -> str:
 def _cmd_solve(args) -> int:
     blocks = {key: rb.read_rbmat(getattr(args, key)) for key in "abcd"}
     lines = []
-    real = args.flavor == "real"
-    problem_type = TlseRealProblem if real else TlseComplexProblem
-    problem = problem_type(A=blocks["a"], B=blocks["b"],
-                           C=blocks["c"], D=blocks["d"])
-    solution = (solve_real if real else solve_complex)(problem)
+    problem = TlseProblem(A=blocks["a"], B=blocks["b"],
+                          C=blocks["c"], D=blocks["d"])
+    solve = solve_real if args.flavor == "real" else solve_complex
+    solution = solve(problem)
     e1, e2 = residuals_real(problem, solution)
     report = condition_real(problem, solution)
     m, n, p, d = problem.sizes
-    # relative size of the fitted correction, reused as the perturbation
-    # level in the printed first-order bound
-    fitted = PerturbationInstance(
-        problem=problem, dA=solution.E_bar, dB=solution.F_bar,
-        dC=rb.RBMatrix.zeros(p, n), dD=rb.RBMatrix.zeros(p, d))
-    eps_fit = epsilon_n(fitted)
+    # relative size of the fitted correction (C and D are not corrected),
+    # reused as the perturbation level in the printed first-order bound
+    eps_fit = (rb.frobenius_norm(rb.hstack(solution.E_bar, solution.F_bar))
+               / _stacked_norm(problem.C, problem.A, problem.D, problem.B))
     lines.append(f"solver: {args.flavor}")
     lines.append(f"sizes: m={m} n={n} p={p} d={d}")
     lines.append(f"X ({n} x {d}):")

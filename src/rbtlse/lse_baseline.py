@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rb_core as rb
 from .dense_kernels import qr_full
-from .tlse import (_COMPLEX, _REAL, _Representation, _check_constraint_rank,
-                   _lapack_failures, _validate_blocks)
+from .tlse import (_COMPLEX, _REAL, TlseProblem, _Representation,
+                   _check_constraint_rank, _lapack_failures)
 
 __all__ = ["LseSolution", "lse_solve_real", "lse_solve_complex"]
 
@@ -40,7 +40,7 @@ class LseSolution:
 @_lapack_failures
 def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
          rep: _Representation) -> LseSolution:
-    _validate_blocks(A, B, C, D)
+    TlseProblem(A, B, C, D)  # the solver's validation
     Ar, Br, Cr, Dr = (rep.column(M) for M in (A, B, C, D))
     r = Cr.shape[0]
     _check_constraint_rank(Cr)
@@ -55,16 +55,16 @@ def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
     X = X0 + Q2 @ Z
     return LseSolution(
         X=X,
-        residual=float(np.linalg.norm(Ar @ X - Br)),
-        constraint_residual=float(np.linalg.norm(Cr @ X - Dr)))
+        residual=rb._norm(Ar @ X - Br),
+        constraint_residual=rb._norm(Cr @ X - Dr))
 
 
 def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
                    D: rb.RBMatrix) -> LseSolution:
     """Real-solution constrained least squares; with p = 0 the same
-    reduction is plain least squares.  Raises DimensionMismatch,
-    NonFiniteInput, AssumptionViolated or FactorizationFailed like the
-    total least squares solver."""
+    reduction is plain least squares.  Validates as TlseProblem, raises
+    like the total least squares solver, and its residual norms are
+    scale-safe."""
     return _lse(A, B, C, D, _REAL)
 
 

@@ -87,40 +87,33 @@ class PerturbationInstance:
                 raise DimensionMismatch(
                     f"{name} shape {delta.shape} != base {base.shape}")
 
-    @property
-    def J(self) -> rb.RBMatrix:
-        return rb.vstack(self.problem.C, self.problem.A)
-
-    @property
-    def K(self) -> rb.RBMatrix:
-        return rb.vstack(self.problem.D, self.problem.B)
-
-    @property
-    def dJ(self) -> rb.RBMatrix:
-        return rb.vstack(self.dC, self.dA)
-
-    @property
-    def dK(self) -> rb.RBMatrix:
-        return rb.vstack(self.dD, self.dB)
-
     def perturbed(self) -> TlseProblem:
-        """The perturbed problem, same solution type as the base."""
-        cls = type(self.problem)
-        return cls(A=self.problem.A + self.dA, B=self.problem.B + self.dB,
-                   C=self.problem.C + self.dC, D=self.problem.D + self.dD)
+        """The perturbed data as a TlseProblem, for either solver."""
+        pr = self.problem
+        return TlseProblem(A=pr.A + self.dA, B=pr.B + self.dB,
+                           C=pr.C + self.dC, D=pr.D + self.dD)
+
+
+def _stacked_norm(C: rb.RBMatrix, A: rb.RBMatrix, D: rb.RBMatrix,
+                  B: rb.RBMatrix) -> float:
+    """||[J, K]||_F for J = [C; A], K = [D; B], summed in that stacked
+    layout (the layout fixes the rounding of the sum)."""
+    return rb.frobenius_norm(rb.hstack(rb.vstack(C, A), rb.vstack(D, B)))
 
 
 def epsilon_n(instance: PerturbationInstance) -> float:
-    """Relative perturbation size ||[dJ, dK]||_F / ||[J, K]||_F.
+    """Relative perturbation size ||[dJ, dK]||_F / ||[J, K]||_F, with
+    J = [C; A], K = [D; B] and dJ, dK alike; both norms are scale-safe.
 
     The ratio is identical whether evaluated on the matrices themselves or
     on their leading block columns; this computes it directly.
     """
-    den = rb.frobenius_norm(rb.hstack(instance.J, instance.K))
+    pr = instance.problem
+    den = _stacked_norm(pr.C, pr.A, pr.D, pr.B)
     if den == 0.0:
         raise ValueError("perturbation size undefined: ||[J, K]||_F = 0")
-    num = rb.frobenius_norm(rb.hstack(instance.dJ, instance.dK))
-    return num / den
+    return _stacked_norm(instance.dC, instance.dA, instance.dD,
+                         instance.dB) / den
 
 
 def scaled_to(instance: PerturbationInstance,
@@ -207,8 +200,7 @@ class _Pieces:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
         # ||[J, K]||_F equals the norm of the representation stacks
-        self.jk_norm = float(np.sqrt(np.sum(np.abs(P) ** 2)
-                                     + np.sum(np.abs(S) ** 2)))
+        self.jk_norm = rb._norm(P, S)
 
     def apply_H(self, M: np.ndarray) -> np.ndarray:
         """H @ M for nd-by-N M: commute each column's d-by-n matrix, then

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FileFormatError
+from .errors import DimensionMismatch, FileFormatError, NonFiniteInput
 
 __all__ = [
     "RBScalar",
@@ -306,13 +306,35 @@ def vstack(P: RBMatrix, T: RBMatrix) -> RBMatrix:
                     np.vstack([P.p2, T.p2]), np.vstack([P.p3, T.p3]))
 
 
+def _norm(*arrays: np.ndarray) -> float:
+    """Frobenius norm of real or complex arrays taken together.
+
+    A plain sum of squares that overflows or falls below 2**-900 is redone
+    with every entry scaled by the power of two of the largest magnitude
+    (exact; the LAPACK nrm2 idea), so the norm is right at any scale and
+    bit-identical to the plain sum wherever that is safe.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        total = 0.0
+        for a in arrays:
+            total += np.sum(a ** 2 if np.isrealobj(a) else np.abs(a) ** 2)
+        if np.isfinite(total) and total >= 2.0 ** -900:
+            return float(np.sqrt(total))
+        parts = [c for a in arrays for c in (a.real, a.imag)]
+        peak = max((np.max(np.abs(c)) for c in parts if c.size), default=0.0)
+        if peak == 0.0:
+            return 0.0
+        e = np.frexp(peak)[1]
+        total = sum(np.sum(np.ldexp(c, -e) ** 2) for c in parts)
+        return float(np.ldexp(np.sqrt(total), e))
+
+
 def frobenius_norm(P: RBMatrix) -> float:
-    """Frobenius norm: root of the summed squared entry norms.
+    """Frobenius norm: root of the summed squared entry norms, scale-safe.
 
     Equals the plain Frobenius norm of either leading block column.
     """
-    return float(np.sqrt(np.sum(P.p0 ** 2) + np.sum(P.p1 ** 2)
-                         + np.sum(P.p2 ** 2) + np.sum(P.p3 ** 2)))
+    return _norm(P.p0, P.p1, P.p2, P.p3)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +368,10 @@ def atomic_open(path, **kwargs):
 
 def write_rbmat(path, P: RBMatrix) -> None:
     """Write in the RBMAT v1 format with full round-trip precision;
-    atomic, as :func:`atomic_open`."""
+    atomic, as :func:`atomic_open`.  A matrix holding nan or inf raises
+    NonFiniteInput before anything is written."""
+    if not all(np.isfinite(c).all() for c in (P.p0, P.p1, P.p2, P.p3)):
+        raise NonFiniteInput("RBMAT entries must be finite")
     m, n = P.shape
     blocks = []
     for comp in (P.p0, P.p1, P.p2, P.p3):
@@ -361,9 +386,13 @@ def read_rbmat(path) -> RBMatrix:
     """Read an RBMAT v1 file; malformed layout raises FileFormatError."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            lines = fh.read().split("\n")
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"non-ASCII content: {exc}") from exc
+    # Python numerals such as 1_000 are not RBMAT decimals
+    if "_" in text:
+        raise FileFormatError("'_' in a field; numbers must be plain decimals")
+    lines = text.split("\n")
     fields = lines[0].split()
     if not fields or fields[0] != "RBMAT":
         raise FileFormatError("missing RBMAT header")

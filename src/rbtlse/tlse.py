@@ -27,8 +27,8 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
    V_check and partitioned, give X = -V12 @ inv(V22);
 4. with W2 = P @ V_check[:, n-r:], which equals U2 S2, the minimizing
    perturbation stacks are -W2 V12^H and -W2 V22^H, read back through
-   the inverse map; their norm is sqrt(sum S2^2), summed scaled by a
-   power of two so that it neither overflows nor underflows.
+   the inverse map; their norm is sqrt(sum S2^2), by the scale-safe
+   norm of rb_core, so that it neither overflows nor underflows.
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2, strictly positive singular values and an invertible V22; each is
@@ -53,8 +53,6 @@ from .errors import (AssumptionViolated, BlockNotInvertible,
 
 __all__ = [
     "TlseProblem",
-    "TlseRealProblem",
-    "TlseComplexProblem",
     "TlseSolution",
     "solve_real",
     "solve_complex",
@@ -86,26 +84,6 @@ _COMPLEX = _Representation(rb.complex_block_column,
                            rb.from_complex_block_column, 2)
 
 
-def _validate_blocks(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
-                     D: rb.RBMatrix) -> None:
-    """Shape and finiteness checks on the data (A, B, C, D)."""
-    m, n = A.shape
-    if B.rows != m:
-        raise DimensionMismatch(f"A has {m} rows but B has {B.rows}")
-    p = C.rows
-    if C.cols != n:
-        raise DimensionMismatch(f"A has {n} cols but C has {C.cols}")
-    if D.shape != (p, B.cols):
-        raise DimensionMismatch(
-            f"D shape {D.shape} incompatible with C/B ({p}, {B.cols})")
-    if n == 0 or B.cols == 0:
-        raise DimensionMismatch(
-            f"empty problem: n = {n}, d = {B.cols}; both must be >= 1")
-    for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-        if not all(np.isfinite(c).all() for c in (M.p0, M.p1, M.p2, M.p3)):
-            raise NonFiniteInput(f"{name} holds nan or inf")
-
-
 def _check_constraint_rank(Cc: np.ndarray) -> None:
     """Numerical full-row-rank check of a constraint block column;
     failure is an error, never a silent regularization."""
@@ -134,12 +112,12 @@ def _lapack_failures(body: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class TlseProblem:
-    """Data (A, B, C, D) for a solve.
+    """Data (A, B, C, D) for either algebra: the solver called picks it.
 
     A is m-by-n, B m-by-d, C p-by-n, D p-by-d with n, d >= 1 and every
-    entry finite.  p = 0 (empty constraint) is accepted; the solve then
-    runs unchanged with an identity null-space basis, which makes it an
-    unconstrained total least squares solve.
+    entry finite (else DimensionMismatch or NonFiniteInput).  p = 0 is
+    accepted; the solve then runs unchanged with an identity null-space
+    basis, which makes it an unconstrained total least squares solve.
     """
 
     A: rb.RBMatrix
@@ -148,20 +126,26 @@ class TlseProblem:
     D: rb.RBMatrix
 
     def __post_init__(self):
-        _validate_blocks(self.A, self.B, self.C, self.D)
+        m, n, p, d = self.sizes
+        if self.B.rows != m:
+            raise DimensionMismatch(f"A has {m} rows but B has {self.B.rows}")
+        if self.C.cols != n:
+            raise DimensionMismatch(f"A has {n} cols but C has {self.C.cols}")
+        if self.D.shape != (p, d):
+            raise DimensionMismatch(
+                f"D shape {self.D.shape} incompatible with C/B ({p}, {d})")
+        if n == 0 or d == 0:
+            raise DimensionMismatch(
+                f"empty problem: n = {n}, d = {d}; both must be >= 1")
+        for name, M in zip("ABCD", (self.A, self.B, self.C, self.D)):
+            if not all(np.isfinite(c).all() for c in
+                       (M.p0, M.p1, M.p2, M.p3)):
+                raise NonFiniteInput(f"{name} holds nan or inf")
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:
         """(m, n, p, d)."""
         return (self.A.rows, self.A.cols, self.C.rows, self.B.cols)
-
-
-class TlseRealProblem(TlseProblem):
-    """Problem data for :func:`solve_real`."""
-
-
-class TlseComplexProblem(TlseProblem):
-    """Problem data for :func:`solve_complex`."""
 
 
 @dataclass(frozen=True)
@@ -238,11 +222,7 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
 
     X = -np.linalg.solve(V22.T, V12.T).T
 
-    # scaled by the power of two of sigma[k] > 0 (exact), the squares
-    # never over- or underflow; at ordinary scales the bits are unchanged
-    e = np.frexp(sigma[k])[1]
-    norm = float(np.ldexp(np.sqrt(np.sum(np.ldexp(sigma[k:], -e) ** 2)), e))
-
+    norm = rb._norm(sigma[k:])
     W2 = P @ V_check[:, k:]
     E_stack = -W2 @ V12.conj().T
     F_stack = -W2 @ V22.conj().T

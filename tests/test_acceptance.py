@@ -14,8 +14,7 @@ import rbtlse.rb_core as rb
 from rbtlse.bench import ExperimentConfig, run_experiment
 from rbtlse.perturbation import (PerturbationInstance, condition_real,
                                  condition_complex, scaled_to)
-from rbtlse.tlse import (TlseComplexProblem, TlseRealProblem, solve_complex,
-                         solve_real)
+from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -161,7 +160,7 @@ def test_criterion_7_consistent_recovery():
         Xrb = rb.RBMatrix.from_real(Xs)
         B = rb.mat_mul(A, Xrb)
         D = rb.mat_mul(C, Xrb) if p else rb.RBMatrix.zeros(0, d)
-        sol = solve_real(TlseRealProblem(A=A, B=B, C=C, D=D))
+        sol = solve_real(TlseProblem(A=A, B=B, C=C, D=D))
         scale = rb.frobenius_norm(rb.hstack(A, B))
         if np.linalg.norm(sol.X - Xs) > 1e-8 * np.linalg.norm(Xs):
             ok = False
@@ -174,7 +173,7 @@ def test_criterion_7_consistent_recovery():
         Zrb = rb.RBMatrix.from_complex(Zs)
         Bc = rb.mat_mul(A, Zrb)
         Dc = rb.mat_mul(C, Zrb) if p else rb.RBMatrix.zeros(0, d)
-        csol = solve_complex(TlseComplexProblem(A=A, B=Bc, C=C, D=Dc))
+        csol = solve_complex(TlseProblem(A=A, B=Bc, C=C, D=Dc))
         cscale = rb.frobenius_norm(rb.hstack(A, Bc))
         if np.linalg.norm(csol.X - Zs) > 1e-8 * np.linalg.norm(Zs):
             ok = False
@@ -193,16 +192,15 @@ def test_criterion_7_consistent_recovery():
 def _sampling_criterion(kind: str) -> bool:
     solve = solve_real if kind == "real" else solve_complex
     condition = condition_real if kind == "real" else condition_complex
-    cls = TlseRealProblem if kind == "real" else TlseComplexProblem
     eps = 1e-8
     rng = np.random.default_rng(5)
     for instance_idx in range(10):
         gen = np.random.default_rng(100 + instance_idx)
         m, n, p, d = (20, 8, 1, 2)
-        prob = cls(A=_rand_rb(gen, m, n, kind == "complex"),
-                   B=_rand_rb(gen, m, d, kind == "complex"),
-                   C=_rand_rb(gen, p, n, kind == "complex"),
-                   D=_rand_rb(gen, p, d, kind == "complex"))
+        prob = TlseProblem(A=_rand_rb(gen, m, n, kind == "complex"),
+                           B=_rand_rb(gen, m, d, kind == "complex"),
+                           C=_rand_rb(gen, p, n, kind == "complex"),
+                           D=_rand_rb(gen, p, d, kind == "complex"))
         sol = solve(prob)
         kappa = condition(prob, sol).kappa
         xn = np.linalg.norm(sol.X)

@@ -13,7 +13,7 @@ from rbtlse.dense_kernels import qr_full
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            FactorizationFailed, NonFiniteInput)
 from rbtlse.lse_baseline import lse_solve_real, lse_solve_complex
-from rbtlse.tlse import TlseRealProblem, solve_real
+from rbtlse.tlse import TlseProblem, solve_real
 
 
 def _rand_rb(rng, m, n):
@@ -123,7 +123,7 @@ def test_agrees_with_tlse_on_consistent_data():
     B = rb.mat_mul(A, Xrb)
     D = rb.mat_mul(C, Xrb)
     x_lse = lse_solve_real(A, B, C, D).X
-    x_tlse = solve_real(TlseRealProblem(A=A, B=B, C=C, D=D)).X
+    x_tlse = solve_real(TlseProblem(A=A, B=B, C=C, D=D)).X
     assert np.linalg.norm(x_lse - x_tlse) <= 1e-8 * np.linalg.norm(Xs)
 
 

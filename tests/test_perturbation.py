@@ -22,8 +22,7 @@ from rbtlse.errors import ConditioningUndefined
 from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
-from rbtlse.tlse import (TlseComplexProblem, TlseRealProblem, solve_complex,
-                         solve_real)
+from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
 
 def _rand_rb(rng, m, n, uniform=False):
@@ -33,13 +32,13 @@ def _rand_rb(rng, m, n, uniform=False):
 
 def _real_problem(seed, m=30, n=10, p=2, d=2):
     rng = np.random.default_rng(seed)
-    return TlseRealProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                           C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
 
 
 def _complex_problem(seed, m=30, n=6, p=2, d=3):
     rng = np.random.default_rng(seed)
-    return TlseComplexProblem(
+    return TlseProblem(
         A=_rand_rb(rng, m, n, True), B=_rand_rb(rng, m, d, True),
         C=_rand_rb(rng, p, n, True), D=_rand_rb(rng, p, d, True))
 
@@ -144,8 +143,8 @@ def _brute_kappa(problem, solve, h=1e-7):
                               else getattr(problem, k)) for k in "ABCD"}
                     dn = {k: (getattr(problem, k) - dM if k == name
                               else getattr(problem, k)) for k in "ABCD"}
-                    xp = solve(type(problem)(**up)).X
-                    xm = solve(type(problem)(**dn)).X
+                    xp = solve(TlseProblem(**up)).X
+                    xm = solve(TlseProblem(**dn)).X
                     cols.append(((xp - xm) / (2 * h)).ravel(order="F"))
     J = np.column_stack(cols)
     if np.iscomplexobj(J):
@@ -154,22 +153,23 @@ def _brute_kappa(problem, solve, h=1e-7):
     return op * jk / xn, sol
 
 
-def _consistent(problem, seed):
+def _consistent(problem, solve, seed):
     """The same A and C with B = A X and D = C X for a random X of the
-    problem's algebra: the trailing singular values drop to ~1e-15."""
+    algebra ``solve`` solves in: the trailing singular values drop to
+    ~1e-15."""
     m, n, p, d = problem.sizes
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    if isinstance(problem, TlseComplexProblem):
+    if solve is solve_complex:
         X = X + 1j * rng.standard_normal((n, d))
     Xrb = rb.RBMatrix.from_complex(X)
-    return type(problem)(A=problem.A, B=rb.mat_mul(problem.A, Xrb),
-                         C=problem.C, D=rb.mat_mul(problem.C, Xrb))
+    return TlseProblem(A=problem.A, B=rb.mat_mul(problem.A, Xrb),
+                       C=problem.C, D=rb.mat_mul(problem.C, Xrb))
 
 
 def test_kappa_equals_brute_force_jacobian_real():
     noisy = _real_problem(10, m=8, n=4, p=1, d=2)
-    for prob in (noisy, _consistent(noisy, 26)):
+    for prob in (noisy, _consistent(noisy, solve_real, 26)):
         brute, sol = _brute_kappa(prob, solve_real)
         kappa = condition_real(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
@@ -177,7 +177,7 @@ def test_kappa_equals_brute_force_jacobian_real():
 
 def test_kappa_equals_brute_force_jacobian_complex():
     noisy = _complex_problem(11, m=8, n=4, p=1, d=2)
-    for prob in (noisy, _consistent(noisy, 27)):
+    for prob in (noisy, _consistent(noisy, solve_complex, 27)):
         brute, sol = _brute_kappa(prob, solve_complex)
         kappa = condition_complex(prob, sol).kappa
         # the complex path measures the derivative with a complex matrix
@@ -287,8 +287,8 @@ def test_kappa_scale_invariance():
     sol = solve_real(prob)
     kappa = condition_real(prob, sol).kappa
     zeta = 12.5
-    scaled = TlseRealProblem(A=prob.A * zeta, B=prob.B * zeta,
-                             C=prob.C * zeta, D=prob.D * zeta)
+    scaled = TlseProblem(A=prob.A * zeta, B=prob.B * zeta,
+                         C=prob.C * zeta, D=prob.D * zeta)
     sol2 = solve_real(scaled)
     kappa2 = condition_real(scaled, sol2).kappa
     assert kappa2 == pytest.approx(kappa, rel=1e-10)
@@ -304,26 +304,25 @@ def test_kappa_at_extreme_scale(kind, e):
                         else (solve_complex, condition_complex))
     kappa = condition(prob, solve(prob)).kappa
     z = 10.0 ** e
-    scaled = type(prob)(A=prob.A * z, B=prob.B * z, C=prob.C * z,
-                        D=prob.D * z)
+    scaled = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
+                         D=prob.D * z)
     assert condition(scaled, solve(scaled)).kappa == pytest.approx(
         kappa, rel=1e-10)
 
 
-@pytest.mark.parametrize("problem_type,solve,condition", [
-    (TlseRealProblem, solve_real, condition_real),
-    (TlseComplexProblem, solve_complex, condition_complex)])
-def test_singular_w1_is_conditioning_undefined(problem_type, solve,
-                                               condition):
+@pytest.mark.parametrize("solve,condition", [
+    (solve_real, condition_real), (solve_complex, condition_complex)],
+    ids=["real", "complex"])
+def test_singular_w1_is_conditioning_undefined(solve, condition):
     """A nearly zero column of A leaves V22 (d = 1) invertible but makes
     W1 singular: the solve succeeds and kappa is refused."""
     rng = np.random.default_rng(11)
     A = _rand_rb(rng, 8, 3)
     A = rb.RBMatrix(*(np.hstack([c[:, :1] * 1e-13, c[:, 1:]])
                       for c in (A.p0, A.p1, A.p2, A.p3)))
-    problem = problem_type(A=A, B=_rand_rb(rng, 8, 1),
-                           C=rb.RBMatrix.zeros(0, 3),
-                           D=rb.RBMatrix.zeros(0, 1))
+    problem = TlseProblem(A=A, B=_rand_rb(rng, 8, 1),
+                          C=rb.RBMatrix.zeros(0, 3),
+                          D=rb.RBMatrix.zeros(0, 1))
     solution = solve(problem)
     with pytest.raises(ConditioningUndefined, match="W1 block is singular"):
         condition(problem, solution)
@@ -340,10 +339,9 @@ def test_kappa_real_vs_complex_on_real_data():
     Xrb = rb.RBMatrix.from_real(Xs)
     B = rb.mat_mul(A, Xrb)
     D = rb.mat_mul(C, Xrb)
-    rprob = TlseRealProblem(A=A, B=B, C=C, D=D)
-    cprob = TlseComplexProblem(A=A, B=B, C=C, D=D)
-    kr = condition_real(rprob, solve_real(rprob)).kappa
-    kc = condition_complex(cprob, solve_complex(cprob)).kappa
+    prob = TlseProblem(A=A, B=B, C=C, D=D)
+    kr = condition_real(prob, solve_real(prob)).kappa
+    kc = condition_complex(prob, solve_complex(prob)).kappa
     assert kr / 4 <= kc <= kr * 4
 
 

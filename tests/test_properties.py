@@ -18,15 +18,13 @@ import rbtlse.rb_core as rb
 from rbtlse.errors import RbtlseError
 from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
 from rbtlse.perturbation import condition_complex, condition_real
-from rbtlse.tlse import (TlseComplexProblem, TlseRealProblem, solve_complex,
-                         solve_real)
+from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
-# kind -> (stack rows per matrix row, problem type, solver, conditioning,
-#          least squares baseline)
+# kind -> (stack rows per matrix row, solver, conditioning, least squares
+#          baseline)
 KINDS = {
-    "real": (4, TlseRealProblem, solve_real, condition_real, lse_solve_real),
-    "complex": (2, TlseComplexProblem, solve_complex, condition_complex,
-                lse_solve_complex),
+    "real": (4, solve_real, condition_real, lse_solve_real),
+    "complex": (2, solve_complex, condition_complex, lse_solve_complex),
 }
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -57,7 +55,7 @@ def well_posed(draw):
 @example(("complex", (9, 5, 0, 1), 3))   # p = 0, d = 1
 def test_consistent_systems_recover_x(case):
     kind, (m, n, p, d), seed = case
-    _, problem_type, solve, _, lse_solve = KINDS[kind]
+    _, solve, _, lse_solve = KINDS[kind]
     rng = np.random.default_rng(seed)
     A, C = _rand_rb(rng, m, n), _rand_rb(rng, p, n)
     Xs = rng.standard_normal((n, d))
@@ -66,7 +64,7 @@ def test_consistent_systems_recover_x(case):
     Xrb = rb.RBMatrix.from_complex(Xs)
     B, D = rb.mat_mul(A, Xrb), rb.mat_mul(C, Xrb)
     tol = 1e-8 * np.linalg.norm(Xs)
-    X = solve(problem_type(A=A, B=B, C=C, D=D)).X
+    X = solve(TlseProblem(A=A, B=B, C=C, D=D)).X
     assert np.linalg.norm(X - Xs) <= tol
     assert np.linalg.norm(lse_solve(A, B, C, D).X - Xs) <= tol
 
@@ -84,7 +82,7 @@ def any_case(draw):
 @given(any_case())
 def test_every_failure_is_an_rbtlse_error(case):
     kind, (m, n, p, d), poison, seed = case
-    _, problem_type, solve, condition, lse_solve = KINDS[kind]
+    _, solve, condition, lse_solve = KINDS[kind]
     rng = np.random.default_rng(seed)
     A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
     C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
@@ -94,7 +92,7 @@ def test_every_failure_is_an_rbtlse_error(case):
         A = rb.RBMatrix(p0, A.p1, A.p2, A.p3)
 
     def total():
-        problem = problem_type(A=A, B=B, C=C, D=D)
+        problem = TlseProblem(A=A, B=B, C=C, D=D)
         condition(problem, solve(problem))
 
     for call in (total, lambda: lse_solve(A, B, C, D)):
@@ -108,14 +106,13 @@ def _noisy(kind, sizes, seed):
     """A random problem of the drawn kind and sizes, and the generator
     that drew it."""
     m, n, p, d = sizes
-    problem_type = KINDS[kind][1]
     rng = np.random.default_rng(seed)
-    return problem_type(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                        C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)), rng
+    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)), rng
 
 
 def _solve_and_condition(kind, problem):
-    _, _, solve, condition, _ = KINDS[kind]
+    _, solve, condition, _ = KINDS[kind]
     solution = solve(problem)
     return solution.X, condition(problem, solution).kappa
 
@@ -141,8 +138,8 @@ def test_joint_scaling_leaves_x_and_kappa(case, zeta):
     kind, sizes, seed = case
     problem, _ = _noisy(kind, sizes, seed)
     X, kappa = _base(kind, problem)
-    scaled = type(problem)(A=problem.A * zeta, B=problem.B * zeta,
-                           C=problem.C * zeta, D=problem.D * zeta)
+    scaled = TlseProblem(A=problem.A * zeta, B=problem.B * zeta,
+                         C=problem.C * zeta, D=problem.D * zeta)
     X2, kappa2 = _solve_and_condition(kind, scaled)
     assert _close(X, X2, kappa)
     assert abs(kappa2 - kappa) <= 1e-10 * kappa
@@ -159,8 +156,7 @@ def test_row_permutation_leaves_x(case):
     problem, rng = _noisy(kind, sizes, seed)
     X, kappa = _base(kind, problem)
     order = rng.permutation(sizes[0])
-    permuted = type(problem)(A=_rows(problem.A, order),
-                             B=_rows(problem.B, order),
-                             C=problem.C, D=problem.D)
+    permuted = TlseProblem(A=_rows(problem.A, order),
+                           B=_rows(problem.B, order), C=problem.C, D=problem.D)
     X2, _ = _solve_and_condition(kind, permuted)
     assert _close(X, X2, kappa)

@@ -1,12 +1,13 @@
 """The public surface resolves: every name in the ``__all__`` of
 ``rbtlse`` and of each of its submodules, and every ``rbtlse.<name>`` the
 benchmark workloads reach, so a refactor that drops or renames one fails
-here instead of in a benchmark run."""
+here instead of in a benchmark run.  The README's Python examples run."""
 
 import ast
 import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ import rbtlse.cli
 MODULES = ["rbtlse"] + sorted(
     f"rbtlse.{m.name}" for m in pkgutil.iter_modules(rbtlse.__path__))
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _rbtlse_path(node):
@@ -50,3 +52,11 @@ def test_benchmark_names_resolve():
         except AttributeError:
             missing.append(path)
     assert missing == []
+
+
+def test_readme_examples_run():
+    examples = re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.DOTALL)
+    assert examples
+    for index, code in enumerate(examples):
+        exec(compile(code, f"README.md example {index}", "exec"), {})

@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
-from rbtlse.errors import DimensionMismatch, FileFormatError
+from rbtlse.errors import DimensionMismatch, FileFormatError, NonFiniteInput
 
 
 def _rand_rb(rng, m, n):
@@ -311,6 +311,14 @@ def test_frobenius_norm_of_unit_sum():
     assert rb.frobenius_norm(P) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("k", [-600, -500, 500, 600])
+def test_frobenius_norm_scales_exactly(k):
+    """Scaling by a power of two scales the norm exactly, also where the
+    plain sum of squares over- or underflows."""
+    P = _rand_rb(np.random.default_rng(3), 6, 5)
+    assert rb.frobenius_norm(P * 2.0 ** k) == 2.0 ** k * rb.frobenius_norm(P)
+
+
 def test_norm_chain():
     """||P|| = ||P^R||/2 = ||P^R col|| = ||P^C||/sqrt(2) = ||P^C col||."""
     rng = np.random.default_rng(11)
@@ -380,6 +388,8 @@ def test_rbmat_header_format(tmp_path):
     lambda lines: lines[:1] + ["1.0 oops"] + lines[2:],  # non-float entry
     lambda lines: ["RBMATRIX 2 2"] + lines[1:],         # magic as a prefix
     lambda lines: lines[:1] + ["1.0 \u00b5"] + lines[2:],  # non-ASCII
+    lambda lines: ["RBMAT 0_2 2"] + lines[1:],          # Python numeral dim
+    lambda lines: lines[:1] + ["1_0 0.0"] + lines[2:],  # Python numeral entry
 ])
 def test_rbmat_malformed(tmp_path, mutate):
     P = rb.RBMatrix.eye(2)
@@ -400,6 +410,20 @@ def test_rbmat_rejects_non_finite(tmp_path, token):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError):
         rb.read_rbmat(path)
+
+
+def test_rbmat_write_non_finite_leaves_file(tmp_path):
+    """A nan matrix is refused before anything is written, so the file it
+    would have replaced stays byte-identical."""
+    path = tmp_path / "p.rbmat"
+    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    before = path.read_bytes()
+    bad = rb.RBMatrix([[np.nan, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]],
+                      [[0.0, 0.0]])
+    with pytest.raises(NonFiniteInput):
+        rb.write_rbmat(path, bad)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["p.rbmat"]
 
 
 def test_rbmat_missing_blank_separator(tmp_path):

@@ -12,17 +12,17 @@ import pytest
 
 import rbtlse.rb_core as rb
 from rbtlse.dense_kernels import qr_full
-from rbtlse.bench import accuracy_sizes, gen_instance
+from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
-from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseComplexProblem,
-                         TlseRealProblem, solve_complex, solve_real,
-                         residuals_real)
+from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
+from rbtlse.perturbation import PerturbationInstance, epsilon_n
+from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, solve_complex,
+                         solve_real, residuals_real)
 
-ALGEBRAS = {"real": (TlseRealProblem, solve_real),
-            "complex": (TlseComplexProblem, solve_complex)}
+ALGEBRAS = {"real": solve_real, "complex": solve_complex}
 
 
 def _rand_rb(rng, m, n):
@@ -36,7 +36,7 @@ def _consistent(rng, m, n, p, d):
     Xrb = rb.RBMatrix.from_real(Xs)
     B = rb.mat_mul(A, Xrb)
     D = rb.mat_mul(C, Xrb) if p > 0 else rb.RBMatrix.zeros(0, d)
-    return TlseRealProblem(A=A, B=B, C=C, D=D), Xs
+    return TlseProblem(A=A, B=B, C=C, D=D), Xs
 
 
 def test_problem_shape_validation():
@@ -46,11 +46,11 @@ def test_problem_shape_validation():
     C = _rand_rb(rng, 1, 3)
     D = _rand_rb(rng, 1, 2)
     with pytest.raises(DimensionMismatch):
-        TlseRealProblem(A=A, B=B, C=C, D=D)
+        TlseProblem(A=A, B=B, C=C, D=D)
     B2 = _rand_rb(rng, 5, 2)
     D2 = _rand_rb(rng, 1, 3)  # wrong column count
     with pytest.raises(DimensionMismatch):
-        TlseRealProblem(A=A, B=B2, C=C, D=D2)
+        TlseProblem(A=A, B=B2, C=C, D=D2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,8 +61,8 @@ def test_non_finite_input_rejected(bad):
     p0[3, 4] = bad
     A_bad = rb.RBMatrix(p0, A.p1, A.p2, A.p3)
     with pytest.raises(NonFiniteInput):
-        TlseRealProblem(A=A_bad, B=_rand_rb(rng, 30, 2),
-                        C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+        TlseProblem(A=A_bad, B=_rand_rb(rng, 30, 2),
+                    C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
     assert issubclass(NonFiniteInput, RbtlseError)
 
 
@@ -90,8 +90,8 @@ def test_solution_satisfies_corrected_system():
     consistent data or not."""
     rng = np.random.default_rng(2)
     m, n, p, d = 30, 10, 2, 2
-    prob = TlseRealProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                           C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
     sol = solve_real(prob)
     e1, e2 = residuals_real(prob, sol)
     assert e1 < 1e-10
@@ -100,8 +100,8 @@ def test_solution_satisfies_corrected_system():
 
 def test_correction_norm_matches_trailing_singular_values():
     rng = np.random.default_rng(3)
-    prob = TlseRealProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                           C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
+                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
     sol = solve_real(prob)
     n = 10
     k = n - 4 * 2
@@ -137,12 +137,12 @@ def test_unconstrained_path():
 
 def test_scaling_equivariance():
     rng = np.random.default_rng(6)
-    prob = TlseRealProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                           C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
+                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
     sol = solve_real(prob)
     zeta = 3.7
-    scaled = TlseRealProblem(A=prob.A * zeta, B=prob.B * zeta,
-                             C=prob.C * zeta, D=prob.D * zeta)
+    scaled = TlseProblem(A=prob.A * zeta, B=prob.B * zeta,
+                         C=prob.C * zeta, D=prob.D * zeta)
     sol2 = solve_real(scaled)
     assert np.allclose(sol2.X, sol.X, atol=1e-12 * np.linalg.norm(sol.X))
     assert sol2.residual_perturbation_norm == pytest.approx(
@@ -153,8 +153,8 @@ def test_svd_sign_ambiguity_does_not_move_x():
     """X = -V12 V22^{-1} from the retained trailing basis is invariant
     under column sign flips of that basis."""
     rng = np.random.default_rng(7)
-    prob = TlseRealProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                           C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
+                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
     sol = solve_real(prob)
     n, d = 10, 2
     k = n - 8
@@ -170,8 +170,8 @@ def test_optimality_random_search():
     solver's answer; none may undercut the reported minimum."""
     rng = np.random.default_rng(8)
     m, n, p, d = 8, 5, 1, 1
-    prob = TlseRealProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                           C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
     sol = solve_real(prob)
     best = sol.residual_perturbation_norm
 
@@ -218,10 +218,10 @@ def test_optimality_random_search():
     assert min_seen >= best * (1 - 1e-6)
 
 
-def _unconstrained(problem_type, A, B):
+def _unconstrained(A, B):
     n, d = A.cols, B.cols
-    return problem_type(A=A, B=B, C=rb.RBMatrix.zeros(0, n),
-                        D=rb.RBMatrix.zeros(0, d))
+    return TlseProblem(A=A, B=B, C=rb.RBMatrix.zeros(0, n),
+                       D=rb.RBMatrix.zeros(0, d))
 
 
 def _first_column_scaled(M, factor):
@@ -235,7 +235,7 @@ def _first_column_scaled(M, factor):
 def test_gap_condition_failure_raised(kind):
     # [Ac, Bc] with orthonormal columns: every singular value is 1, so
     # there is no gap at all
-    problem_type, solve = ALGEBRAS[kind]
+    solve = ALGEBRAS[kind]
     rng = np.random.default_rng(9)
     if kind == "real":
         Q = np.linalg.qr(rng.standard_normal((20, 5)))[0]
@@ -244,8 +244,7 @@ def test_gap_condition_failure_raised(kind):
         Q = np.linalg.qr(rng.standard_normal((10, 5))
                          + 1j * rng.standard_normal((10, 5)))[0]
         from_column = rb.from_complex_block_column
-    problem = _unconstrained(problem_type, from_column(Q[:, :3]),
-                             from_column(Q[:, 3:]))
+    problem = _unconstrained(from_column(Q[:, :3]), from_column(Q[:, 3:]))
     with pytest.raises(GapConditionFailed):
         solve(problem)
 
@@ -253,8 +252,8 @@ def test_gap_condition_failure_raised(kind):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_degenerate_spectrum_raised(kind):
     # all-zero data: every singular value is exactly 0
-    problem_type, solve = ALGEBRAS[kind]
-    problem = _unconstrained(problem_type, rb.RBMatrix.zeros(20, 8),
+    solve = ALGEBRAS[kind]
+    problem = _unconstrained(rb.RBMatrix.zeros(20, 8),
                              rb.RBMatrix.zeros(20, 2))
     with pytest.raises(DegenerateSpectrum):
         solve(problem)
@@ -264,30 +263,53 @@ def test_degenerate_spectrum_raised(kind):
 def test_block_not_invertible_raised(kind):
     # a nearly zero column of A puts the trailing right singular vectors
     # almost entirely on that column, so V22 is nearly singular
-    problem_type, solve = ALGEBRAS[kind]
+    solve = ALGEBRAS[kind]
     rng = np.random.default_rng(11)
     A = _first_column_scaled(_rand_rb(rng, 8, 3), 1e-14)
-    problem = _unconstrained(problem_type, A, _rand_rb(rng, 8, 2))
+    problem = _unconstrained(A, _rand_rb(rng, 8, 2))
     with pytest.raises(BlockNotInvertible):
         solve(problem)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("e", [-170, -160, 160, 170])
+@pytest.mark.parametrize("e", [-170, -160, -150, 150, 160, 170])
 def test_correction_norm_at_extreme_scale(kind, e):
-    """Scaling all data by 10**e scales X by 1 and the correction norm by
-    10**e, where the plain sum of squared singular values over- or
-    underflows."""
-    problem_type, solve = ALGEBRAS[kind]
+    """Scaling all data by 10**e scales X by 1 and every norm by 10**e,
+    where plain sums of squares over- or underflow: the correction norm,
+    the residuals eps1 and eps2, the perturbation size eps_n (data and
+    deltas scaled alike) and the LSE baseline's X and residual."""
+    solve = ALGEBRAS[kind]
+    lse_solve = lse_solve_real if kind == "real" else lse_solve_complex
     prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
     sol = solve(prob)
     z = 10.0 ** e
-    scaled = solve(problem_type(A=prob.A * z, B=prob.B * z, C=prob.C * z,
-                                D=prob.D * z))
+    scaled_prob = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
+                              D=prob.D * z)
+    scaled = solve(scaled_prob)
     assert np.isfinite(scaled.residual_perturbation_norm)
     assert scaled.residual_perturbation_norm == pytest.approx(
         z * sol.residual_perturbation_norm, rel=1e-12)
     assert np.linalg.norm(scaled.X - sol.X) <= 1e-12 * np.linalg.norm(sol.X)
+
+    data_norm = z * rb.frobenius_norm(
+        rb.hstack(rb.vstack(prob.C, prob.A), rb.vstack(prob.D, prob.B)))
+    for eps in residuals_real(scaled_prob, scaled):
+        assert np.isfinite(eps) and eps > 0.0
+        assert eps <= 1e-10 * data_norm * (1 + np.linalg.norm(sol.X))
+
+    inst = random_perturbation(prob, np.random.default_rng(1), 1e-8)
+    scaled_inst = PerturbationInstance(
+        problem=scaled_prob, dA=inst.dA * z, dB=inst.dB * z,
+        dC=inst.dC * z, dD=inst.dD * z)
+    assert epsilon_n(scaled_inst) == pytest.approx(epsilon_n(inst),
+                                                   rel=1e-12)
+
+    base = lse_solve(prob.A, prob.B, prob.C, prob.D)
+    lse = lse_solve(scaled_prob.A, scaled_prob.B, scaled_prob.C,
+                    scaled_prob.D)
+    assert np.linalg.norm(lse.X - base.X) <= 1e-12 * np.linalg.norm(base.X)
+    assert lse.residual == pytest.approx(z * base.residual, rel=1e-12)
+    assert np.isfinite(lse.constraint_residual)
 
 
 def test_rank_deficient_constraint_rejected():
@@ -297,7 +319,7 @@ def test_rank_deficient_constraint_rejected():
     C = rb.RBMatrix.zeros(1, 8)
     D = rb.RBMatrix.zeros(1, 2)
     with pytest.raises(AssumptionViolated):
-        solve_real(TlseRealProblem(A=A, B=B, C=C, D=D))
+        solve_real(TlseProblem(A=A, B=B, C=C, D=D))
 
 
 def test_too_many_constraints_rejected():
@@ -306,7 +328,7 @@ def test_too_many_constraints_rejected():
     prob_args = dict(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
                      C=_rand_rb(rng, 3, 10), D=_rand_rb(rng, 3, 2))
     with pytest.raises(AssumptionViolated):
-        solve_real(TlseRealProblem(**prob_args))
+        solve_real(TlseProblem(**prob_args))
 
 
 def test_too_few_rows_rejected():
@@ -315,7 +337,7 @@ def test_too_few_rows_rejected():
     prob_args = dict(A=_rand_rb(rng, 1, 10), B=_rand_rb(rng, 1, 2),
                      C=rb.RBMatrix.zeros(0, 10), D=rb.RBMatrix.zeros(0, 2))
     with pytest.raises(AssumptionViolated):
-        solve_real(TlseRealProblem(**prob_args))
+        solve_real(TlseProblem(**prob_args))
 
 
 def test_default_tolerances():
@@ -328,14 +350,13 @@ def _fail_linalg(*args, **kwargs):
 
 
 @pytest.mark.parametrize("routine", ["svd", "qr"])
-@pytest.mark.parametrize("problem_type,solve", [
-    (TlseRealProblem, solve_real), (TlseComplexProblem, solve_complex)])
+@pytest.mark.parametrize("solve", [solve_real, solve_complex])
 @pytest.mark.parametrize("p", [0, 1])
-def test_lapack_failure_is_factorization_failed(monkeypatch, routine,
-                                                problem_type, solve, p):
+def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve,
+                                                p):
     rng = np.random.default_rng(15)
-    problem = problem_type(A=_rand_rb(rng, 20, 6), B=_rand_rb(rng, 20, 2),
-                           C=_rand_rb(rng, p, 6), D=_rand_rb(rng, p, 2))
+    problem = TlseProblem(A=_rand_rb(rng, 20, 6), B=_rand_rb(rng, 20, 2),
+                          C=_rand_rb(rng, p, 6), D=_rand_rb(rng, p, 2))
     monkeypatch.setattr(np.linalg, routine, _fail_linalg)
     with pytest.raises(FactorizationFailed, match="did not converge"):
         solve(problem)
