@@ -31,7 +31,7 @@ a crashed run never leaves a half-written report.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,9 +60,6 @@ __all__ = [
 
 EXPERIMENTS = ("accuracy-real", "accuracy-complex",
                "bound-real", "bound-complex", "compare-lse")
-
-CSV_COLUMNS = ("experiment", "t", "m", "seed", "trial", "eps1", "eps2",
-               "delta_norm", "fwd_err", "bound", "eps_T", "eps_L", "error")
 
 # compare-lse geometry fixed by the comparison protocol
 _CMP_N, _CMP_D, _CMP_P = 50, 35, 10
@@ -102,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("variant must be 'real' or 'complex'")
         if not (self.t_values and self.m_values):
             raise ValueError("t_values and m_values must not be empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.experiment == "compare-lse":
@@ -136,6 +135,9 @@ class ExperimentRecord:
     eps_T: Optional[float] = None
     eps_L: Optional[float] = None
     error: str = ""
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _rb_randn(rng, m, n) -> rb.RBMatrix:
@@ -239,6 +241,13 @@ def _point_seed(seed: int, t: int, trial: int) -> int:
     return seed + 1000 * t + trial
 
 
+def _error_row(experiment: str, t: Optional[int], m: int, seed: int,
+               trial: int, exc: RbtlseError) -> ExperimentRecord:
+    """The row of a point whose solve or conditioning raised ``exc``."""
+    return ExperimentRecord(experiment, t, m, seed, trial,
+                            error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
     kind = "real" if config.experiment.endswith("real") else "complex"
     solve = solve_real if kind == "real" else solve_complex
@@ -255,9 +264,8 @@ def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
                     config.experiment, t, sizes[0], point, trial,
                     eps1=e1, eps2=e2))
             except RbtlseError as exc:
-                records.append(ExperimentRecord(
-                    config.experiment, t, sizes[0], point, trial,
-                    error=f"{type(exc).__name__}: {exc}"))
+                records.append(_error_row(
+                    config.experiment, t, sizes[0], point, trial, exc))
     return records
 
 
@@ -276,9 +284,8 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                 solution = solve(problem)
                 report = condition_real(problem, solution)
             except RbtlseError as exc:
-                records.append(ExperimentRecord(
-                    config.experiment, t, sizes[0], point, trial,
-                    error=f"{type(exc).__name__}: {exc}"))
+                records.append(_error_row(
+                    config.experiment, t, sizes[0], point, trial, exc))
                 continue
             x_norm = np.linalg.norm(solution.X)
             jk_norm = _stacked_norm(problem.C, problem.A, problem.D,
@@ -289,9 +296,8 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                 try:
                     pert_solution = solve(inst.perturbed())
                 except RbtlseError as exc:
-                    records.append(ExperimentRecord(
-                        config.experiment, t, sizes[0], point, trial,
-                        error=f"{type(exc).__name__}: {exc}"))
+                    records.append(_error_row(
+                        config.experiment, t, sizes[0], point, trial, exc))
                     continue
                 fwd = float(np.linalg.norm(pert_solution.X - solution.X)
                             / x_norm)
@@ -318,9 +324,8 @@ def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
                 xt = solve(pert).X
                 xl = lse_solve(pert.A, pert.B, pert.C, pert.D).X
             except RbtlseError as exc:
-                records.append(ExperimentRecord(
-                    config.experiment, None, m, inst_seed, trial,
-                    error=f"{type(exc).__name__}: {exc}"))
+                records.append(_error_row(
+                    config.experiment, None, m, inst_seed, trial, exc))
                 continue
             errs_t.append(float(np.linalg.norm(xt - x_star)))
             errs_l.append(float(np.linalg.norm(xl - x_star)))

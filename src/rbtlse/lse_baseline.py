@@ -9,9 +9,10 @@ transported to leading block columns exactly as in the solver (real
 stacks for real X, complex stacks for complex X), with the solver's data
 validation, constraint rank check and LAPACK failure mapping, and solved
 by the classical null-space reduction: a full QR of the transposed
-constraint stack yields a particular solution from the triangular system
-and an orthonormal basis of the admissible variations, and an ordinary
-least squares solve fixes the null-space coefficient.
+constraint stack (numpy's, called directly) yields a particular solution
+from the triangular system and an orthonormal basis of the admissible
+variations, and an ordinary least squares solve fixes the null-space
+coefficient.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import qr_full
 from .tlse import (_COMPLEX, _REAL, TlseProblem, _Representation,
                    _check_constraint_rank, _lapack_failures)
 
@@ -44,12 +44,12 @@ def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
     Ar, Br, Cr, Dr = (rep.column(M) for M in (A, B, C, D))
     r = Cr.shape[0]
     _check_constraint_rank(Cr)
-    qf = qr_full(Cr.conj().T)
-    Q1 = qf.Q[:, :r]
-    Q2 = qf.Q[:, r:]
+    Q, R = np.linalg.qr(Cr.conj().T, mode="complete")
+    Q1 = Q[:, :r]
+    Q2 = Q[:, r:]
     # Cr = [R^H 0] Q^H, so Cr X = Dr becomes R^H (Q1^H X) = Dr; with
     # r = 0, Q2 is the identity and X0 is zero
-    y = np.linalg.solve(qf.R.conj().T, Dr)
+    y = np.linalg.solve(R[:r].conj().T, Dr)
     X0 = Q1 @ y
     Z, *_ = np.linalg.lstsq(Ar @ Q2, Br - Ar @ X0, rcond=None)
     X = X0 + Q2 @ Z

@@ -30,9 +30,12 @@ the formulas read P V_check instead: P V2 (V2 the d trailing right
 singular vectors) stands for U2 S2 in Y, and P V1 (the leading n-r) for
 U1 S1 in the lower-left block -(P V1)^H (P S^+) Us of S T2.  The solve
 never forms U, and the trailing singular values, ~1e-15 on consistent
-data, are never divided by.  With S = Us Ss Vs^H, (P S^+) Us = P Vs / Ss
-comes from the same product as P V_check, and P S^+ itself is not
-needed: Y enters only as Y^H Y, which Us^H Y leaves unchanged.
+data, are never divided by.  With S = Us Ss Vs^H (numpy's thin SVD of
+the r-row constraint stack), (P S^+) Us = P Vs / Ss comes from the same
+product as P V_check, and P S^+ itself is not needed: Y enters only as
+Y^H Y, which Us^H Y leaves unchanged.  S must have numerical rank r by
+the solver's rank rule; the solve checked only Cc, and although
+sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
 The bracketed middle matrix is filled by its block pattern and H is
 applied through small solves with W1^H and V22^H, so neither a Kronecker
@@ -55,9 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import svd_skinny
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import _COND_MAX, TlseProblem, TlseSolution
+from .tlse import _COND_MAX, TlseProblem, TlseSolution, _rank
 
 __all__ = [
     "PerturbationInstance",
@@ -159,12 +161,13 @@ class _Pieces:
         self.n, self.d = n, d
         self.sig2 = sigma[k:]
 
-        fs = svd_skinny(S)
-        if fs.S.size < r:
+        _, Ss, Vsh = np.linalg.svd(S, full_matrices=False)
+        rank = _rank(Ss, S.shape)
+        if rank < r:
             raise ConditioningUndefined(
-                f"constraint stack rank {fs.S.size} < {r}; "
-                f"skinny SVD factors unusable")
-        Ss, Vs = fs.S, fs.V
+                f"constraint stack rank {rank} < {r}; "
+                f"its SVD factors are unusable")
+        Vs = Vsh.conj().T
         # one product gives P Vs / Ss = (P S^+) Us and
         # P V_check = U diag(sigma), the left singular vectors scaled
         PV = P @ np.hstack([Vs / Ss, V_check])

@@ -18,7 +18,10 @@ The two differ only in that map and its row count q (4 or 2) per matrix
 row; the solve is one classical null-space reduction, written with
 conjugate transposes (plain transposes on real stacks), with r = q*p:
 
-1. stack P = [Ac, Bc] and S = [Cc, Dc];
+1. stack P = [Ac, Bc] and S = [Cc, Dc], and check that Cc has full
+   numerical row rank: all r of its singular values (values only) lie
+   above max(r, n) * eps * sigma_1, the one rank rule (_rank) of the
+   package, which the condition number applies to S as well;
 2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
    (with p = 0, S^H has no columns and Q2 is the identity);
 3. singular values and right singular vectors of P @ Q2, taken from the
@@ -33,7 +36,8 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2, strictly positive singular values and an invertible V22; each is
 checked against a fixed threshold (_GAP_REL, _COND_MAX below) and
-reported through the error taxonomy rather than patched over.
+reported through the error taxonomy rather than patched over.  The QRs
+and SVDs are numpy's (LAPACK), called directly.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from typing import Callable
 import numpy as np
 
 from . import rb_core as rb
-from .dense_kernels import numerical_rank, qr_full, svd_right
 from .errors import (AssumptionViolated, BlockNotInvertible,
                      DegenerateSpectrum, DimensionMismatch,
                      FactorizationFailed, GapConditionFailed,
@@ -84,11 +87,21 @@ _COMPLEX = _Representation(rb.complex_block_column,
                            rb.from_complex_block_column, 2)
 
 
+def _rank(sv: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Numerical rank of a matrix of ``shape`` from its nonincreasing
+    singular values ``sv``: the number above max(r, c) * eps * sigma_1,
+    the standard convention."""
+    if sv.size == 0:
+        return 0
+    return int(np.sum(sv > max(shape) * np.finfo(np.float64).eps * sv[0]))
+
+
 def _check_constraint_rank(Cc: np.ndarray) -> None:
-    """Numerical full-row-rank check of a constraint block column;
-    failure is an error, never a silent regularization."""
+    """Numerical full-row-rank check of a constraint block column, from
+    its singular values alone; failure is an error, never a silent
+    regularization."""
     r, n = Cc.shape
-    rank = numerical_rank(Cc)
+    rank = _rank(np.linalg.svd(Cc, compute_uv=False), Cc.shape)
     if rank < r:
         raise AssumptionViolated(
             f"constraint block column ({r} x {n}) has numerical rank "
@@ -196,9 +209,12 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
     P = np.hstack([Ac, Bc])
     S = np.hstack([Cc, Dc])
     _check_constraint_rank(Cc)
-    Q2 = qr_full(S.conj().T).Q[:, r:]
-    sigma, V = svd_right(P @ Q2)
-    V_check = Q2 @ V
+    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
+    # P @ Q2 = Q R shares singular values and right singular vectors
+    # with its small R factor, so the tall left factor is never formed
+    _, sigma, Vh = np.linalg.svd(np.linalg.qr(P @ Q2, mode="r"),
+                                 full_matrices=False)
+    V_check = Q2 @ Vh.conj().T
 
     k = n - r
     if sigma[-1] <= 0.0:

@@ -2,7 +2,8 @@
 
 The library works on leading block columns, the Gram route to kappa and
 the R-factor SVD; the builds here spell the same objects out densely so
-the tests can compare against them:
+the tests can compare against them.  They use numpy alone and import
+nothing from ``rbtlse``, so they never share code with what they check:
 
 * the full real and complex representations of a reduced biquaternion
   matrix, written as explicit block grids;
@@ -18,8 +19,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from rbtlse.dense_kernels import svd_skinny, svd_thin
 
 
 class SpectralNormDidNotConverge(Exception):
@@ -60,11 +59,13 @@ def complex_repr(P) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pinv(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the skinny SVD."""
-    f = svd_skinny(M)
-    if f.S.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=np.asarray(M).dtype)
-    return (f.V / f.S) @ f.U.conj().T
+    """Moore-Penrose pseudoinverse via the SVD truncated to the numerical
+    rank: the singular values above max(r, c) * eps * sigma_1."""
+    M = np.asarray(M)
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    k = (int(np.sum(s > max(M.shape) * np.finfo(np.float64).eps * s[0]))
+         if s.size else 0)
+    return (Vh[:k].conj().T / s[:k]) @ U[:, :k].conj().T
 
 
 def commutation_matrix(d: int, n: int) -> np.ndarray:
@@ -95,15 +96,14 @@ def spectral_norm(M: np.ndarray, method: str = "dense",
                   tol: float = 1e-10, max_iter: int = 5000) -> float:
     """Largest singular value.
 
-    method="dense" goes through the thin SVD; method="power" runs the
+    method="dense" takes numpy's singular values; method="power" runs the
     matrix-free power iteration, an answer independent of LAPACK's SVD.
     """
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
     if method == "dense":
-        f = svd_thin(M)
-        return float(f.S[0]) if f.S.size else 0.0
+        return float(np.linalg.svd(M, compute_uv=False)[0])
     if method == "power":
         return spectral_norm_power(
             lambda v: M @ v,

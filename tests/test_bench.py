@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import rbtlse.bench as bench
 import rbtlse.rb_core as rb
 from rbtlse.bench import (CSV_COLUMNS, ExperimentConfig, ExperimentRecord,
                           accuracy_sizes, gen_instance, gen_compare_instance,
@@ -38,6 +39,8 @@ def test_config_validation():
                 dict(m_values=())):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="bound-real", **bad)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(experiment="accuracy-real", seed=-1)
     assert ExperimentConfig(experiment="compare-lse").effective_trials == 20
     assert ExperimentConfig(experiment="bound-real").effective_trials == 1
     assert ExperimentConfig(experiment="bound-real",
@@ -215,6 +218,19 @@ def test_run_determinism_and_csv_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 # CSV contract
 # ---------------------------------------------------------------------------
+
+def test_csv_header_is_the_documented_column_set(tmp_path):
+    """The header is fixed: the 13 columns the module docstring lists,
+    in that order, whatever the record type's fields become."""
+    columns = ("experiment", "t", "m", "seed", "trial", "eps1", "eps2",
+               "delta_norm", "fwd_err", "bound", "eps_T", "eps_L", "error")
+    assert ",".join(columns) in bench.__doc__
+    assert CSV_COLUMNS == columns
+    path = tmp_path / "h.csv"
+    write_csv(str(path), [])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [list(columns)]
+
 
 def test_csv_header_and_cells(tmp_path):
     path = tmp_path / "r.csv"

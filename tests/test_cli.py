@@ -70,6 +70,17 @@ def test_run_rejects_zero_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, seed", [
+    ("accuracy-real", "-1"), ("bound-real", "-1001"), ("compare-lse", "-1")])
+def test_run_rejects_negative_seed(tmp_path, capsys, experiment, seed):
+    out = tmp_path / "r.csv"
+    code = main(["run", experiment, "--seed", seed, "--trials", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_real_stdout(tmp_path, capsys):
     paths = _write_consistent_system(tmp_path)
     code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],

@@ -1,10 +1,11 @@
-"""Factorization kernel tests, and tests of the dense oracles in
-``tests/oracles.py`` that other tests rely on.
+"""Tests of the dense oracles in ``tests/oracles.py`` that other tests
+rely on, and of the two factorization steps the solver runs on numpy
+directly.
 
-Reconstruction oracles: Q [R; 0] and U diag(s) V^H must rebuild the
-input; singular values are cross-checked against the eigenvalues of the
-Gram matrix; the R-factor SVD and the values-only rank against the thin
-and skinny SVDs.  Of the oracles, the pseudoinverse must satisfy the
+The solver's values-only rank rule (``tlse._rank``) must count the
+singular values of rank-k products, and the singular values and right
+singular vectors a solve takes from the R factor of P Q2 must match the
+thin SVD of P Q2.  Of the oracles, the pseudoinverse must satisfy the
 Penrose conditions, the commutation matrix must equal its defining sum of
 elementary Kronecker products, and power iteration must agree with the
 dense spectral norm.
@@ -14,113 +15,55 @@ import numpy as np
 import pytest
 
 import oracles
-import rbtlse.dense_kernels as dk
+import rbtlse.tlse as tlse
+from rbtlse.bench import gen_instance
 
 
 # ---------------------------------------------------------------------------
-# QR
+# the factorization steps the solver runs inline
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (40, 12)])
-def test_qr_reconstruction(shape):
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal(shape)
-    f = dk.qr_full(M)
-    r, c = shape
-    assert f.Q.shape == (r, r)
-    assert f.R.shape == (min(r, c), c)
-    padded = np.zeros((r, c))
-    padded[:min(r, c), :] = f.R
-    assert np.allclose(f.Q @ padded, M, atol=1e-12 * max(1, abs(M).max()))
-    assert np.allclose(f.Q.T @ f.Q, np.eye(r), atol=1e-13)
-    assert np.allclose(f.R, np.triu(f.R))
-
-
-def test_qr_complex():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    f = dk.qr_full(M)
-    padded = np.zeros((6, 4), dtype=complex)
-    padded[:4, :] = f.R
-    assert np.allclose(f.Q @ padded, M, atol=1e-12)
-    assert np.allclose(f.Q.conj().T @ f.Q, np.eye(6), atol=1e-13)
-
-
-def test_qr_large():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((400, 400))
-    f = dk.qr_full(M)
-    assert np.allclose(f.Q @ f.R, M, atol=1e-10 * abs(M).max())
-
-
-# ---------------------------------------------------------------------------
-# SVD
-# ---------------------------------------------------------------------------
-
-def test_svd_thin_reconstruction_and_gram():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((8, 5))
-    f = dk.svd_thin(M)
-    assert f.U.shape == (8, 5) and f.V.shape == (5, 5)
-    assert np.allclose(f.U @ (f.S[:, None] * f.V.conj().T), M, atol=1e-12)
-    gram_eigs = np.sqrt(np.maximum(np.linalg.eigvalsh(M.T @ M)[::-1], 0))
-    assert np.allclose(f.S, gram_eigs, atol=1e-10)
-    assert np.all(np.diff(f.S) <= 0)
-
-
-def test_svd_diag_frozen():
-    M = np.diag([3.0, 2.0, 1.0])
-    f = dk.svd_thin(M)
-    assert np.allclose(f.S, [3.0, 2.0, 1.0], atol=1e-15)
-
-
-def test_svd_skinny_rank():
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((6, 1))
-    v = rng.standard_normal((4, 1))
-    f = dk.svd_skinny(u @ v.T)
-    assert f.S.shape == (1,)
-    assert np.allclose(f.U @ (f.S[:, None] * f.V.conj().T), u @ v.T, atol=1e-13)
-    z = dk.svd_skinny(np.zeros((3, 3)))
-    assert z.S.shape == (0,)
+def _rank(M):
+    return tlse._rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 4), (0, 3), (3, 0)])
 def test_numerical_rank_matches_svd_skinny(shape):
+    """The rank rule counts the k singular values of a rank-k product,
+    the k triples a rank-truncated SVD keeps; none of a zero matrix, all
+    of a random one."""
     rng = np.random.default_rng(6)
     k = min(shape) // 2
     M = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
-    assert dk.numerical_rank(M) == dk.svd_skinny(M).S.size == k
-    assert dk.numerical_rank(np.zeros((3, 3))) == 0
+    assert _rank(M) == k
+    assert _rank(np.zeros((3, 3))) == 0
     if min(shape) > 0:
-        assert dk.numerical_rank(rng.standard_normal(shape)) == min(shape)
+        assert _rank(rng.standard_normal(shape)) == min(shape)
 
 
-@pytest.mark.parametrize("shape", [(40, 7), (7, 7), (4, 6)])
+@pytest.mark.parametrize("shape", [(10, 4, 0, 2), (12, 6, 1, 2),
+                                   (30, 10, 2, 2)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_svd_right_matches_thin_svd(shape, dtype):
-    """Same singular values and right singular vectors as the thin SVD,
-    each vector up to a unimodular factor; M V = U diag(S) shows in the
-    norms of M V's columns."""
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal(shape).astype(dtype)
-    if dtype is complex:
-        M += 1j * rng.standard_normal(shape)
-    S, V = dk.svd_right(M)
-    f = dk.svd_thin(M)
-    assert V.shape == f.V.shape
-    assert np.allclose(S, f.S, rtol=1e-13, atol=0)
-    phases = np.sum(f.V.conj() * V, axis=0)
+    """The solve takes sigma and V from the SVD of the R factor of
+    P Q2; they must match the thin SVD of P Q2 itself (Q2 rebuilt from
+    the constraint stack the solution keeps), each right singular vector
+    up to a unimodular factor.  P V = U diag(sigma) shows in the norms
+    of P V's columns.  p = 0 (Q2 the identity) and p > 0, both algebras."""
+    kind, solve = (("real", tlse.solve_real) if dtype is float
+                   else ("complex", tlse.solve_complex))
+    sol = solve(gen_instance(kind, shape, 7))
+    r = sol.S.shape[0]
+    Q2 = np.linalg.qr(sol.S.conj().T, mode="complete")[0][:, r:]
+    _, s, Vh = np.linalg.svd(sol.P @ Q2, full_matrices=False)
+    V = Q2 @ Vh.conj().T
+    assert sol.V_check.shape == V.shape
+    assert np.allclose(sol.sigma, s, rtol=1e-13, atol=0)
+    phases = np.sum(V.conj() * sol.V_check, axis=0)
     assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
-    assert np.allclose(V, f.V * phases, atol=1e-12)
-    assert np.allclose(np.linalg.norm(M @ V, axis=0), S, rtol=1e-12)
-
-
-def test_svd_complex():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    f = dk.svd_thin(M)
-    assert np.allclose(f.U @ (f.S[:, None] * f.V.conj().T), M, atol=1e-12)
+    assert np.allclose(sol.V_check, V * phases, atol=1e-12)
+    assert np.allclose(np.linalg.norm(sol.P @ sol.V_check, axis=0),
+                       sol.sigma, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
