@@ -18,7 +18,8 @@ SeedSequence, uniform [0,1) from random(), normals from the ziggurat
 standard_normal().  Bit-compatibility with other environments' generators
 is a non-goal; only the distributions matter.  A config's seed fully
 determines every draw: accuracy and bound runs seed each (t, trial) point
-as seed + 1000*t + trial and split per-magnitude delta streams off a
+as seed + 1000*t + trial, so they take at most 1000 trials (more would
+give two points one seed), and split per-magnitude delta streams off a
 SeedSequence; compare runs seed each trial as seed + trial (0-based).
 
 CSV rows carry the fixed column set
@@ -67,6 +68,9 @@ _CMP_N, _CMP_D, _CMP_P = 50, 35, 10
 # relative perturbation sizes eps_n of the bound experiments
 MAGNITUDES = (1e-11, 1e-8, 1e-5)
 
+# accuracy and bound points are seeded seed + _POINT_STRIDE*t + trial
+_POINT_STRIDE = 1000
+
 
 def accuracy_sizes(kind: str, t: int) -> tuple[int, int, int, int]:
     """(m, n, p, d) for scale index t."""
@@ -108,8 +112,13 @@ class ExperimentConfig:
             if bad:
                 raise ValueError(
                     f"compare-lse needs m > {_CMP_N}, got {bad}")
-        elif any(t < 1 for t in self.t_values):
-            raise ValueError("t values must be >= 1")
+        else:
+            if any(t < 1 for t in self.t_values):
+                raise ValueError("t values must be >= 1")
+            if self.trials is not None and self.trials > _POINT_STRIDE:
+                raise ValueError(
+                    f"{self.experiment} takes at most {_POINT_STRIDE} "
+                    f"trials, got {self.trials}")
 
     @property
     def effective_trials(self) -> int:
@@ -198,6 +207,8 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
     """
     if m <= _CMP_N:
         raise ValueError(f"need m > {_CMP_N}")
+    if case not in (1, 2):
+        raise ValueError(f"unknown case {case!r}")
     rng = np.random.default_rng(seed)
     if variant == "real":
         draw = rng.standard_normal
@@ -238,7 +249,7 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
 # ---------------------------------------------------------------------------
 
 def _point_seed(seed: int, t: int, trial: int) -> int:
-    return seed + 1000 * t + trial
+    return seed + _POINT_STRIDE * t + trial
 
 
 def _error_row(experiment: str, t: Optional[int], m: int, seed: int,

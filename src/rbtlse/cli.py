@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trials", type=int, default=None,
                      help="trials per point (default 20 for compare-lse, "
-                          "1 otherwise)")
+                          "1 otherwise; at most 1000 for accuracy and "
+                          "bound runs)")
     run.add_argument("--out", type=str, default=None,
                      help="CSV path (default <experiment>.csv)")
     run.set_defaults(func=_cmd_run)

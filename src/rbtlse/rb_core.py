@@ -1,4 +1,4 @@
-"""Reduced biquaternion scalars and matrices.
+"""Reduced biquaternion matrices.
 
 A reduced biquaternion is a number a0 + a1*i + a2*j + a3*k whose basis
 elements multiply commutatively:
@@ -15,9 +15,11 @@ Every reduced biquaternion splits into a pair of ordinary complex numbers,
     a0 + a1*i + a2*j + a3*k = (a0 + a1*i) + (a2 + a3*i)*j,
 
 and the product of two such pairs (b1 + b2*j)(c1 + c2*j) is
-(b1*c1 + b2*c2) + (b1*c2 + b2*c1)*j.  Matrix products here are computed in
-that pair form, which is both the cheapest route and the one that keeps
-complex conjugation semantics obvious.
+(b1*c1 + b2*c2) + (b1*c2 + b2*c1)*j.  The one product, :func:`mat_mul`
+(``@``), is computed in that pair form, which is both the cheapest route
+and the one that keeps complex conjugation semantics obvious.  A single
+reduced biquaternion is a 1-by-1 :class:`RBMatrix`, multiplied with ``@``;
+``*`` scales a matrix by a real or complex factor only.
 
 An m-by-n matrix over this algebra is stored component-major: four real
 m-by-n arrays (components of 1, i, j, k).  It has two linear
@@ -39,16 +41,13 @@ from __future__ import annotations
 import contextlib
 import os
 import secrets
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError, NonFiniteInput
 
 __all__ = [
-    "RBScalar",
     "RBMatrix",
-    "rb_mul",
     "mat_mul",
     "from_complex_pair",
     "to_complex_pair",
@@ -63,49 +62,6 @@ __all__ = [
     "write_rbmat",
     "atomic_open",
 ]
-
-
-@dataclass(frozen=True)
-class RBScalar:
-    """One reduced biquaternion, coefficients of (1, i, j, k)."""
-
-    a0: float = 0.0
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
-
-    def __add__(self, other: "RBScalar") -> "RBScalar":
-        return RBScalar(self.a0 + other.a0, self.a1 + other.a1,
-                        self.a2 + other.a2, self.a3 + other.a3)
-
-    def __sub__(self, other: "RBScalar") -> "RBScalar":
-        return RBScalar(self.a0 - other.a0, self.a1 - other.a1,
-                        self.a2 - other.a2, self.a3 - other.a3)
-
-    def __neg__(self) -> "RBScalar":
-        return RBScalar(-self.a0, -self.a1, -self.a2, -self.a3)
-
-    def __mul__(self, other: "RBScalar") -> "RBScalar":
-        return rb_mul(self, other)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.a0 ** 2 + self.a1 ** 2
-                             + self.a2 ** 2 + self.a3 ** 2))
-
-
-def rb_mul(x: RBScalar, y: RBScalar) -> RBScalar:
-    """Commutative product of two reduced biquaternions.
-
-    Expanding (x0 + x1 i + x2 j + x3 k)(y0 + y1 i + y2 j + y3 k) with the
-    basis table gives the four coefficient sums below; the formula is
-    symmetric in x and y.
-    """
-    return RBScalar(
-        x.a0 * y.a0 - x.a1 * y.a1 + x.a2 * y.a2 - x.a3 * y.a3,
-        x.a0 * y.a1 + x.a1 * y.a0 + x.a2 * y.a3 + x.a3 * y.a2,
-        x.a0 * y.a2 + x.a2 * y.a0 - x.a1 * y.a3 - x.a3 * y.a1,
-        x.a0 * y.a3 + x.a3 * y.a0 + x.a1 * y.a2 + x.a2 * y.a1,
-    )
 
 
 def _as_component(a, shape=None) -> np.ndarray:
@@ -184,14 +140,11 @@ class RBMatrix:
         return RBMatrix(-self.p0, -self.p1, -self.p2, -self.p3)
 
     def __mul__(self, zeta):
-        """Scale by a real, complex, or RBScalar factor (entrywise)."""
-        if isinstance(zeta, RBScalar):
-            s1 = complex(zeta.a0, zeta.a1)
-            s2 = complex(zeta.a2, zeta.a3)
-        else:
-            s1, s2 = complex(zeta), 0j
+        """Scale by a real or complex factor (entrywise); a reduced
+        biquaternion factor is a 1x1 RBMatrix, applied with ``@``."""
+        zeta = complex(zeta)
         r1, r2 = to_complex_pair(self)
-        return from_complex_pair(r1 * s1 + r2 * s2, r1 * s2 + r2 * s1)
+        return from_complex_pair(r1 * zeta, r2 * zeta)
 
     __rmul__ = __mul__
 

@@ -41,6 +41,14 @@ def test_config_validation():
             ExperimentConfig(experiment="bound-real", **bad)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ExperimentConfig(experiment="accuracy-real", seed=-1)
+    # point seeds seed + 1000*t + trial would collide beyond 1000 trials
+    for experiment in ("accuracy-real", "bound-complex"):
+        with pytest.raises(ValueError, match="at most 1000 trials, got 1001"):
+            ExperimentConfig(experiment=experiment, trials=1001)
+        assert ExperimentConfig(experiment=experiment,
+                                trials=1000).effective_trials == 1000
+    assert ExperimentConfig(experiment="compare-lse",
+                            trials=1001).effective_trials == 1001
     assert ExperimentConfig(experiment="compare-lse").effective_trials == 20
     assert ExperimentConfig(experiment="bound-real").effective_trials == 1
     assert ExperimentConfig(experiment="bound-real",
@@ -139,6 +147,12 @@ def test_compare_instance_complex():
 def test_compare_instance_rejects_small_m():
     with pytest.raises(ValueError):
         gen_compare_instance(1, 50, 0, "real")
+
+
+@pytest.mark.parametrize("case", [0, 3])
+def test_compare_instance_rejects_unknown_case(case):
+    with pytest.raises(ValueError, match=f"unknown case {case}"):
+        gen_compare_instance(case, 60, 0, "real")
 
 
 # ---------------------------------------------------------------------------

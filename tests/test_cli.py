@@ -81,6 +81,17 @@ def test_run_rejects_negative_seed(tmp_path, capsys, experiment, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["accuracy-real", "bound-complex"])
+def test_run_rejects_more_than_1000_point_trials(tmp_path, capsys,
+                                                  experiment):
+    out = tmp_path / "r.csv"
+    code = main(["run", experiment, "--t-min", "1", "--t-max", "2",
+                 "--trials", "1001", "--out", str(out)])
+    assert code == 2
+    assert "at most 1000 trials, got 1001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_real_stdout(tmp_path, capsys):
     paths = _write_consistent_system(tmp_path)
     code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],

@@ -3,7 +3,8 @@
 Oracles are built independently of the library: dense block grids for
 the representations (``tests/oracles.py``), explicit permutation matrices
 for the block maps, and hand-computed products for the multiplication
-table.
+table.  A reduced biquaternion scalar is a 1x1 ``RBMatrix``, so the table
+checks the package's one product, ``mat_mul`` (``@``).
 """
 
 import os
@@ -21,31 +22,36 @@ def _rand_rb(rng, m, n):
 
 
 # ---------------------------------------------------------------------------
-# scalar multiplication table
+# scalar multiplication table, on 1x1 matrices through mat_mul (``@``)
 # ---------------------------------------------------------------------------
 
+def _scalar(a0, a1, a2, a3):
+    """The reduced biquaternion a0 + a1*i + a2*j + a3*k as a 1x1 matrix."""
+    return rb.RBMatrix([[a0]], [[a1]], [[a2]], [[a3]])
+
+
 def test_unit_products():
-    one = rb.RBScalar(1, 0, 0, 0)
-    i = rb.RBScalar(0, 1, 0, 0)
-    j = rb.RBScalar(0, 0, 1, 0)
-    k = rb.RBScalar(0, 0, 0, 1)
-    assert rb.rb_mul(i, i) == rb.RBScalar(-1, 0, 0, 0)
-    assert rb.rb_mul(j, j) == one
-    assert rb.rb_mul(k, k) == rb.RBScalar(-1, 0, 0, 0)
-    assert rb.rb_mul(i, j) == k
-    assert rb.rb_mul(j, i) == k
-    assert rb.rb_mul(j, k) == i
-    assert rb.rb_mul(k, j) == i
-    assert rb.rb_mul(k, i) == rb.RBScalar(0, 0, -1, 0)
-    assert rb.rb_mul(i, k) == rb.RBScalar(0, 0, -1, 0)
+    one = _scalar(1, 0, 0, 0)
+    i = _scalar(0, 1, 0, 0)
+    j = _scalar(0, 0, 1, 0)
+    k = _scalar(0, 0, 0, 1)
+    assert i @ i == _scalar(-1, 0, 0, 0)
+    assert j @ j == one
+    assert k @ k == _scalar(-1, 0, 0, 0)
+    assert i @ j == k
+    assert j @ i == k
+    assert j @ k == i
+    assert k @ j == i
+    assert k @ i == _scalar(0, 0, -1, 0)
+    assert i @ k == _scalar(0, 0, -1, 0)
     for x in (one, i, j, k):
-        assert rb.rb_mul(one, x) == x
+        assert one @ x == x
 
 
 def test_zero_divisors():
-    a = rb.RBScalar(1, 0, 1, 0)   # 1 + j
-    b = rb.RBScalar(1, 0, -1, 0)  # 1 - j
-    assert rb.rb_mul(a, b) == rb.RBScalar(0, 0, 0, 0)
+    a = _scalar(1, 0, 1, 0)   # 1 + j
+    b = _scalar(1, 0, -1, 0)  # 1 - j
+    assert a @ b == _scalar(0, 0, 0, 0)
 
 
 def test_scalar_product_hand_computed():
@@ -53,33 +59,33 @@ def test_scalar_product_hand_computed():
     # (1+2i, 3+4i) * (5+6i, 7+8i):
     # first  = (1+2i)(5+6i) + (3+4i)(7+8i) = (-7+16i) + (-11+52i) = -18+68i
     # second = (1+2i)(7+8i) + (3+4i)(5+6i) = (-9+22i) + (-9+38i)  = -18+60i
-    x = rb.RBScalar(1, 2, 3, 4)
-    y = rb.RBScalar(5, 6, 7, 8)
-    assert rb.rb_mul(x, y) == rb.RBScalar(-18, 68, -18, 60)
-    assert rb.rb_mul(y, x) == rb.RBScalar(-18, 68, -18, 60)
+    x = _scalar(1, 2, 3, 4)
+    y = _scalar(5, 6, 7, 8)
+    assert x @ y == _scalar(-18, 68, -18, 60)
+    assert y @ x == _scalar(-18, 68, -18, 60)
 
 
 def test_scalar_arithmetic_and_norm():
-    x = rb.RBScalar(1, 2, 3, 4)
-    y = rb.RBScalar(0.5, -1, 2, 0)
-    assert x + y == rb.RBScalar(1.5, 1, 5, 4)
-    assert x - y == rb.RBScalar(0.5, 3, 1, 4)
-    assert -x == rb.RBScalar(-1, -2, -3, -4)
-    assert x * y == rb.rb_mul(x, y)
+    x = _scalar(1, 2, 3, 4)
+    y = _scalar(0.5, -1, 2, 0)
+    assert x + y == _scalar(1.5, 1, 5, 4)
+    assert x - y == _scalar(0.5, 3, 1, 4)
+    assert -x == _scalar(-1, -2, -3, -4)
+    assert x @ y == rb.mat_mul(x, y)
     assert x.norm() == pytest.approx(np.sqrt(30))
 
 
 def test_commutativity_random():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        x = rb.RBScalar(*rng.standard_normal(4))
-        y = rb.RBScalar(*rng.standard_normal(4))
-        xy = rb.rb_mul(x, y)
-        yx = rb.rb_mul(y, x)
-        assert xy.a0 == pytest.approx(yx.a0, abs=1e-14)
-        assert xy.a1 == pytest.approx(yx.a1, abs=1e-14)
-        assert xy.a2 == pytest.approx(yx.a2, abs=1e-14)
-        assert xy.a3 == pytest.approx(yx.a3, abs=1e-14)
+        x = _scalar(*rng.standard_normal(4))
+        y = _scalar(*rng.standard_normal(4))
+        xy = x @ y
+        yx = y @ x
+        assert xy.p0[0, 0] == pytest.approx(yx.p0[0, 0], abs=1e-14)
+        assert xy.p1[0, 0] == pytest.approx(yx.p1[0, 0], abs=1e-14)
+        assert xy.p2[0, 0] == pytest.approx(yx.p2[0, 0], abs=1e-14)
+        assert xy.p3[0, 0] == pytest.approx(yx.p3[0, 0], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +278,19 @@ def test_matmul_operator():
 def test_scalar_multiplication_rb():
     rng = np.random.default_rng(9)
     P = _rand_rb(rng, 2, 2)
-    j = rb.RBScalar(0, 0, 1, 0)
-    # multiplying by j swaps the complex pair
-    jp = P * j
+    Z, I = np.zeros((2, 2)), np.eye(2)
+    # multiplying by j (j times the identity) swaps the complex pair
+    jp = P @ rb.RBMatrix(Z, Z, I, Z)
     r1, r2 = rb.to_complex_pair(P)
     s1, s2 = rb.to_complex_pair(jp)
     assert np.allclose(s1, r2, atol=1e-15)
     assert np.allclose(s2, r1, atol=1e-15)
     # __rmul__ with a plain float
     assert (2.0 * P) == (P * 2.0)
+    # a complex factor scales both halves of the pair, as i*I does
+    ip = P @ rb.RBMatrix(Z, I, Z, Z)
+    for c, d in zip(rb.to_complex_pair(P * 1j), rb.to_complex_pair(ip)):
+        assert np.allclose(c, d, atol=1e-15)
 
 
 def test_hstack_vstack():

@@ -110,6 +110,32 @@ def test_correction_norm_matches_trailing_singular_values():
         want, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("sizes", [(30, 8, 0, 1), (30, 8, 0, 3),
+                                   (30, 8, 1, 1), (30, 8, 1, 4), "t=3"])
+def test_correction_matches_closed_form(kind, sizes):
+    """At a fixed X with residual R = Ac X - Bc, the smallest correction is
+    [E, F] = -R M [X^H, -I] with M = (I + X^H X)^-1, of norm
+    ||R M^(1/2)||_F (Golub & Van Loan 1980).  The solver's E_bar, F_bar
+    and correction norm are that correction at its own X."""
+    if sizes == "t=3":
+        sizes = accuracy_sizes(kind, 3)
+    column = rb.real_block_column if kind == "real" else rb.complex_block_column
+    for seed in range(20):
+        prob = gen_instance(kind, sizes, seed)
+        sol = ALGEBRAS[kind](prob)
+        X, norm = sol.X, sol.residual_perturbation_norm
+        R = column(prob.A) @ X - column(prob.B)
+        w, V = np.linalg.eigh(np.eye(X.shape[1]) + X.conj().T @ X)
+        M = (V / w) @ V.conj().T
+        M_half = (V / np.sqrt(w)) @ V.conj().T
+        tol = 1e-10 * norm
+        assert np.linalg.norm(column(sol.E_bar) + R @ M @ X.conj().T) <= tol
+        assert np.linalg.norm(column(sol.F_bar) - R @ M) <= tol
+        assert np.linalg.norm(R @ M_half) ** 2 == pytest.approx(
+            norm ** 2, rel=1e-10)
+
+
 def test_constraint_residual_identity():
     """For real X, the constraint residual equals ||C_col (X - X*)||_F
     when D was built from X*."""
