@@ -20,11 +20,12 @@ representation, 4p+4m real / 2p+2m complex):
 The product has only nd rows, so its 2-norm is exact as the square root of
 the largest eigenvalue of the nd x nd Gram matrix
 
-    (HGZ)(HGZ)^H = H D^-1 [diag(mask) (x) (S2^2 + Y^H Y)
+    (HGZ)(HGZ)^H = H D^-1 [diag(mask) (x) conj(S2^2 + Y^H Y)
                            + (S T2)(S T2)^H (x) I_d] D^-1 H^H,
 
-with (x) the Kronecker product, S2 and S the diagonal singular value
-factors, and Y = (P S^+)^H P V2 (r x d).  Every left singular vector
+with (x) the Kronecker product, conj the entrywise conjugate (the
+transpose of the Hermitian S2^2 + Y^H Y), S2 and S the diagonal singular
+value factors, and Y = (P S^+)^H P V2 (r x d).  Every left singular vector
 enters scaled by its singular value, and P V_check = U diag(sigma), so
 the formulas read P V_check instead: P V2 (V2 the d trailing right
 singular vectors) stands for U2 S2 in Y, and P V1 (the leading n-r) for
@@ -38,11 +39,13 @@ the solver's rank rule; the solve checked only Cc, and although
 sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
 The bracketed middle matrix is filled by its block pattern and H is
-applied through small solves with W1^H and V22^H, so neither a Kronecker
+applied by multiplication with two small inverses formed once: W1^-H,
+taken from the one SVD of W1 that also checks its conditioning, and
+V22^-T (a plain transpose, also for complex data).  Neither a Kronecker
 product nor the tall projection Q = [-(P S^+)^H; I] is ever formed.  Real
 data uses the same code path as complex: every conjugate transpose
-degrades to a plain transpose on reals, which is exactly the real variant
-of the formulas.
+degrades to a plain transpose on reals, and every conjugate to a no-op,
+which is exactly the real variant of the formulas.
 
 kappa is returned finite and positive, or ConditioningUndefined is raised.
 Callers form the first-order bound U = kappa * eps_n themselves, with
@@ -177,11 +180,14 @@ class _Pieces:
         self.W1 = np.hstack([Vs, V_check[:, :k]])[:n, :]
         self.V22 = V_check[n:, k:]
 
-        w1_sv = np.linalg.svd(self.W1, compute_uv=False)
+        Uw, w1_sv, Vwh = np.linalg.svd(self.W1)
         if w1_sv[-1] == 0.0 or w1_sv[0] / w1_sv[-1] > _COND_MAX:
             raise ConditioningUndefined(
                 "W1 block is singular (or nearly so); the condition "
                 "number formula does not apply")
+        # W1 = Uw diag(w1_sv) Vw^H, so W1^-H = Uw diag(w1_sv)^-1 Vw^H
+        self.W1_inv_h = (Uw / w1_sv) @ Vwh
+        self.V22_inv_t = np.linalg.inv(self.V22.T)
 
         self.mask = np.concatenate([np.zeros(r), np.ones(k)])
         # D in vec order: entry j*d + i belongs to column j, row i
@@ -206,19 +212,21 @@ class _Pieces:
         self.jk_norm = rb._norm(P, S)
 
     def apply_H(self, M: np.ndarray) -> np.ndarray:
-        """H @ M for nd-by-N M: commute each column's d-by-n matrix, then
-        multiply by W1^-H on the left and V22^-H on the right."""
+        """H @ M for nd-by-N M, by multiplication only: each column, read
+        row by row as an n-by-d matrix Mc, becomes V22^-T (W1^-H Mc)^T,
+        read back row by row.  W1^-H and V22^-T are formed once in
+        ``__init__``, W1^-H from the SVD that also checks W1."""
         n, d = self.n, self.d
         N = M.shape[1]
-        step = np.linalg.solve(self.W1.conj().T, M.reshape(n, d * N))
+        step = self.W1_inv_h @ M.reshape(n, d * N)
         step = step.reshape(n, d, N).transpose(1, 0, 2).reshape(d, n * N)
-        return np.linalg.solve(self.V22.conj().T, step).reshape(n * d, N)
+        return (self.V22_inv_t @ step).reshape(n * d, N)
 
     def gram(self) -> np.ndarray:
         """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix.
 
         G Z Z^H G^H is D^-1 times a block matrix with blocks
-        diag(mask) (x) (S2^2 + Y^H Y), Y = (P S^+)^H PV2, and
+        diag(mask) (x) conj(S2^2 + Y^H Y), Y = (P S^+)^H PV2, and
         (S T2)(S T2)^H (x) I_d, times D^-1.  Y enters only through
         Y^H Y, and Us is unitary, so Us^H Y = PSU^H PV2 stands in for Y.
         The middle matrix is filled by its block pattern, then H is
@@ -230,7 +238,7 @@ class _Pieces:
         outer = self.ST2 @ self.ST2.conj().T
         mid = np.zeros((n, d, n, d), dtype=np.result_type(inner, outer))
         cols, rows = np.arange(n), np.arange(d)
-        mid[cols, :, cols, :] = self.mask[:, None, None] * inner
+        mid[cols, :, cols, :] = self.mask[:, None, None] * inner.conj()
         mid[:, rows, :, rows] += outer
         # two divisions, not one by outer(denom, denom), which overflows
         # or underflows for data scaled by 1e+-80 and beyond
