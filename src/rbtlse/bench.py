@@ -41,8 +41,8 @@ from . import rb_core as rb
 from .errors import RbtlseError
 from .lse_baseline import lse_solve_real, lse_solve_complex
 # condition_real and residuals_real serve both algebras
-from .perturbation import (PerturbationInstance, _stacked_norm,
-                           condition_real, epsilon_n, scaled_to)
+from .perturbation import (PerturbationInstance, condition_real,
+                           epsilon_n, scaled_to)
 from .tlse import TlseProblem, residuals_real, solve_complex, solve_real
 
 __all__ = [
@@ -299,8 +299,7 @@ def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
                     config.experiment, t, sizes[0], point, trial, exc))
                 continue
             x_norm = np.linalg.norm(solution.X)
-            jk_norm = _stacked_norm(problem.C, problem.A, problem.D,
-                                    problem.B)
+            jk_norm = problem.data_norm
             for idx, mag in enumerate(MAGNITUDES):
                 rng = np.random.default_rng(streams[1 + idx])
                 inst = random_perturbation(problem, rng, mag)

@@ -25,7 +25,7 @@ from . import rb_core as rb
 from .bench import EXPERIMENTS, ExperimentConfig, run_experiment
 from .errors import FileFormatError, RbtlseError
 # condition_real and residuals_real serve both algebras
-from .perturbation import _stacked_norm, condition_real
+from .perturbation import condition_real
 from .tlse import TlseProblem, residuals_real, solve_complex, solve_real
 
 __all__ = ["main"]
@@ -132,7 +132,7 @@ def _cmd_solve(args) -> int:
     # relative size of the fitted correction (C and D are not corrected),
     # reused as the perturbation level in the printed first-order bound
     eps_fit = (rb.frobenius_norm(rb.hstack(solution.E_bar, solution.F_bar))
-               / _stacked_norm(problem.C, problem.A, problem.D, problem.B))
+               / problem.data_norm)
     lines.append(f"solver: {args.flavor}")
     lines.append(f"sizes: m={m} n={n} p={p} d={d}")
     lines.append(f"X ({n} x {d}):")

@@ -39,9 +39,10 @@ the solver's rank rule; the solve checked only Cc, and although
 sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
 The bracketed middle matrix is filled by its block pattern and H is
-applied by multiplication with two small inverses formed once: W1^-H,
-taken from the one SVD of W1 that also checks its conditioning, and
-V22^-T (a plain transpose, also for complex data).  Neither a Kronecker
+applied by multiplication with two small inverses formed once: W1^-H =
+W1 + X W2, the Schur complement of V22 in the unitary [W1, V12; W2, V22],
+and V22^-T (a plain transpose, also for complex data).  W1 is not
+factored: the solve's check of V22 covers it.  Neither a Kronecker
 product nor the tall projection Q = [-(P S^+)^H; I] is ever formed.  Real
 data uses the same code path as complex: every conjugate transpose
 degrades to a plain transpose on reals, and every conjugate to a no-op,
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import rb_core as rb
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import _COND_MAX, TlseProblem, TlseSolution, _rank
+from .tlse import TlseProblem, TlseSolution, _rank
 
 __all__ = [
     "PerturbationInstance",
@@ -99,13 +100,6 @@ class PerturbationInstance:
                            C=pr.C + self.dC, D=pr.D + self.dD)
 
 
-def _stacked_norm(C: rb.RBMatrix, A: rb.RBMatrix, D: rb.RBMatrix,
-                  B: rb.RBMatrix) -> float:
-    """||[J, K]||_F for J = [C; A], K = [D; B], summed in that stacked
-    layout (the layout fixes the rounding of the sum)."""
-    return rb.frobenius_norm(rb.hstack(rb.vstack(C, A), rb.vstack(D, B)))
-
-
 def epsilon_n(instance: PerturbationInstance) -> float:
     """Relative perturbation size ||[dJ, dK]||_F / ||[J, K]||_F, with
     J = [C; A], K = [D; B] and dJ, dK alike; both norms are scale-safe.
@@ -113,12 +107,11 @@ def epsilon_n(instance: PerturbationInstance) -> float:
     The ratio is identical whether evaluated on the matrices themselves or
     on their leading block columns; this computes it directly.
     """
-    pr = instance.problem
-    den = _stacked_norm(pr.C, pr.A, pr.D, pr.B)
+    den = instance.problem.data_norm
     if den == 0.0:
         raise ValueError("perturbation size undefined: ||[J, K]||_F = 0")
-    return _stacked_norm(instance.dC, instance.dA, instance.dD,
-                         instance.dB) / den
+    return TlseProblem(instance.dA, instance.dB, instance.dC,
+                       instance.dD).data_norm / den
 
 
 def scaled_to(instance: PerturbationInstance,
@@ -177,16 +170,10 @@ class _Pieces:
         self.PSU, PV1, self.PV2 = PV[:, :r], PV[:, r:n], PV[:, n:]
 
         self.S_diag = np.concatenate([Ss, sigma[:k]])
-        self.W1 = np.hstack([Vs, V_check[:, :k]])[:n, :]
-        self.V22 = V_check[n:, k:]
-
-        Uw, w1_sv, Vwh = np.linalg.svd(self.W1)
-        if w1_sv[-1] == 0.0 or w1_sv[0] / w1_sv[-1] > _COND_MAX:
-            raise ConditioningUndefined(
-                "W1 block is singular (or nearly so); the condition "
-                "number formula does not apply")
-        # W1 = Uw diag(w1_sv) Vw^H, so W1^-H = Uw diag(w1_sv)^-1 Vw^H
-        self.W1_inv_h = (Uw / w1_sv) @ Vwh
+        W = np.hstack([Vs, V_check[:, :k]])
+        self.W1, self.V22 = W[:n, :], V_check[n:, k:]
+        # W1^-H, the Schur complement of V22 in the unitary [W, V_check]
+        self.W1_inv_h = self.W1 + X @ W[n:, :]
         self.V22_inv_t = np.linalg.inv(self.V22.T)
 
         self.mask = np.concatenate([np.zeros(r), np.ones(k)])
@@ -215,7 +202,7 @@ class _Pieces:
         """H @ M for nd-by-N M, by multiplication only: each column, read
         row by row as an n-by-d matrix Mc, becomes V22^-T (W1^-H Mc)^T,
         read back row by row.  W1^-H and V22^-T are formed once in
-        ``__init__``, W1^-H from the SVD that also checks W1."""
+        ``__init__``."""
         n, d = self.n, self.d
         N = M.shape[1]
         step = self.W1_inv_h @ M.reshape(n, d * N)

@@ -35,7 +35,8 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2, strictly positive singular values and an invertible V22; each is
-checked against a fixed threshold (_GAP_REL, _COND_MAX below) and
+checked against a fixed threshold (_GAP_REL, _COND_MAX below; the V22
+check also covers the block W1 that the condition number inverts) and
 reported through the error taxonomy rather than patched over.  The QRs
 and SVDs are numpy's (LAPACK), called directly.
 """
@@ -67,8 +68,10 @@ __all__ = [
 # The theory's strict gap sigma[k-1] > sigma[k] holds in exact arithmetic;
 # in floating point a gap at or below this fraction of sigma_1 is none.
 _GAP_REL = 1e-10
-# Largest 2-norm condition number of a block the formulas invert: V22 in
-# the solve, W1 in the condition number.
+# sigma_min(V22) * _COND_MAX must exceed 1.  W1 and V22, the diagonal
+# blocks of the unitary [W1, V12; W2, V22], have 2-norms <= 1 and the same
+# sigma_min (CS decomposition), so this one rule bounds the condition
+# numbers of both inverted blocks (V22 here, W1 in kappa) by _COND_MAX.
 _COND_MAX = 1e12
 
 
@@ -160,6 +163,13 @@ class TlseProblem:
         """(m, n, p, d)."""
         return (self.A.rows, self.A.cols, self.C.rows, self.B.cols)
 
+    @property
+    def data_norm(self) -> float:
+        """||[J, K]||_F, J = [C; A], K = [D; B], scale-safe; the stacked
+        layout fixes the rounding of the sum."""
+        return rb.frobenius_norm(rb.hstack(rb.vstack(self.C, self.A),
+                                           rb.vstack(self.D, self.B)))
+
 
 @dataclass(frozen=True)
 class TlseSolution:
@@ -231,10 +241,10 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
     V22 = V_check[n:, k:]
     sv = np.linalg.svd(V22, compute_uv=False)
     v22_cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    if not np.isfinite(v22_cond) or v22_cond > _COND_MAX:
+    if not sv[-1] * _COND_MAX > 1.0:
         raise BlockNotInvertible(
-            f"trailing block V22 condition {v22_cond:.3e} exceeds "
-            f"{_COND_MAX:.3e}")
+            f"trailing block V22 smallest singular value {sv[-1]:.3e} is "
+            f"not above 1/{_COND_MAX:.0e}")
 
     X = -np.linalg.solve(V22.T, V12.T).T
 

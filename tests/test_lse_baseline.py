@@ -58,20 +58,23 @@ def test_constraint_exactly_satisfied_on_noisy_data():
     assert sol.constraint_residual <= 1e-10 * scale
 
 
-def test_kkt_stationarity_real():
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kkt_stationarity(kind):
     """The least squares gradient must vanish on the constraint null
-    space: Q2^T A_r^T (A_r X - B_r) = 0."""
+    space: Q2^H Ac^H (Ac X - Bc) = 0, with conjugate transposes on the
+    complex stacks (a plain transpose there fails the check)."""
+    solve, column, q = ((lse_solve_real, rb.real_block_column, 4)
+                        if kind == "real" else
+                        (lse_solve_complex, rb.complex_block_column, 2))
     rng = np.random.default_rng(3)
     m, n, p, d = 30, 10, 2, 2
     A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
     C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
-    sol = lse_solve_real(A, B, C, D)
-    Ar = rb.real_block_column(A)
-    Br = rb.real_block_column(B)
-    Cr = rb.real_block_column(C)
-    Q2 = np.linalg.qr(Cr.T, mode="complete")[0][:, 4 * p:]
-    grad = Q2.T @ Ar.T @ (Ar @ sol.X - Br)
-    scale = np.linalg.norm(Ar) * np.linalg.norm(Br) + 1
+    sol = solve(A, B, C, D)
+    Ac, Bc, Cc = (column(M) for M in (A, B, C))
+    Q2 = np.linalg.qr(Cc.conj().T, mode="complete")[0][:, q * p:]
+    grad = Q2.conj().T @ Ac.conj().T @ (Ac @ sol.X - Bc)
+    scale = np.linalg.norm(Ac) * np.linalg.norm(Bc) + 1
     assert np.linalg.norm(grad) <= 1e-9 * scale
 
 

@@ -18,7 +18,7 @@ import pytest
 import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
-from rbtlse.errors import ConditioningUndefined
+from rbtlse.errors import BlockNotInvertible, ConditioningUndefined
 from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
@@ -170,7 +170,8 @@ def _consistent(problem, solve, seed):
 def test_kappa_equals_brute_force_jacobian_real():
     noisy = _real_problem(10, m=8, n=4, p=1, d=2)
     for prob in (noisy, _consistent(noisy, solve_real, 26),
-                 _real_problem(0, m=12, n=9, p=2, d=2)):
+                 _real_problem(0, m=12, n=9, p=2, d=2),
+                 _real_problem(0, m=8, n=5, p=1, d=5)):
         brute, sol = _brute_kappa(prob, solve_real)
         kappa = condition_real(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
@@ -179,7 +180,8 @@ def test_kappa_equals_brute_force_jacobian_real():
 def test_kappa_equals_brute_force_jacobian_complex():
     noisy = _complex_problem(11, m=8, n=4, p=1, d=2)
     for prob in (noisy, _consistent(noisy, solve_complex, 27),
-                 _complex_problem(0, m=12, n=5, p=2, d=2)):
+                 _complex_problem(0, m=12, n=5, p=2, d=2),
+                 _complex_problem(0, m=8, n=3, p=1, d=3)):
         brute, sol = _brute_kappa(prob, solve_complex)
         kappa = condition_complex(prob, sol).kappa
         assert brute == pytest.approx(kappa, rel=1e-6)
@@ -236,6 +238,10 @@ ORACLE_CASES = [
     ("complex", (30, 8, 1, 1)),
     ("real", (30, 8, 1, 4)),        # d > 1
     ("complex", (30, 8, 1, 4)),
+    ("real", (30, 4, 0, 4)),        # n = d
+    ("complex", (30, 4, 0, 4)),
+    ("real", (30, 5, 1, 6)),        # n < d
+    ("complex", (30, 3, 1, 4)),
 ]
 
 
@@ -308,12 +314,12 @@ def test_kappa_at_extreme_scale(kind, e):
         kappa, rel=1e-10)
 
 
-@pytest.mark.parametrize("solve,condition", [
-    (solve_real, condition_real), (solve_complex, condition_complex)],
-    ids=["real", "complex"])
-def test_singular_w1_is_conditioning_undefined(solve, condition):
-    """A nearly zero column of A leaves V22 (d = 1) invertible but makes
-    W1 singular: the solve succeeds and kappa is refused."""
+@pytest.mark.parametrize("solve", [solve_real, solve_complex],
+                         ids=["real", "complex"])
+def test_tiny_v22_is_block_not_invertible(solve):
+    """A nearly zero column of A makes the 1 x 1 V22 (condition number 1)
+    tiny, and W1, which shares its smallest singular value, nearly
+    singular: the solve refuses the data, so kappa never sees it."""
     rng = np.random.default_rng(11)
     A = _rand_rb(rng, 8, 3)
     A = rb.RBMatrix(*(np.hstack([c[:, :1] * 1e-13, c[:, 1:]])
@@ -321,9 +327,8 @@ def test_singular_w1_is_conditioning_undefined(solve, condition):
     problem = TlseProblem(A=A, B=_rand_rb(rng, 8, 1),
                           C=rb.RBMatrix.zeros(0, 3),
                           D=rb.RBMatrix.zeros(0, 1))
-    solution = solve(problem)
-    with pytest.raises(ConditioningUndefined, match="W1 block is singular"):
-        condition(problem, solution)
+    with pytest.raises(BlockNotInvertible, match="smallest singular value"):
+        solve(problem)
 
 
 def test_kappa_real_vs_complex_on_real_data():

@@ -297,6 +297,16 @@ def test_block_not_invertible_raised(kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
+def test_data_norm_is_norm_of_the_stacks(kind):
+    """||[J, K]||_F equals the norm of either algebra's stacks P and S,
+    which the condition number scales by."""
+    problem, _ = _consistent(np.random.default_rng(12), 12, 4, 1, 2)
+    sol = ALGEBRAS[kind](problem)
+    assert problem.data_norm == pytest.approx(
+        np.linalg.norm(np.vstack([sol.S, sol.P])), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("e", [-170, -160, -150, 150, 160, 170])
 def test_correction_norm_at_extreme_scale(kind, e):
     """Scaling all data by 10**e scales X by 1 and every norm by 10**e,
