@@ -6,7 +6,8 @@ right-hand side is treated as uncertain, so the problem is
     minimize ||A X - B||_F  subject to  C X = D,
 
 transported to leading block columns exactly as in the solver (real
-stacks for real X, complex stacks for complex X), with the solver's data
+stacks for real X, complex stacks for complex X, each stack [Ac, Bc] and
+[Cc, Dc] written once and the blocks read as views), with the solver's data
 validation, constraint rank check and LAPACK failure mapping, and solved
 by the classical null-space reduction: a full QR of the transposed
 constraint stack (numpy's, called directly) yields a particular solution
@@ -41,7 +42,9 @@ class LseSolution:
 def _lse(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix, D: rb.RBMatrix,
          rep: _Representation) -> LseSolution:
     TlseProblem(A, B, C, D)  # the solver's validation
-    Ar, Br, Cr, Dr = (rep.column(M) for M in (A, B, C, D))
+    n = A.cols
+    P, S = rep.column(A, B), rep.column(C, D)
+    Ar, Br, Cr, Dr = P[:, :n], P[:, n:], S[:, :n], S[:, n:]
     r = Cr.shape[0]
     _check_constraint_rank(Cr)
     Q, R = np.linalg.qr(Cr.conj().T, mode="complete")

@@ -192,7 +192,9 @@ def to_complex_pair(P: RBMatrix):
 # four components, and the complex one is [Pc, N*Pc] with Pc = [R1; R2].
 # The other block columns are signed block permutations of Pc and carry
 # nothing new, so the solvers work on Pc alone.  The full representations
-# are built only as test oracles (tests/oracles.py).
+# are built only as test oracles (tests/oracles.py).  The maps take several
+# row-aligned blocks, so a solver's stack [Ac, Bc] is one array written
+# once.
 # ---------------------------------------------------------------------------
 
 def _blocks4(Y: np.ndarray):
@@ -202,15 +204,51 @@ def _blocks4(Y: np.ndarray):
     return Y[:m], Y[m:2 * m], Y[2 * m:3 * m], Y[3 * m:]
 
 
-def real_block_column(P: RBMatrix) -> np.ndarray:
-    """Leading block column of the real representation, [P0;P1;P2;P3]."""
-    return np.vstack([P.p0, P.p1, P.p2, P.p3])
+def _row_aligned(blocks) -> tuple[int, list[int]]:
+    """Common row count of ``blocks`` and the column offsets at which
+    each block starts, the last entry being the total width."""
+    m = blocks[0].rows
+    offsets = [0]
+    for B in blocks:
+        if B.rows != m:
+            raise DimensionMismatch(
+                f"row counts disagree: {blocks[0].shape} vs {B.shape}")
+        offsets.append(offsets[-1] + B.cols)
+    return m, offsets
 
 
-def complex_block_column(P: RBMatrix) -> np.ndarray:
-    """Leading block column of the complex representation, [R1;R2]."""
-    r1, r2 = to_complex_pair(P)
-    return np.vstack([r1, r2])
+def real_block_column(P: RBMatrix, *more: RBMatrix) -> np.ndarray:
+    """Leading block column of the real representation, [P0;P1;P2;P3].
+
+    With further row-aligned blocks T, ... the result is the leading block
+    columns of P, T, ... side by side, [P0 T0; P1 T1; P2 T2; P3 T3], each
+    component written once into one new array (no intermediate stacks).
+    """
+    blocks = (P, *more)
+    m, offsets = _row_aligned(blocks)
+    out = np.empty((4 * m, offsets[-1]))
+    for B, lo, hi in zip(blocks, offsets, offsets[1:]):
+        for i, comp in enumerate((B.p0, B.p1, B.p2, B.p3)):
+            out[i * m:(i + 1) * m, lo:hi] = comp
+    return out
+
+
+def complex_block_column(P: RBMatrix, *more: RBMatrix) -> np.ndarray:
+    """Leading block column of the complex representation, [R1;R2].
+
+    Further row-aligned blocks go side by side as in
+    :func:`real_block_column`.  The components are written into the real
+    and imaginary parts of one complex array, so no R1 or R2 temporary is
+    formed and every component, a signed zero included, is kept as given.
+    """
+    blocks = (P, *more)
+    m, offsets = _row_aligned(blocks)
+    out = np.empty((2 * m, offsets[-1]), dtype=np.complex128)
+    re, im = out.real, out.imag
+    for B, lo, hi in zip(blocks, offsets, offsets[1:]):
+        re[:m, lo:hi], im[:m, lo:hi] = B.p0, B.p1
+        re[m:, lo:hi], im[m:, lo:hi] = B.p2, B.p3
+    return out
 
 
 def from_real_block_column(Y: np.ndarray) -> RBMatrix:

@@ -18,7 +18,8 @@ The two differ only in that map and its row count q (4 or 2) per matrix
 row; the solve is one classical null-space reduction, written with
 conjugate transposes (plain transposes on real stacks), with r = q*p:
 
-1. stack P = [Ac, Bc] and S = [Cc, Dc], and check that Cc has full
+1. write P = [Ac, Bc] and S = [Cc, Dc], each in one call of the map
+   into one new array, and check that Cc, the view S[:, :n], has full
    numerical row rank: all r of its singular values (values only) lie
    above max(r, n) * eps * sigma_1, the one rank rule (_rank) of the
    package, which the condition number applies to S as well;
@@ -28,10 +29,12 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
    SVD of its small R factor, so the tall left factor U is never formed;
    the d trailing right singular vectors, pushed back through Q2 into
    V_check and partitioned, give X = -V12 @ inv(V22);
-4. with W2 = P @ V_check[:, n-r:], which equals U2 S2, the minimizing
-   perturbation stacks are -W2 V12^H and -W2 V22^H, read back through
-   the inverse map; their norm is sqrt(sum S2^2), by the scale-safe
-   norm of rb_core, so that it neither overflows nor underflows.
+4. the norm of the minimizing perturbation is sqrt(sum S2^2), by the
+   scale-safe norm of rb_core, so that it neither overflows nor
+   underflows.  The perturbation itself is formed only when it is first
+   read from the solution: with W2 = P @ V_check[:, n-r:], which equals
+   U2 S2, its stacks are -W2 V12^H and -W2 V22^H, read back through the
+   inverse map.  Callers that read only X never pay for it.
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2, strictly positive singular values and an invertible V22; each is
@@ -80,7 +83,7 @@ class _Representation:
     """Leading-block-column map of one algebra of solutions, its inverse,
     and the stack rows it gives each matrix row."""
 
-    column: Callable[[rb.RBMatrix], np.ndarray]
+    column: Callable[..., np.ndarray]
     from_column: Callable[[np.ndarray], rb.RBMatrix]
     rows: int
 
@@ -185,12 +188,14 @@ class TlseSolution:
     V_check retain the data and the factorization for the conditioning
     module, which reuses them instead of rebuilding or refactoring; the
     left singular vectors are not kept (P @ V_check gives them scaled by
-    sigma).
+    sigma).  P, S and V_check are read-only.
+
+    E_bar and F_bar are formed on first read, from P and V_check, and
+    then kept; a caller that reads only X, sigma or the conditioning
+    never forms them.
     """
 
     X: np.ndarray
-    E_bar: rb.RBMatrix
-    F_bar: rb.RBMatrix
     sigma: np.ndarray
     gap: float
     v22_condition: float
@@ -198,6 +203,30 @@ class TlseSolution:
     P: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)
     V_check: np.ndarray = field(repr=False)
+    # the representation's inverse map, which reads the correction back
+    _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(
+        repr=False, compare=False)
+
+    @functools.cached_property
+    def _correction(self) -> tuple[rb.RBMatrix, rb.RBMatrix]:
+        n, d = self.X.shape
+        k = self.V_check.shape[1] - d
+        V12 = self.V_check[:n, k:]
+        V22 = self.V_check[n:, k:]
+        W2 = self.P @ self.V_check[:, k:]
+        E_stack = -W2 @ V12.conj().T
+        F_stack = -W2 @ V22.conj().T
+        return self._from_column(E_stack), self._from_column(F_stack)
+
+    @property
+    def E_bar(self) -> rb.RBMatrix:
+        """Minimizing perturbation of A, formed on first read."""
+        return self._correction[0]
+
+    @property
+    def F_bar(self) -> rb.RBMatrix:
+        """Minimizing perturbation of B, formed on first read."""
+        return self._correction[1]
 
 
 @_lapack_failures
@@ -214,11 +243,9 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
         raise AssumptionViolated(
             f"constraint block too tall: {q}p = {r} > n = {n}")
 
-    Ac, Bc, Cc, Dc = (rep.column(M) for M in
-                      (problem.A, problem.B, problem.C, problem.D))
-    P = np.hstack([Ac, Bc])
-    S = np.hstack([Cc, Dc])
-    _check_constraint_rank(Cc)
+    P = rep.column(problem.A, problem.B)
+    S = rep.column(problem.C, problem.D)
+    _check_constraint_rank(S[:, :n])
     Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
     # P @ Q2 = Q R shares singular values and right singular vectors
     # with its small R factor, so the tall left factor is never formed
@@ -248,16 +275,13 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
 
     X = -np.linalg.solve(V22.T, V12.T).T
 
-    norm = rb._norm(sigma[k:])
-    W2 = P @ V_check[:, k:]
-    E_stack = -W2 @ V12.conj().T
-    F_stack = -W2 @ V22.conj().T
-
+    # the deferred correction reads these after the solve returns
+    for kept in (P, S, V_check):
+        kept.setflags(write=False)
     return TlseSolution(
-        X=X, E_bar=rep.from_column(E_stack), F_bar=rep.from_column(F_stack),
-        sigma=sigma, gap=gap, v22_condition=v22_cond,
-        residual_perturbation_norm=norm,
-        P=P, S=S, V_check=V_check)
+        X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
+        residual_perturbation_norm=rb._norm(sigma[k:]),
+        P=P, S=S, V_check=V_check, _from_column=rep.from_column)
 
 
 def solve_real(problem: TlseProblem) -> TlseSolution:

@@ -9,13 +9,17 @@ nothing from ``rbtlse``, so they never share code with what they check:
   matrix, written as explicit block grids;
 * the Moore-Penrose pseudoinverse, the commutation matrix and column-major
   vec/unvec that the dense condition-number formula is written in;
-* the spectral norm, by a dense SVD or by matrix-free power iteration.
+* the spectral norm, by a dense SVD or by matrix-free power iteration;
+* the brute-force condition number: the solution map's Jacobian built
+  column by column with central finite differences, which calls the
+  solve it checks as a black box and shares none of its formulas.
 
 Import with ``import oracles`` (pytest puts ``tests/`` on the path).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -153,3 +157,44 @@ def spectral_norm_power(matvec: Callable[[np.ndarray], np.ndarray],
     raise SpectralNormDidNotConverge(
         f"power iteration did not converge in {max_iter} iterations",
         estimate=estimate)
+
+
+# ---------------------------------------------------------------------------
+# condition number by finite differences
+# ---------------------------------------------------------------------------
+
+def brute_kappa(problem, solve, h: float = 1e-7):
+    """(kappa, solution) of ``solve`` on ``problem`` by brute force.
+
+    Each of the 4(mn + md + pn + pd) real data entries of A, B, C and D
+    is moved by +-h, the problem solved again, and the central difference
+    of X is one column of the Jacobian (complex X as its real and
+    imaginary parts stacked).  kappa is its spectral norm times
+    ||[J, K]||_F / ||X||_F.  ``problem`` is a dataclass with matrix
+    fields A, B, C, D holding the components p0..p3.
+    """
+    sol = solve(problem)
+    m, n, p, d = problem.sizes
+    blocks = {"A": (m, n), "B": (m, d), "C": (p, n), "D": (p, d)}
+    mats = {name: getattr(problem, name) for name in blocks}
+    jk = np.sqrt(sum(np.sum(c ** 2) for M in mats.values()
+                     for c in (M.p0, M.p1, M.p2, M.p3)))
+    cols = []
+    for name, (r, c) in blocks.items():
+        M = mats[name]
+        for comp in range(4):
+            for i in range(r):
+                for j in range(c):
+                    deltas = [np.zeros((r, c)) for _ in range(4)]
+                    deltas[comp][i, j] = h
+                    dM = type(M)(*deltas)
+                    xp = solve(dataclasses.replace(problem,
+                                                   **{name: M + dM})).X
+                    xm = solve(dataclasses.replace(problem,
+                                                   **{name: M - dM})).X
+                    cols.append(((xp - xm) / (2 * h)).ravel(order="F"))
+    J = np.column_stack(cols)
+    if np.iscomplexobj(J):
+        J = np.vstack([J.real, J.imag])
+    op = np.linalg.svd(J, compute_uv=False)[0]
+    return op * jk / np.linalg.norm(sol.X), sol

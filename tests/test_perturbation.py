@@ -2,8 +2,8 @@
 
 The deep oracle: on a small instance, the condition number must equal
 the spectral norm of the actual solution-map Jacobian (built column by
-column with central finite differences), scaled by the data and solution
-norms.  Everything else checks the result against a dense reference
+column with central finite differences by ``oracles.brute_kappa``),
+scaled by the data and solution norms.  Everything else checks the result against a dense reference
 product, invariances, and the bound's empirical validity.
 
 The dense reference builds H, G and Z with Kronecker products and the
@@ -124,35 +124,6 @@ def test_perturbed_problem_adds_all_blocks():
 # condition number: exactness against a brute-force Jacobian
 # ---------------------------------------------------------------------------
 
-def _brute_kappa(problem, solve, h=1e-7):
-    sol = solve(problem)
-    m, n, p, d = problem.sizes
-    xn = np.linalg.norm(sol.X)
-    jk = rb.frobenius_norm(rb.hstack(
-        rb.vstack(problem.C, problem.A), rb.vstack(problem.D, problem.B)))
-    cols = []
-    blocks = {"A": (m, n), "B": (m, d), "C": (p, n), "D": (p, d)}
-    for name, (r, c) in blocks.items():
-        for comp in range(4):
-            for i in range(r):
-                for j in range(c):
-                    deltas = [np.zeros((r, c)) for _ in range(4)]
-                    deltas[comp][i, j] = h
-                    dM = rb.RBMatrix(*deltas)
-                    up = {k: (getattr(problem, k) + dM if k == name
-                              else getattr(problem, k)) for k in "ABCD"}
-                    dn = {k: (getattr(problem, k) - dM if k == name
-                              else getattr(problem, k)) for k in "ABCD"}
-                    xp = solve(TlseProblem(**up)).X
-                    xm = solve(TlseProblem(**dn)).X
-                    cols.append(((xp - xm) / (2 * h)).ravel(order="F"))
-    J = np.column_stack(cols)
-    if np.iscomplexobj(J):
-        J = np.vstack([J.real, J.imag])
-    op = np.linalg.svd(J, compute_uv=False)[0]
-    return op * jk / xn, sol
-
-
 def _consistent(problem, solve, seed):
     """The same A and C with B = A X and D = C X for a random X of the
     algebra ``solve`` solves in: the trailing singular values drop to
@@ -172,7 +143,7 @@ def test_kappa_equals_brute_force_jacobian_real():
     for prob in (noisy, _consistent(noisy, solve_real, 26),
                  _real_problem(0, m=12, n=9, p=2, d=2),
                  _real_problem(0, m=8, n=5, p=1, d=5)):
-        brute, sol = _brute_kappa(prob, solve_real)
+        brute, sol = oracles.brute_kappa(prob, solve_real)
         kappa = condition_real(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
 
@@ -182,7 +153,7 @@ def test_kappa_equals_brute_force_jacobian_complex():
     for prob in (noisy, _consistent(noisy, solve_complex, 27),
                  _complex_problem(0, m=12, n=5, p=2, d=2),
                  _complex_problem(0, m=8, n=3, p=1, d=3)):
-        brute, sol = _brute_kappa(prob, solve_complex)
+        brute, sol = oracles.brute_kappa(prob, solve_complex)
         kappa = condition_complex(prob, sol).kappa
         assert brute == pytest.approx(kappa, rel=1e-6)
 

@@ -8,12 +8,15 @@ Examples are derandomized so the suite is reproducible.  Besides the
 exact-recovery and error-taxonomy oracles, two invariances of the
 problem check the solve on noisy data: jointly scaling (A, B, C, D)
 leaves X and kappa unchanged, and so does permuting the rows of A and B
-together (for X).
+together (for X).  Two variational oracles check that each solver's X
+is a stationary minimum of its own objective along feasible directions,
+and kappa is checked against the brute-force Jacobian on small shapes.
 """
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 import rbtlse.rb_core as rb
 from rbtlse.errors import RbtlseError
 from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
@@ -35,11 +38,11 @@ def _rand_rb(rng, m, n):
 
 
 @st.composite
-def well_posed(draw):
+def well_posed(draw, max_n=8):
     """(kind, (m, n, p, d), seed) with r = q*p <= n and q*m >= n + d - r."""
     kind = draw(st.sampled_from(sorted(KINDS)))
     q = KINDS[kind][0]
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     p = draw(st.integers(0, n // q))
     d = draw(st.integers(1, 3))
     m_min = -(-(n + d - q * p) // q)
@@ -160,3 +163,103 @@ def test_row_permutation_leaves_x(case):
                            B=_rows(problem.B, order), C=problem.C, D=problem.D)
     X2, _ = _solve_and_condition(kind, permuted)
     assert _close(X, X2, kappa)
+
+
+# ---------------------------------------------------------------------------
+# variational oracles: each X is a stationary minimum of its objective
+# ---------------------------------------------------------------------------
+
+def _column(kind):
+    return rb.real_block_column if kind == "real" else rb.complex_block_column
+
+
+def _feasible_direction(kind, problem, rng):
+    """Unit N Z, N an orthonormal basis of ker(Cc) and Z drawn in the
+    solver's algebra, so X + t N Z keeps Cc X = Dc; None when k = 0."""
+    Cc = _column(kind)(problem.C)
+    r, n = Cc.shape
+    d = problem.sizes[3]
+    if r == n:
+        return None
+    N = np.linalg.svd(Cc)[2][r:].conj().T
+    Z = rng.standard_normal((n - r, d))
+    if kind == "complex":
+        Z = Z + 1j * rng.standard_normal((n - r, d))
+    direction = N @ Z
+    return direction / np.linalg.norm(direction)
+
+
+def _assert_stationary_minimum(f, X, direction, t):
+    """f(X + s*direction) - f(X) is O(s^2) and its second difference is
+    positive.  The odd part f(X+s) - f(X-s) holds the linear term; the
+    Richardson combination of s = t and 2t cancels its cubic term, so what
+    is left, t*f'(0) + O(t^5), must be small against the second
+    difference t^2*f''(0) + O(t^4)."""
+    f0 = f(X)
+    fp, fm, fp2, fm2 = (f(X + s * direction) for s in (t, -t, 2 * t, -2 * t))
+    second = fp - 2 * f0 + fm
+    linear = (8 * (fp - fm) - (fp2 - fm2)) / 12
+    assert second > 0
+    assert abs(linear) <= 0.05 * second
+
+
+@SETTINGS
+@given(well_posed())
+def test_tls_objective_is_stationary_along_feasible_directions(case):
+    """f(X) = ||(Ac X - Bc)(I + X^H X)^(-1/2)||_F^2, the total least
+    squares objective (Golub & Van Loan 1980), is at a strict local
+    minimum at the solver's X along every feasible direction."""
+    kind, sizes, seed = case
+    problem, rng = _noisy(kind, sizes, seed)
+    X, _ = _base(kind, problem)
+    direction = _feasible_direction(kind, problem, rng)
+    assume(direction is not None)
+    P = _column(kind)(problem.A, problem.B)
+    eye = np.eye(sizes[3])
+
+    def f(Y):
+        # [Y; -I](I + Y^H Y)^(-1/2) is an orthonormal basis of the range
+        # of [Y; -I], so f is ||P Q||_F^2 for the Q of a QR of [Y; -I];
+        # unlike I + Y^H Y, the QR does not square the conditioning
+        Q = np.linalg.qr(np.vstack([Y, -eye]))[0]
+        return np.linalg.norm(P @ Q) ** 2
+
+    # t turns that range by 1e-4 radians to first order, a step that
+    # stays small whatever the size of X
+    Q, R = np.linalg.qr(np.vstack([X, -eye]))
+    lift = np.vstack([direction, np.zeros_like(eye)])
+    turn = np.linalg.solve(R.T, (lift - Q @ (Q.conj().T @ lift)).T)
+    _assert_stationary_minimum(f, X, direction, 1e-4 / np.linalg.norm(turn))
+
+
+@SETTINGS
+@given(well_posed())
+def test_lse_objective_is_stationary_along_feasible_directions(case):
+    """||Ac X - Bc||_F is at a strict local minimum at the least squares
+    baseline's X along every feasible direction."""
+    kind, sizes, seed = case
+    problem, rng = _noisy(kind, sizes, seed)
+    try:
+        X = KINDS[kind][3](problem.A, problem.B, problem.C, problem.D).X
+    except RbtlseError:
+        assume(False)
+    direction = _feasible_direction(kind, problem, rng)
+    assume(direction is not None)
+    column = _column(kind)
+    Ac, Bc = column(problem.A), column(problem.B)
+
+    def f(Y):
+        return np.linalg.norm(Ac @ Y - Bc)
+
+    _assert_stationary_minimum(f, X, direction,
+                               1e-4 * (1 + np.linalg.norm(X)))
+
+
+@SETTINGS
+@given(well_posed(max_n=5))
+def test_kappa_matches_brute_force_jacobian(case):
+    kind, sizes, seed = case
+    problem, _ = _noisy(kind, sizes, seed)
+    _, kappa = _base(kind, problem)
+    brute, _ = oracles.brute_kappa(problem, KINDS[kind][1])
+    assert abs(kappa - brute) <= 1e-6 * brute

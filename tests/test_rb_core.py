@@ -174,6 +174,35 @@ def test_real_repr_matches_dense_grid():
                               rb.complex_block_column(P))
 
 
+@pytest.mark.parametrize("column", [rb.real_block_column,
+                                    rb.complex_block_column])
+@pytest.mark.parametrize("rows,widths", [(3, (4, 2)), (5, (3, 1)),
+                                         (0, (4, 2)), (0, (3, 1)),
+                                         (2, (1, 1, 3))])
+def test_block_columns_side_by_side(column, rows, widths):
+    """Several row-aligned blocks give the hstack of their single-block
+    columns, bit for bit, also for 0-row blocks and one-column blocks."""
+    rng = np.random.default_rng(5)
+    blocks = [_rand_rb(rng, rows, w) for w in widths]
+    got = column(*blocks)
+    want = np.hstack([column(B) for B in blocks])
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatch):
+        column(blocks[0], _rand_rb(rng, rows + 1, 2))
+
+
+def test_complex_block_column_keeps_signed_zeros():
+    """The complex map writes the components into the real and imaginary
+    parts as given, a negative zero included."""
+    P = rb.RBMatrix([[-0.0, 1.0]], [[2.0, -0.0]], [[-0.0, 0.0]],
+                    [[-0.0, 3.0]])
+    col = rb.complex_block_column(P)
+    for part, comps in ((col.real, (P.p0, P.p2)), (col.imag, (P.p1, P.p3))):
+        assert part.tobytes() == np.vstack(comps).tobytes()
+
+
 def test_block_column_reconstruction():
     """The full representation is [col, K col, L col, M col] with explicit
     signed block permutations, bit exact."""

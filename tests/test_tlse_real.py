@@ -17,11 +17,13 @@ from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
 from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
-from rbtlse.perturbation import PerturbationInstance, epsilon_n
+from rbtlse.perturbation import (PerturbationInstance, condition_complex,
+                                 condition_real, epsilon_n)
 from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, solve_complex,
                          solve_real, residuals_real)
 
 ALGEBRAS = {"real": solve_real, "complex": solve_complex}
+CONDITION = {"real": condition_real, "complex": condition_complex}
 
 
 def _rand_rb(rng, m, n):
@@ -134,6 +136,36 @@ def test_correction_matches_closed_form(kind, sizes):
         assert np.linalg.norm(column(sol.F_bar) - R @ M) <= tol
         assert np.linalg.norm(R @ M_half) ** 2 == pytest.approx(
             norm ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_correction_is_formed_once(kind):
+    """E_bar and F_bar are formed on first read and then kept."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    sol = ALGEBRAS[kind](prob)
+    assert sol.E_bar is sol.E_bar
+    assert sol.F_bar is sol.F_bar
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_correction_read_after_conditioning_is_unchanged(kind):
+    """The deferred correction reads P and V_check after the solve has
+    returned; conditioning the solution first leaves its bits alone."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
+    before = ALGEBRAS[kind](prob)
+    E, F = before.E_bar, before.F_bar
+    after = ALGEBRAS[kind](prob)
+    CONDITION[kind](prob, after)
+    assert after.E_bar == E
+    assert after.F_bar == F
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("name", ["P", "S", "V_check"])
+def test_kept_factors_are_read_only(kind, name):
+    sol = ALGEBRAS[kind](gen_instance(kind, accuracy_sizes(kind, 1), 0))
+    with pytest.raises(ValueError):
+        getattr(sol, name)[0, 0] = 0.0
 
 
 def test_constraint_residual_identity():
