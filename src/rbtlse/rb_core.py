@@ -21,15 +21,17 @@ and the one that keeps complex conjugation semantics obvious.  A single
 reduced biquaternion is a 1-by-1 :class:`RBMatrix`, multiplied with ``@``;
 ``*`` scales a matrix by a real or complex factor only.
 
-An m-by-n matrix over this algebra is stored component-major: four real
-m-by-n arrays (components of 1, i, j, k).  It has two linear
-representations, of which the solvers use only the leading block columns:
+An m-by-n matrix over this algebra is stored component-major, as one
+read-only real (4, m, n) array (components of 1, i, j, k).  Its two linear
+representations, of which the solvers use only the leading block columns,
+are read straight off that array:
 
 * a real 4m-by-4n block matrix whose first block column stacks the four
-  components, the remaining three block columns being signed block
-  permutations of the first;
+  components, i.e. the storage seen as one 4m-by-n array, the remaining
+  three block columns being signed block permutations of the first;
 * a complex 2m-by-2n block matrix [[R1, R2], [R2, R1]] built from the
-  complex pair, with leading block column [R1; R2].
+  complex pair, with leading block column [R1; R2]: components 0 and 2
+  as real parts, 1 and 3 as imaginary parts.
 
 The Frobenius norm of the matrix equals the norm of either leading block
 column, half the norm of the full real representation, and 1/sqrt(2) times
@@ -64,80 +66,87 @@ __all__ = [
 ]
 
 
-def _as_component(a, shape=None) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, order="C")
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"component must be 2-D, got shape {arr.shape}")
-    if shape is not None and arr.shape != shape:
-        raise DimensionMismatch(
-            f"components disagree in shape: {arr.shape} vs {shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 class RBMatrix:
-    """Matrix over the reduced biquaternions, stored as four real arrays.
-
-    Instances are immutable: the component arrays are copied on
-    construction and marked read-only, so values can be shared freely.
+    """Matrix over the reduced biquaternions, stored as one read-only
+    float64 array ``components`` of shape (4, m, n), the components of 1,
+    i, j, k in that order; ``p0``..``p3`` are read-only views of its four
+    slices.  The constructor copies its four real m-by-n arguments into a
+    new array, so values can be shared freely.
     """
 
-    __slots__ = ("p0", "p1", "p2", "p3")
+    __slots__ = ("components",)
 
     def __init__(self, p0, p1, p2, p3):
-        first = _as_component(p0)
-        # immutability is carried by the read-only arrays
-        self.p0 = first
-        self.p1 = _as_component(p1, first.shape)
-        self.p2 = _as_component(p2, first.shape)
-        self.p3 = _as_component(p3, first.shape)
+        parts = [np.asarray(c) for c in (p0, p1, p2, p3)]
+        if any(np.iscomplexobj(c) for c in parts):
+            raise TypeError("components must be real; build complex data "
+                            "with from_complex_pair")
+        if parts[0].ndim != 2 or any(c.shape != parts[0].shape
+                                     for c in parts):
+            raise DimensionMismatch("components must be 2-D and of one "
+                                    f"shape, got {[c.shape for c in parts]}")
+        self.components = np.array(parts, dtype=np.float64)
+        self.components.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, components: np.ndarray) -> "RBMatrix":
+        """Matrix owning ``components``, a new float64 (4, m, n) array no
+        caller holds; marked read-only, neither checked nor copied."""
+        self = object.__new__(cls)
+        components.setflags(write=False)
+        self.components = components
+        return self
+
+    p0 = property(lambda self: self.components[0])
+    p1 = property(lambda self: self.components[1])
+    p2 = property(lambda self: self.components[2])
+    p3 = property(lambda self: self.components[3])
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.p0.shape
+        return self.components.shape[1:]
 
     @property
     def rows(self) -> int:
-        return self.p0.shape[0]
+        return self.components.shape[1]
 
     @property
     def cols(self) -> int:
-        return self.p0.shape[1]
+        return self.components.shape[2]
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "RBMatrix":
-        z = np.zeros((m, n))
-        return cls(z, z, z, z)
+        return cls._wrap(np.zeros((4, m, n)))
 
     @classmethod
     def eye(cls, n: int) -> "RBMatrix":
-        z = np.zeros((n, n))
-        return cls(np.eye(n), z, z, z)
+        return cls.from_real(np.eye(n))
 
     @classmethod
     def from_real(cls, x) -> "RBMatrix":
         """Embed a plain real matrix (components 1..3 zero)."""
-        x = np.asarray(x, dtype=np.float64)
-        z = np.zeros_like(x)
-        return cls(x, z, z, z)
+        return cls(x, *[np.zeros(np.shape(x))] * 3)
 
     @classmethod
     def from_complex(cls, z) -> "RBMatrix":
         """Embed a plain complex matrix Z as Z + 0*j."""
-        z = np.asarray(z, dtype=np.complex128)
-        zero = np.zeros(z.shape)
-        return cls(z.real, z.imag, zero, zero)
+        return from_complex_pair(z, np.zeros(np.shape(z)))
+
+    def _same_shape(self, other: "RBMatrix") -> np.ndarray:
+        """``other``'s components, once its shape is checked to match."""
+        if self.shape != other.shape:
+            raise DimensionMismatch(
+                f"shapes disagree: {self.shape} vs {other.shape}")
+        return other.components
 
     def __add__(self, other: "RBMatrix") -> "RBMatrix":
-        return RBMatrix(self.p0 + other.p0, self.p1 + other.p1,
-                        self.p2 + other.p2, self.p3 + other.p3)
+        return RBMatrix._wrap(self.components + self._same_shape(other))
 
     def __sub__(self, other: "RBMatrix") -> "RBMatrix":
-        return RBMatrix(self.p0 - other.p0, self.p1 - other.p1,
-                        self.p2 - other.p2, self.p3 - other.p3)
+        return RBMatrix._wrap(self.components - self._same_shape(other))
 
     def __neg__(self) -> "RBMatrix":
-        return RBMatrix(-self.p0, -self.p1, -self.p2, -self.p3)
+        return RBMatrix._wrap(-self.components)
 
     def __mul__(self, zeta):
         """Scale by a real or complex factor (entrywise); a reduced
@@ -154,10 +163,7 @@ class RBMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RBMatrix):
             return NotImplemented
-        return (np.array_equal(self.p0, other.p0)
-                and np.array_equal(self.p1, other.p1)
-                and np.array_equal(self.p2, other.p2)
-                and np.array_equal(self.p3, other.p3))
+        return np.array_equal(self.components, other.components)
 
     def __hash__(self):
         return hash((self.shape, float(frobenius_norm(self))))
@@ -170,6 +176,11 @@ class RBMatrix:
         return frobenius_norm(self)
 
 
+def _is_finite(P: RBMatrix) -> bool:
+    """Whether every component entry of ``P`` is finite."""
+    return bool(np.isfinite(P.components).all())
+
+
 def from_complex_pair(r1, r2) -> RBMatrix:
     """Build from the complex pair P = R1 + R2*j."""
     r1 = np.asarray(r1, dtype=np.complex128)
@@ -177,12 +188,18 @@ def from_complex_pair(r1, r2) -> RBMatrix:
     if r1.shape != r2.shape:
         raise DimensionMismatch(
             f"pair shapes disagree: {r1.shape} vs {r2.shape}")
-    return RBMatrix(r1.real, r1.imag, r2.real, r2.imag)
+    if r1.ndim != 2:
+        raise DimensionMismatch(f"pair must be 2-D, got shape {r1.shape}")
+    return RBMatrix._wrap(np.stack([r1.real, r1.imag, r2.real, r2.imag]))
 
 
 def to_complex_pair(P: RBMatrix):
-    """Complex pair (R1, R2) with P = R1 + R2*j; lossless."""
-    return P.p0 + 1j * P.p1, P.p2 + 1j * P.p3
+    """Complex pair (R1, R2) with P = R1 + R2*j; lossless, a signed zero
+    included, as the components are copied into one complex array."""
+    pair = np.empty((2, *P.shape), dtype=np.complex128)
+    pair.real = P.components[0::2]
+    pair.imag = P.components[1::2]
+    return pair[0], pair[1]
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +214,11 @@ def to_complex_pair(P: RBMatrix):
 # once.
 # ---------------------------------------------------------------------------
 
-def _blocks4(Y: np.ndarray):
-    if Y.shape[0] % 4 != 0:
-        raise DimensionMismatch(f"row count {Y.shape[0]} not divisible by 4")
-    m = Y.shape[0] // 4
-    return Y[:m], Y[m:2 * m], Y[2 * m:3 * m], Y[3 * m:]
-
-
-def _row_aligned(blocks) -> tuple[int, list[int]]:
-    """Common row count of ``blocks`` and the column offsets at which
-    each block starts, the last entry being the total width."""
-    m = blocks[0].rows
-    offsets = [0]
-    for B in blocks:
-        if B.rows != m:
+def _row_aligned(blocks) -> None:
+    for B in blocks[1:]:
+        if B.rows != blocks[0].rows:
             raise DimensionMismatch(
                 f"row counts disagree: {blocks[0].shape} vs {B.shape}")
-        offsets.append(offsets[-1] + B.cols)
-    return m, offsets
 
 
 def real_block_column(P: RBMatrix, *more: RBMatrix) -> np.ndarray:
@@ -225,36 +229,36 @@ def real_block_column(P: RBMatrix, *more: RBMatrix) -> np.ndarray:
     component written once into one new array (no intermediate stacks).
     """
     blocks = (P, *more)
-    m, offsets = _row_aligned(blocks)
-    out = np.empty((4 * m, offsets[-1]))
-    for B, lo, hi in zip(blocks, offsets, offsets[1:]):
-        for i, comp in enumerate((B.p0, B.p1, B.p2, B.p3)):
-            out[i * m:(i + 1) * m, lo:hi] = comp
-    return out
+    _row_aligned(blocks)
+    out = np.concatenate([B.components for B in blocks], axis=2)
+    return out.reshape(4 * out.shape[1], out.shape[2])
 
 
 def complex_block_column(P: RBMatrix, *more: RBMatrix) -> np.ndarray:
     """Leading block column of the complex representation, [R1;R2].
 
     Further row-aligned blocks go side by side as in
-    :func:`real_block_column`.  The components are written into the real
-    and imaginary parts of one complex array, so no R1 or R2 temporary is
-    formed and every component, a signed zero included, is kept as given.
+    :func:`real_block_column`.  Components 0, 2 are written into the real
+    and 1, 3 into the imaginary part of one complex array, so every
+    component, a signed zero included, is kept as given.
     """
     blocks = (P, *more)
-    m, offsets = _row_aligned(blocks)
-    out = np.empty((2 * m, offsets[-1]), dtype=np.complex128)
-    re, im = out.real, out.imag
-    for B, lo, hi in zip(blocks, offsets, offsets[1:]):
-        re[:m, lo:hi], im[:m, lo:hi] = B.p0, B.p1
-        re[m:, lo:hi], im[m:, lo:hi] = B.p2, B.p3
-    return out
+    _row_aligned(blocks)
+    m, width = P.rows, sum(B.cols for B in blocks)
+    out = np.empty((2, m, width), dtype=np.complex128)
+    for part, first in ((out.real, 0), (out.imag, 1)):
+        np.concatenate([B.components[first::2] for B in blocks], axis=2,
+                       out=part)
+    return out.reshape(2 * m, width)
 
 
 def from_real_block_column(Y: np.ndarray) -> RBMatrix:
     """Inverse of :func:`real_block_column` (component order 0,1,2,3)."""
-    y0, y1, y2, y3 = _blocks4(np.asarray(Y, dtype=np.float64))
-    return RBMatrix(y0, y1, y2, y3)
+    Y = np.asarray(Y)
+    if Y.ndim != 2 or Y.shape[0] % 4 != 0:
+        raise DimensionMismatch(
+            f"need 2-D with a row count divisible by 4, got shape {Y.shape}")
+    return RBMatrix(*Y.reshape(4, Y.shape[0] // 4, Y.shape[1]))
 
 
 def from_complex_block_column(Y: np.ndarray) -> RBMatrix:
@@ -282,19 +286,15 @@ def mat_mul(P: RBMatrix, T: RBMatrix) -> RBMatrix:
 
 
 def hstack(P: RBMatrix, T: RBMatrix) -> RBMatrix:
-    if P.rows != T.rows:
-        raise DimensionMismatch(
-            f"row counts disagree: {P.shape} vs {T.shape}")
-    return RBMatrix(np.hstack([P.p0, T.p0]), np.hstack([P.p1, T.p1]),
-                    np.hstack([P.p2, T.p2]), np.hstack([P.p3, T.p3]))
+    _row_aligned((P, T))
+    return RBMatrix._wrap(np.concatenate([P.components, T.components], 2))
 
 
 def vstack(P: RBMatrix, T: RBMatrix) -> RBMatrix:
     if P.cols != T.cols:
         raise DimensionMismatch(
             f"column counts disagree: {P.shape} vs {T.shape}")
-    return RBMatrix(np.vstack([P.p0, T.p0]), np.vstack([P.p1, T.p1]),
-                    np.vstack([P.p2, T.p2]), np.vstack([P.p3, T.p3]))
+    return RBMatrix._wrap(np.concatenate([P.components, T.components], 1))
 
 
 def _norm(*arrays: np.ndarray) -> float:
@@ -325,7 +325,7 @@ def frobenius_norm(P: RBMatrix) -> float:
 
     Equals the plain Frobenius norm of either leading block column.
     """
-    return _norm(P.p0, P.p1, P.p2, P.p3)
+    return _norm(*P.components)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +361,11 @@ def write_rbmat(path, P: RBMatrix) -> None:
     """Write in the RBMAT v1 format with full round-trip precision;
     atomic, as :func:`atomic_open`.  A matrix holding nan or inf raises
     NonFiniteInput before anything is written."""
-    if not all(np.isfinite(c).all() for c in (P.p0, P.p1, P.p2, P.p3)):
+    if not _is_finite(P):
         raise NonFiniteInput("RBMAT entries must be finite")
     m, n = P.shape
     blocks = []
-    for comp in (P.p0, P.p1, P.p2, P.p3):
+    for comp in P.components:
         blocks.append("\n".join(
             " ".join(repr(float(v)) for v in row) for row in comp))
     body = "\n\n".join(blocks)

@@ -157,8 +157,7 @@ class TlseProblem:
             raise DimensionMismatch(
                 f"empty problem: n = {n}, d = {d}; both must be >= 1")
         for name, M in zip("ABCD", (self.A, self.B, self.C, self.D)):
-            if not all(np.isfinite(c).all() for c in
-                       (M.p0, M.p1, M.p2, M.p3)):
+            if not rb._is_finite(M):
                 raise NonFiniteInput(f"{name} holds nan or inf")
 
     @property
@@ -169,9 +168,9 @@ class TlseProblem:
     @property
     def data_norm(self) -> float:
         """||[J, K]||_F, J = [C; A], K = [D; B], scale-safe; the stacked
-        layout fixes the rounding of the sum."""
-        return rb.frobenius_norm(rb.hstack(rb.vstack(self.C, self.A),
-                                           rb.vstack(self.D, self.B)))
+        layout, one array per component, fixes the rounding of the sum."""
+        return rb._norm(*np.block([[self.C.components, self.D.components],
+                                   [self.A.components, self.B.components]]))
 
 
 @dataclass(frozen=True)

@@ -60,3 +60,18 @@ def test_readme_examples_run():
     assert examples
     for index, code in enumerate(examples):
         exec(compile(code, f"README.md example {index}", "exec"), {})
+
+
+def test_component_storage_stays_in_rb_core():
+    """Only rb_core reads the component views p0..p3; every other module
+    goes through its functions, so the storage layout lives in one
+    place."""
+    readers = []
+    for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
+        if path.name == "rb_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("p0", "p1", "p2", "p3")):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

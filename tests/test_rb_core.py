@@ -129,6 +129,68 @@ def test_immutability():
         a.p0[0, 0] = 5.0
 
 
+def test_storage_is_one_read_only_array():
+    """The four components live in one read-only float64 (4, m, n) array,
+    and p0..p3 are views of it."""
+    rng = np.random.default_rng(2)
+    parts = [rng.standard_normal((2, 3)) for _ in range(4)]
+    P = rb.RBMatrix(*parts)
+    assert rb.RBMatrix.__slots__ == ("components",)
+    assert P.components.shape == (4, 2, 3)
+    assert P.components.dtype == np.float64
+    assert not P.components.flags.writeable
+    for i, part in enumerate(parts):
+        comp = getattr(P, f"p{i}")
+        assert np.shares_memory(comp, P.components)
+        assert np.array_equal(comp, part)
+        assert not np.shares_memory(comp, part)
+
+
+def test_results_are_read_only():
+    rng = np.random.default_rng(6)
+    P, T = _rand_rb(rng, 2, 3), _rand_rb(rng, 2, 3)
+    Y = rb.real_block_column(P)
+    results = [P + T, P - T, -P, P * 2.0, P @ _rand_rb(rng, 3, 2),
+               rb.hstack(P, T), rb.vstack(P, T), rb.from_real_block_column(Y),
+               rb.from_complex_block_column(rb.complex_block_column(P))]
+    for R in results:
+        assert not R.components.flags.writeable
+    # the inverse map copies its input: a later write does not leak in
+    before = rb.from_real_block_column(Y)
+    Y[0, 0] += 1.0
+    assert before == P
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b],
+                         ids=["add", "sub"])
+def test_add_sub_reject_shape_mismatch(op):
+    """No broadcasting: a 1x3 and a 4x3 matrix do not add."""
+    with pytest.raises(DimensionMismatch):
+        op(rb.RBMatrix.zeros(1, 3), rb.RBMatrix.zeros(4, 3))
+    with pytest.raises(DimensionMismatch):
+        op(rb.RBMatrix.zeros(2, 3), rb.RBMatrix.zeros(2, 1))
+
+
+def test_complex_components_rejected():
+    """A complex component raises instead of losing its imaginary part."""
+    z = np.zeros((2, 2))
+    with pytest.raises(TypeError):
+        rb.RBMatrix(1j * np.ones((2, 2)), z, z, z)
+    with pytest.raises(TypeError):
+        rb.RBMatrix(z, z, z, np.ones((2, 2), dtype=np.complex128))
+    with pytest.raises(TypeError):
+        rb.from_real_block_column(1j * np.ones((4, 2)))
+
+
+def test_complex_pair_keeps_signed_zero():
+    """A negative zero component 0 beside a positive component 1 survives
+    the complex-pair round trip and scaling by 1."""
+    P = rb.RBMatrix([[-0.0]], [[2.0]], [[0.0]], [[0.0]])
+    for Q in (rb.from_complex_pair(*rb.to_complex_pair(P)), P * 1):
+        assert np.signbit(Q.p0[0, 0])
+        assert Q == P
+
+
 def test_component_shape_checks():
     with pytest.raises(DimensionMismatch):
         rb.RBMatrix(np.zeros((2, 2)), np.zeros((2, 3)),

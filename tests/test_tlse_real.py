@@ -338,6 +338,20 @@ def test_data_norm_is_norm_of_the_stacks(kind):
         np.linalg.norm(np.vstack([sol.S, sol.P])), rel=1e-14)
 
 
+def test_data_norm_sums_in_stacked_order():
+    """data_norm sums the squares of the stacked matrix [[C, D], [A, B]]
+    component by component, so it matches the norm of that RBMatrix bit
+    for bit; another summation order differs in the last bit on some of
+    these instances."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        A, B, C, D = (_rand_rb(rng, rows, cols) for rows, cols in
+                      ((40, 10), (40, 3), (2, 10), (2, 3)))
+        problem = TlseProblem(A=A, B=B, C=C, D=D)
+        stacked = rb.hstack(rb.vstack(C, A), rb.vstack(D, B))
+        assert problem.data_norm == rb.frobenius_norm(stacked)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("e", [-170, -160, -150, 150, 160, 170])
 def test_correction_norm_at_extreme_scale(kind, e):
