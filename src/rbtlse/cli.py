@@ -16,6 +16,7 @@ is a format failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -42,7 +43,9 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="rbtlse",
         description="Equality-constrained total least squares over reduced "
@@ -156,8 +159,7 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileFormatError, OSError) as exc:

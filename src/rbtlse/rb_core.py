@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import os
 import secrets
+from itertools import chain
 
 import numpy as np
 
@@ -331,9 +332,10 @@ def frobenius_norm(P: RBMatrix) -> float:
 # ---------------------------------------------------------------------------
 # RBMAT v1 text files.
 #
-# Line 1:  "RBMAT <m> <n>".  Then four blocks, components 0..3 in order,
-# each m lines of n space-separated decimal floats (blank lines when
-# n = 0), consecutive blocks separated by exactly one blank line.
+# Line 1 is "RBMAT <m> <n>", then components 0..3 as four blocks of m lines
+# (blank when n = 0), one blank line between blocks.  A row is its n floats
+# as Python's repr, one space apart.  A block is written and parsed whole;
+# only a block that fails to parse is scanned row by row for the error.
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -364,13 +366,27 @@ def write_rbmat(path, P: RBMatrix) -> None:
     if not _is_finite(P):
         raise NonFiniteInput("RBMAT entries must be finite")
     m, n = P.shape
-    blocks = []
-    for comp in P.components:
-        blocks.append("\n".join(
-            " ".join(repr(float(v)) for v in row) for row in comp))
-    body = "\n\n".join(blocks)
+    rows = [" ".join(map(repr, row))
+            for row in P.components.reshape(4 * m, n).tolist()]
+    body = "\n\n".join("\n".join(rows[b * m:(b + 1) * m]) for b in range(4))
     with atomic_open(path, encoding="ascii") as fh:
         fh.write(f"RBMAT {m} {n}\n{body}\n")
+
+
+def _bad_row(block: int, rows: list, m: int, n: int) -> FileFormatError:
+    """Error naming the first bad row of ``block``, from its split ``rows``."""
+    for r, raw in enumerate(rows):
+        at = f"block {block} row {r}"
+        if not raw and n > 0:
+            return FileFormatError(f"{at} is blank (ragged block)")
+        if len(raw) != n:
+            return FileFormatError(f"{at} has {len(raw)} fields, expected {n}")
+        try:
+            list(map(float, raw))
+        except ValueError:
+            return FileFormatError(f"{at}: non-numeric field")
+    return FileFormatError(
+        f"block {block} truncated at row {len(rows)} (expected {m} rows)")
 
 
 def read_rbmat(path) -> RBMatrix:
@@ -395,38 +411,22 @@ def read_rbmat(path) -> RBMatrix:
         raise FileFormatError(f"bad header dimensions: {lines[0]!r}") from exc
     if m < 0 or n < 0:
         raise FileFormatError(f"negative dimensions: {lines[0]!r}")
-
-    pos = 1
     comps = []
     for block in range(4):
-        if block > 0:
-            if pos >= len(lines) or lines[pos].strip() != "":
-                raise FileFormatError(
-                    f"expected blank separator before block {block}")
-            pos += 1
-        rows = []
-        for r in range(m):
-            if pos >= len(lines):
-                raise FileFormatError(
-                    f"block {block} truncated at row {r} (expected {m} rows)")
-            raw = lines[pos].split()
-            # a row of a zero-column block is written as a blank line
-            if not raw and n > 0:
-                raise FileFormatError(
-                    f"block {block} row {r} is blank (ragged block)")
-            if len(raw) != n:
-                raise FileFormatError(
-                    f"block {block} row {r} has {len(raw)} fields, expected {n}")
-            try:
-                rows.append([float(v) for v in raw])
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"block {block} row {r}: non-numeric field") from exc
-            pos += 1
-        comp = np.array(rows, dtype=np.float64).reshape(m, n)
-        if not np.isfinite(comp).all():
+        start = 1 + block * (m + 1)
+        if block > 0 and (len(lines) < start or lines[start - 1].strip()):
+            raise FileFormatError(
+                f"expected blank separator before block {block}")
+        rows = [line.split() for line in lines[start:start + m]]
+        # nothing is sized by the header before the file shows m rows of n
+        if len(rows) < m or list(map(len, rows)) != [n] * m:
+            raise _bad_row(block, rows, m, n)
+        try:
+            comps.append(np.fromiter(map(float, chain(*rows)), float, m * n))
+        except ValueError:
+            raise _bad_row(block, rows, m, n) from None
+        if not np.isfinite(comps[-1]).all():
             raise FileFormatError(f"block {block}: nan or inf entry")
-        comps.append(comp)
-    if any(line.strip() for line in lines[pos:]):
+    if any(line.strip() for line in lines[4 * (m + 1):]):
         raise FileFormatError("trailing content after block 3")
-    return RBMatrix(*comps)
+    return RBMatrix._wrap(np.concatenate(comps).reshape(4, m, n))

@@ -165,10 +165,11 @@ class TlseProblem:
         """(m, n, p, d)."""
         return (self.A.rows, self.A.cols, self.C.rows, self.B.cols)
 
-    @property
+    @functools.cached_property
     def data_norm(self) -> float:
         """||[J, K]||_F, J = [C; A], K = [D; B], scale-safe; the stacked
-        layout, one array per component, fixes the rounding of the sum."""
+        layout, one array per component, fixes the rounding of the sum.
+        Computed on first read and kept, as the data is read-only."""
         return rb._norm(*np.block([[self.C.components, self.D.components],
                                    [self.A.components, self.B.components]]))
 

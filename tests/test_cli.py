@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+import rbtlse.cli as cli
 import rbtlse.rb_core as rb
-from rbtlse.bench import CSV_COLUMNS
+from rbtlse.bench import CSV_COLUMNS, ExperimentConfig
 from rbtlse.cli import main
 
 
@@ -228,3 +229,30 @@ def test_solve_lapack_failure_is_solver_error(tmp_path, capsys, monkeypatch,
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 2
     assert "FactorizationFailed" in capsys.readouterr().err
+
+
+def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """main reuses one parser, yet no argument or default of one call
+    reaches the next: a --report path, the solve flavor, the run options."""
+    paths = _write_consistent_system(tmp_path, seed=11)
+    files = ["--a", paths["a"], "--b", paths["b"], "--c", paths["c"],
+             "--d", paths["d"]]
+    report = tmp_path / "report.txt"
+    assert main(["solve-real", "--report", str(report)] + files) == 0
+    assert "solver: real" in report.read_text()
+    assert capsys.readouterr().out == f"report written to {report}\n"
+    report.unlink()
+
+    assert main(["solve-complex"] + files) == 0
+    assert capsys.readouterr().out.startswith("solver: complex\n")
+    assert not report.exists()
+
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: configs.append(config) or [])
+    assert main(["run", "accuracy-real"]) == 0
+    assert configs == [ExperimentConfig(
+        experiment="accuracy-real", t_values=(1, 2, 3),
+        m_values=(60, 80, 100, 120), case=1, variant="real", seed=0,
+        trials=None, out="accuracy-real.csv")]
+    assert cli._build_parser() is cli._build_parser()

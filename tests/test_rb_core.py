@@ -8,6 +8,7 @@ checks the package's one product, ``mat_mul`` (``@``).
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +472,51 @@ def test_rbmat_zero_rows(tmp_path):
     assert Q.shape == (0, 3)
 
 
+GOLDEN = [-0.0, 5e-324, 1e16, 1e-05, 0.1, float(2**53 + 1), -1e300, 3.0]
+
+
+@pytest.mark.parametrize("P, text", [
+    # components 0, 1 hold GOLDEN row-major, components 2, 3 its negation
+    (rb.RBMatrix(*np.array([GOLDEN, [-v for v in GOLDEN]]).reshape(4, 2, 2)),
+     "RBMAT 2 2\n"
+     "-0.0 5e-324\n1e+16 1e-05\n\n"
+     "0.1 9007199254740992.0\n-1e+300 3.0\n\n"
+     "0.0 -5e-324\n-1e+16 -1e-05\n\n"
+     "-0.1 -9007199254740992.0\n1e+300 -3.0\n"),
+    (rb.RBMatrix.zeros(2, 0), "RBMAT 2 0" + "\n" * 12),
+    (rb.RBMatrix.zeros(0, 3), "RBMAT 0 3" + "\n" * 8),
+], ids=["golden", "n0", "m0"])
+def test_rbmat_golden_bytes(tmp_path, P, text):
+    """The writer's byte contract: each float as its Python repr, single
+    spaces, one row per line, one blank line between blocks; reading it
+    back gives the components bit for bit, sign of zero included."""
+    path = tmp_path / "g.rbmat"
+    rb.write_rbmat(path, P)
+    assert path.read_bytes() == text.encode("ascii")
+    back = rb.read_rbmat(path).components
+    assert back.shape == P.components.shape
+    assert back.tobytes() == P.components.tobytes()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda lines: lines[:-1], "block 3 truncated at row 1 (expected 2 rows)"),
+    (lambda lines: lines[:2] + ["1.0 2.0 3.0"] + lines[3:],
+     "block 0 row 1 has 3 fields, expected 2"),
+    (lambda lines: lines[:4] + [""] + lines[5:],
+     "block 1 row 0 is blank (ragged block)"),
+    (lambda lines: lines[:8] + ["0.0 oops"] + lines[9:],
+     "block 2 row 1: non-numeric field"),
+], ids=["truncated", "ragged", "blank", "non-numeric"])
+def test_rbmat_error_names_block_and_row(tmp_path, mutate, message):
+    path = tmp_path / "bad.rbmat"
+    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    lines = path.read_text().splitlines()
+    # no final newline, so a dropped last row truncates the block
+    path.write_text("\n".join(mutate(lines)))
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        rb.read_rbmat(path)
+
+
 def test_rbmat_header_format(tmp_path):
     P = rb.RBMatrix.eye(2)
     path = tmp_path / "e.rbmat"
@@ -491,6 +537,8 @@ def test_rbmat_header_format(tmp_path):
     lambda lines: lines[:1] + ["1.0 \u00b5"] + lines[2:],  # non-ASCII
     lambda lines: ["RBMAT 0_2 2"] + lines[1:],          # Python numeral dim
     lambda lines: lines[:1] + ["1_0 0.0"] + lines[2:],  # Python numeral entry
+    lambda lines: ["RBMAT 1000000000000 2"] + lines[1:],  # m beyond the file
+    lambda lines: ["RBMAT 2 1000000000000"] + lines[1:],  # n beyond a row
 ])
 def test_rbmat_malformed(tmp_path, mutate):
     P = rb.RBMatrix.eye(2)

@@ -352,6 +352,22 @@ def test_data_norm_sums_in_stacked_order():
         assert problem.data_norm == rb.frobenius_norm(stacked)
 
 
+def test_data_norm_is_computed_once(monkeypatch):
+    """data_norm is summed on first read and then kept, with the value of
+    the stacked-order sum."""
+    rng = np.random.default_rng(3)
+    A, B, C, D = (_rand_rb(rng, rows, cols) for rows, cols in
+                  ((40, 10), (40, 3), (2, 10), (2, 3)))
+    problem = TlseProblem(A=A, B=B, C=C, D=D)
+    calls = []
+    norm = rb._norm
+    monkeypatch.setattr(rb, "_norm", lambda *a: calls.append(1) or norm(*a))
+    first = problem.data_norm
+    assert problem.data_norm == first and len(calls) == 1
+    stacked = rb.hstack(rb.vstack(C, A), rb.vstack(D, B))
+    assert first == rb.frobenius_norm(stacked)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("e", [-170, -160, -150, 150, 160, 170])
 def test_correction_norm_at_extreme_scale(kind, e):
