@@ -9,6 +9,8 @@ nothing from ``rbtlse``, so they never share code with what they check:
   matrix, written as explicit block grids;
 * the Moore-Penrose pseudoinverse, the commutation matrix and column-major
   vec/unvec that the dense condition-number formula is written in;
+* that formula's factors H, G and Z, built densely from the stacks and
+  right singular vectors a solution keeps, with their own SVD of S;
 * the spectral norm, by a dense SVD or by matrix-free power iteration;
 * the brute-force condition number: the solution map's Jacobian built
   column by column with central finite differences, which calls the
@@ -90,6 +92,54 @@ def vec(X: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v).reshape(shape, order="F")
+
+
+# ---------------------------------------------------------------------------
+# the condition number's dense factors
+# ---------------------------------------------------------------------------
+
+def dense_condition_factors(solution):
+    """H, G, Z and the projection Q inside Z, as dense matrices, so that
+    kappa = ||H G Z||_2 * ||[J, K]||_F / ||X||_F.
+
+    Reads only ``P``, ``S``, ``V_check``, ``sigma`` and ``X`` off the
+    solution and takes its own thin SVD S = Us Ss Vs^H and pseudoinverse
+    of S: H is the inverse-transpose Kronecker block of W1 = [Vs, V1] (top
+    n rows) and V22 times the commutation matrix, G the diagonal resolvent
+    times two diagonal Kronecker blocks, and Z the block diagonal of
+    diag(mask) (x) conj(U2^H Q^H), Q = [-(P S^+)^H; I], and T2 (x) I_d,
+    T2 = [I, 0; -U1^H (P S^+) Us, I].  U = P V_check / sigma; the cases
+    used are noisy, so no sigma is near zero.
+    """
+    P, S, V_check, sigma = (solution.P, solution.S, solution.V_check,
+                            solution.sigma)
+    n, d = solution.X.shape
+    r = S.shape[0]
+    k = n - r
+    Us, Ss, Vsh = np.linalg.svd(S, full_matrices=False)
+    PS = P @ np.linalg.pinv(S)
+    Q = np.vstack([-PS.conj().T, np.eye(P.shape[0])])
+    W1 = np.hstack([Vsh.conj().T, V_check[:, :k]])[:n]
+    V22 = V_check[n:, k:]
+    H = np.kron(np.linalg.inv(V22).T, np.linalg.inv(W1).conj().T) \
+        @ commutation_matrix(d, n)
+    S_diag = np.concatenate([Ss, sigma[:k]])
+    sig2 = sigma[k:]
+    mask = np.concatenate([np.zeros(r), np.ones(k)])
+    denom = (S_diag[:, None] ** 2 - mask[:, None] * sig2 ** 2).ravel()
+    G = (1.0 / denom)[:, None] * np.hstack([
+        np.kron(np.eye(n), np.diag(sig2)),
+        np.kron(np.diag(S_diag), np.eye(d))])
+    U = P @ V_check / sigma
+    T2 = np.eye(n, dtype=U.dtype)
+    T2[r:, :r] = -U[:, :k].conj().T @ PS @ Us
+    Zb1 = np.kron(np.diag(mask), (U[:, k:].conj().T @ Q.conj().T).conj())
+    Zb2 = np.kron(T2, np.eye(d))
+    Z = np.zeros((2 * n * d, Zb1.shape[1] + n * d),
+                 dtype=np.result_type(Zb1, Zb2))
+    Z[:n * d, :Zb1.shape[1]] = Zb1
+    Z[n * d:, Zb1.shape[1]:] = Zb2
+    return H, G, Z, Q
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 The deep oracle: on a small instance, the condition number must equal
 the spectral norm of the actual solution-map Jacobian (built column by
 column with central finite differences by ``oracles.brute_kappa``),
-scaled by the data and solution norms.  Everything else checks the result against a dense reference
-product, invariances, and the bound's empirical validity.
+scaled by the data and solution norms.  Everything else checks the
+result against a dense reference product, invariances, and the bound's
+empirical validity.
 
-The dense reference builds H, G and Z with Kronecker products and the
-commutation matrix and takes the SVD of their product (commutation matrix
-and spectral norm from ``tests/oracles.py``); the library must reproduce
-its norm from the nd x nd Gram matrix.
+The dense reference (``oracles.dense_condition_factors``) builds H, G and
+Z with Kronecker products and the commutation matrix from the stacks and
+singular vectors a solution keeps, with its own SVD and pseudoinverse of
+S, and takes the SVD of their product; the library must reproduce its
+norm from the nd x nd Gram matrix.
 """
 
 import numpy as np
@@ -162,38 +164,13 @@ def test_kappa_equals_brute_force_jacobian_complex():
 # condition number: the dense Kronecker oracle
 # ---------------------------------------------------------------------------
 
-def _pieces_of(problem, solution):
-    return _Pieces(solution)
-
-
-def _dense_factors(pieces, solution):
-    """H, G, Z (and the projection Q inside Z) as dense matrices."""
-    n, d = pieces.n, pieces.d
-    PS = solution.P @ np.linalg.pinv(solution.S)
-    Q = np.vstack([-PS.conj().T, np.eye(PS.shape[0])])
-    H = np.kron(np.linalg.inv(pieces.V22).T,
-                np.linalg.inv(pieces.W1).conj().T) \
-        @ oracles.commutation_matrix(d, n)
-    G = (1.0 / pieces.denom)[:, None] * np.hstack([
-        np.kron(np.eye(n), np.diag(pieces.sig2)),
-        np.kron(np.diag(pieces.S_diag), np.eye(d))])
-    # the pieces carry U2 S2 and S T2; the oracle cases are noisy, so
-    # the trailing singular values are far from zero
-    U2 = pieces.PV2 / pieces.sig2
-    T2 = pieces.ST2 / pieces.S_diag[:, None]
-    Zb1 = np.kron(np.diag(pieces.mask), (U2.conj().T @ Q.conj().T).conj())
-    Zb2 = np.kron(T2, np.eye(d))
-    Z = np.zeros((2 * n * d, Zb1.shape[1] + n * d),
-                 dtype=np.result_type(Zb1, Zb2))
-    Z[:n * d, :Zb1.shape[1]] = Zb1
-    Z[n * d:, Zb1.shape[1]:] = Zb2
-    return H, G, Z, Q
-
-
-def _oracle_op(problem, solution):
-    pieces = _pieces_of(problem, solution)
-    H, G, Z, _ = _dense_factors(pieces, solution)
-    return H @ G @ Z, pieces
+def _oracle_op(solution):
+    """The dense product H G Z from the solution alone, and the factor
+    ||[J, K]||_F / ||X||_F that scales its 2-norm to kappa."""
+    H, G, Z, _ = oracles.dense_condition_factors(solution)
+    scale = (np.linalg.norm(np.vstack([solution.P, solution.S]))
+             / np.linalg.norm(solution.X))
+    return H @ G @ Z, scale
 
 
 ORACLE_CASES = [
@@ -222,11 +199,11 @@ def test_kappa_matches_dense_oracle(kind, sizes):
     solve, condition = ((solve_real, condition_real) if kind == "real"
                         else (solve_complex, condition_complex))
     sol = solve(prob)
-    op, pieces = _oracle_op(prob, sol)
-    dense = oracles.spectral_norm(op) * pieces.jk_norm / pieces.x_norm
+    op, scale = _oracle_op(sol)
+    dense = oracles.spectral_norm(op) * scale
     assert condition(prob, sol).kappa == pytest.approx(dense, rel=1e-12)
     gram = op @ op.conj().T
-    assert np.allclose(pieces.gram(), gram, rtol=0,
+    assert np.allclose(_Pieces(sol).gram(), gram, rtol=0,
                        atol=1e-12 * np.abs(gram).max())
 
 
@@ -237,9 +214,8 @@ def test_kappa_matches_dense_oracle(kind, sizes):
 def _check_paths_agree(prob, sol, kappa):
     """Gram-route kappa against the oracle's dense SVD and its power
     iteration."""
-    op, pieces = _oracle_op(prob, sol)
+    op, scale = _oracle_op(sol)
     assert np.isfinite(kappa) and kappa > 0
-    scale = pieces.jk_norm / pieces.x_norm
     assert kappa == pytest.approx(oracles.spectral_norm(op) * scale, rel=1e-12)
     assert oracles.spectral_norm(op, method="power") * scale == pytest.approx(
         kappa, rel=1e-8)
@@ -323,8 +299,8 @@ def test_factor_shapes():
     prob = _real_problem(16)
     m, n, p, d = prob.sizes
     sol = solve_real(prob)
-    pieces = _pieces_of(prob, sol)
-    H, G, Z, Q = _dense_factors(pieces, sol)
+    pieces = _Pieces(sol)
+    H, G, Z, Q = oracles.dense_condition_factors(sol)
     nd = n * d
     q_in = n * (4 * p + 4 * m) + nd
     assert H.shape == (nd, nd)
