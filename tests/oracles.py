@@ -214,13 +214,15 @@ def spectral_norm_power(matvec: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 def brute_kappa(problem, solve, h: float = 1e-7):
-    """(kappa, solution) of ``solve`` on ``problem`` by brute force.
+    """(kappa, solution, Jacobian) of ``solve`` on ``problem`` by brute
+    force.
 
     Each of the 4(mn + md + pn + pd) real data entries of A, B, C and D
     is moved by +-h, the problem solved again, and the central difference
     of X is one column of the Jacobian (complex X as its real and
-    imaginary parts stacked).  kappa is its spectral norm times
-    ||[J, K]||_F / ||X||_F.  ``problem`` is a dataclass with matrix
+    imaginary parts stacked).  Columns run over A, B, C, D in turn, then
+    components 0..3, then rows, then columns.  kappa is the Jacobian's
+    spectral norm times ||[J, K]||_F / ||X||_F.  ``problem`` is a dataclass with matrix
     fields A, B, C, D holding the components p0..p3.
     """
     sol = solve(problem)
@@ -247,4 +249,4 @@ def brute_kappa(problem, solve, h: float = 1e-7):
     if np.iscomplexobj(J):
         J = np.vstack([J.real, J.imag])
     op = np.linalg.svd(J, compute_uv=False)[0]
-    return op * jk / np.linalg.norm(sol.X), sol
+    return op * jk / np.linalg.norm(sol.X), sol, J

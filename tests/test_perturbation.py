@@ -145,7 +145,7 @@ def test_kappa_equals_brute_force_jacobian_real():
     for prob in (noisy, _consistent(noisy, solve_real, 26),
                  _real_problem(0, m=12, n=9, p=2, d=2),
                  _real_problem(0, m=8, n=5, p=1, d=5)):
-        brute, sol = oracles.brute_kappa(prob, solve_real)
+        brute, sol, _ = oracles.brute_kappa(prob, solve_real)
         kappa = condition_real(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
 
@@ -155,9 +155,39 @@ def test_kappa_equals_brute_force_jacobian_complex():
     for prob in (noisy, _consistent(noisy, solve_complex, 27),
                  _complex_problem(0, m=12, n=5, p=2, d=2),
                  _complex_problem(0, m=8, n=3, p=1, d=3)):
-        brute, sol = oracles.brute_kappa(prob, solve_complex)
+        brute, sol, _ = oracles.brute_kappa(prob, solve_complex)
         kappa = condition_complex(prob, sol).kappa
         assert brute == pytest.approx(kappa, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kappa_at_experiment_size(kind):
+    """At the accuracy experiments' t = 1 size, kappa equals the
+    brute-force Jacobian's norm, and a perturbation along the Jacobian's
+    top right singular vector moves X by kappa * eps_n to first order, so
+    a kappa that is too large fails as well as one that is too small."""
+    sizes = accuracy_sizes(kind, 1)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    prob = gen_instance(kind, sizes, 0)
+    brute, sol, J = oracles.brute_kappa(prob, solve)
+    kappa = condition(prob, sol).kappa
+    assert kappa == pytest.approx(brute, rel=1e-6)
+
+    # split J's top right singular vector in its column order: blocks
+    # A, B, C, D, then components, rows, columns
+    top = np.linalg.svd(J, full_matrices=False)[2][0]
+    m, n, p, d = sizes
+    deltas, start = [], 0
+    for rows, cols in ((m, n), (m, d), (p, n), (p, d)):
+        stop = start + 4 * rows * cols
+        deltas.append(rb.RBMatrix(*top[start:stop].reshape(4, rows, cols)))
+        start = stop
+    eps = 1e-8
+    inst = scaled_to(PerturbationInstance(prob, *deltas), eps)
+    fwd = (np.linalg.norm(solve(inst.perturbed()).X - sol.X)
+           / np.linalg.norm(sol.X))
+    assert 0.99 <= fwd / (kappa * eps) <= 1.01
 
 
 # ---------------------------------------------------------------------------

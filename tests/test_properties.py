@@ -261,5 +261,5 @@ def test_kappa_matches_brute_force_jacobian(case):
     kind, sizes, seed = case
     problem, _ = _noisy(kind, sizes, seed)
     _, kappa = _base(kind, problem)
-    brute, _ = oracles.brute_kappa(problem, KINDS[kind][1])
+    brute, _, _ = oracles.brute_kappa(problem, KINDS[kind][1])
     assert abs(kappa - brute) <= 1e-6 * brute
