@@ -29,24 +29,36 @@ value factors, and Y = (P S^+)^H P V2 (r x d).  Every left singular vector
 enters scaled by its singular value, and P V_check = U diag(sigma), so
 the formulas read P V_check instead: P V2 (V2 the d trailing right
 singular vectors) stands for U2 S2 in Y, and P V1 (the leading n-r) for
-U1 S1 in the lower-left block -(P V1)^H (P S^+) Us of S T2.  The solve
-never forms U, and the trailing singular values, ~1e-15 on consistent
-data, are never divided by.  With S = Us Ss Vs^H (numpy's thin SVD of
-the r-row constraint stack), (P S^+) Us = P Vs / Ss comes from the same
-product as P V_check, and P S^+ itself is not needed: Y enters only as
-Y^H Y, which Us^H Y leaves unchanged.  S must have numerical rank r by
-the solver's rank rule; the solve checked only Cc, and although
+U1 S1 in the lower-left block -(P V1)^H (P S^+) Us of S T2, with
+S = Us Ss Vs^H.  The solve never forms U, and the trailing singular
+values, ~1e-15 on consistent data, are never divided by.
+
+No singular vector of S is taken.  The quantities indexed by the r
+constrained columns (the leading r columns Vs of W1 below, (P S^+) Us =
+P Vs Ss^-1, the diagonal Ss of the leading rows of S T2 and the entries
+Ss^2 of D) enter the Gram matrix only in pairs contracted over r,
+through Vs Ss^-2 Vs^H = S^+ (S^+)^H.  So the formulas put S^+ in place of
+Vs Ss^-1 and 1 in place of Ss, and give the same Gram matrix.  S^+ =
+Q1 R^-H comes from one solve with the factors of the complete QR S^H =
+Q1 R that the solve already took for the null space.  Y and the
+lower-left block of S T2, now -(P V1)^H P S^+, are the trailing d and
+(negated) leading n-r rows of one product, (P V_check)^H P S^+.  S must
+have numerical rank r by the solver's rank rule, checked from its
+singular values alone; the solve checked only Cc, and although
 sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
-The bracketed middle matrix is filled by its block pattern and H is
-applied by multiplication with two small inverses formed once: W1^-H =
-W1 + X W2, the Schur complement of V22 in the unitary [W1, V12; W2, V22],
-and V22^-T (a plain transpose, also for complex data).  W1 is not
-factored: the solve's check of V22 covers it.  Neither a Kronecker
-product nor the tall projection Q = [-(P S^+)^H; I] is ever formed.  Real
-data uses the same code path as complex: every conjugate transpose
-degrades to a plain transpose on reals, and every conjugate to a no-op,
-which is exactly the real variant of the formulas.
+The bracketed middle matrix is filled by its block pattern, with the
+outer product of S T2 = [I, 0; -(P V1)^H P S^+, S1] written block by
+block, and H is applied by multiplication with two small inverses formed
+once: W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
+[W1, V12; W2, V22] (with the leading r columns rescaled as above), and
+V22^-T (a plain transpose, also for complex data).  W1 is not factored:
+the solve's check of V22 covers it.  Neither a Kronecker product nor the
+tall projection Q = [-(P S^+)^H; I] is ever formed.  ||[J, K]||_F is the
+problem's cached data norm.  Real data uses the same code path as
+complex: every conjugate transpose degrades to a plain transpose on
+reals, and every conjugate to a no-op, which is exactly the real variant
+of the formulas.
 
 kappa is returned finite and positive, or ConditioningUndefined is raised.
 Callers form the first-order bound U = kappa * eps_n themselves, with
@@ -63,7 +75,7 @@ import numpy as np
 
 from . import rb_core as rb
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import TlseProblem, TlseSolution, _rank
+from .tlse import _COMPLEX, _REAL, TlseProblem, TlseSolution, _rank
 
 __all__ = [
     "PerturbationInstance",
@@ -138,13 +150,13 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 class _Pieces:
-    """The small factors H G Z is built from, plus the norms kappa scales by.
+    """The small factors H G Z is built from, reparameterised by S^+.
 
-    Attributes keep the names of the formulas: PV2 = P V2 (= U2 S2) and
-    sig2 belong to the trailing singular triples of the solve, PSU =
-    (P S^+) Us, S_diag is the diagonal of S, mask the 0/1 diagonal
-    selecting the unconstrained columns, denom the diagonal of D, and ST2
-    the triangular coupling block T2 with its rows scaled by S_diag.
+    Attributes keep the names of the formulas: sig1 and sig2 are the
+    leading n-r and trailing d singular values of the solve, cross the
+    lower-left block -(P V1)^H P S^+ of S T2, YH = (P V2)^H P S^+ = Y^H,
+    and denom the diagonal of D.  W1_inv_h and V22_inv_t are the two
+    inverses that H applies.
     """
 
     def __init__(self, solution: TlseSolution):
@@ -154,49 +166,42 @@ class _Pieces:
         r = S.shape[0]
         n, d = X.shape
         k = n - r
-        self.n, self.d = n, d
-        self.sig2 = sigma[k:]
+        self.n, self.d, self.r = n, d, r
+        self.sig1, self.sig2 = sigma[:k], sigma[k:]
 
-        _, Ss, Vsh = np.linalg.svd(S, full_matrices=False)
-        rank = _rank(Ss, S.shape)
+        rank = _rank(np.linalg.svd(S, compute_uv=False), S.shape)
         if rank < r:
             raise ConditioningUndefined(
-                f"constraint stack rank {rank} < {r}; "
-                f"its SVD factors are unusable")
-        Vs = Vsh.conj().T
-        # one product gives P Vs / Ss = (P S^+) Us and
-        # P V_check = U diag(sigma), the left singular vectors scaled
-        PV = P @ np.hstack([Vs / Ss, V_check])
-        self.PSU, PV1, self.PV2 = PV[:, :r], PV[:, r:n], PV[:, n:]
+                f"constraint stack rank {rank} < {r}; its pseudoinverse "
+                f"is unusable")
+        # S^+ = Q1 R^-H from the solve's complete QR of S^H = Q1 R
+        S_pinv = np.linalg.solve(solution.R, solution.Q1.conj().T).conj().T
+        # (P V_check)^H P S^+ stacks -cross over YH, so both need only
+        # one product with P; P V_check = U diag(sigma)
+        PV = P @ V_check
+        blocks = (PV.conj().T @ P) @ S_pinv
+        self.cross, self.YH = -blocks[:k], blocks[k:]
 
-        self.S_diag = np.concatenate([Ss, sigma[:k]])
-        W = np.hstack([Vs, V_check[:, :k]])
-        self.W1, self.V22 = W[:n, :], V_check[n:, k:]
-        # W1^-H, the Schur complement of V22 in the unitary [W, V_check]
-        self.W1_inv_h = self.W1 + X @ W[n:, :]
-        self.V22_inv_t = np.linalg.inv(self.V22.T)
+        # W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
+        # [W, V_check], W = [Vs, V1], with Vs replaced by S^+ (see the
+        # module docstring)
+        W = np.hstack([S_pinv, V_check[:, :k]])
+        self.W1_inv_h = W[:n] + X @ W[n:]
+        self.V22_inv_t = np.linalg.inv(V_check[n:, k:].T)
 
-        self.mask = np.concatenate([np.zeros(r), np.ones(k)])
         # D in vec order: entry j*d + i belongs to column j, row i
-        self.denom = (self.S_diag[:, None] ** 2
-                      - self.mask[:, None] * self.sig2[None, :] ** 2).ravel()
+        self.denom = np.concatenate([
+            np.ones(r * d),
+            (self.sig1[:, None] ** 2 - self.sig2 ** 2).ravel()])
         if np.any(self.denom <= 0.0):
             raise ConditioningUndefined(
                 "diagonal resolvent in G is singular; gap condition "
                 "violated at conditioning time")
 
-        # S1 times the lower-left block -U1^H (P S^+) Us of T2
-        cross = -PV1.conj().T @ self.PSU
-        self.ST2 = np.block([
-            [np.diag(Ss), np.zeros((r, k))],
-            [cross, np.diag(sigma[:k])]])
-
         self.x_norm = float(np.linalg.norm(X))
         if self.x_norm == 0.0:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
-        # ||[J, K]||_F equals the norm of the representation stacks
-        self.jk_norm = rb._norm(P, S)
 
     def apply_H(self, M: np.ndarray) -> np.ndarray:
         """H @ M for nd-by-N M, by multiplication only: each column, read
@@ -213,30 +218,38 @@ class _Pieces:
         """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix.
 
         G Z Z^H G^H is D^-1 times a block matrix with blocks
-        diag(mask) (x) conj(S2^2 + Y^H Y), Y = (P S^+)^H PV2, and
-        (S T2)(S T2)^H (x) I_d, times D^-1.  Y enters only through
-        Y^H Y, and Us is unitary, so Us^H Y = PSU^H PV2 stands in for Y.
-        The middle matrix is filled by its block pattern, then H is
-        applied on both sides.
+        diag(mask) (x) conj(S2^2 + Y^H Y), mask selecting the n-r
+        unconstrained columns, and (S T2)(S T2)^H (x) I_d, times D^-1.
+        S T2 = [I, 0; cross, diag(sig1)], so its outer product is filled
+        block by block.  The middle matrix is filled by its block
+        pattern, then H is applied on both sides.
         """
-        n, d = self.n, self.d
-        Y = self.PSU.conj().T @ self.PV2
-        inner = np.diag(self.sig2 ** 2) + Y.conj().T @ Y
-        outer = self.ST2 @ self.ST2.conj().T
+        n, d, r = self.n, self.d, self.r
+        inner = np.diag(self.sig2 ** 2) + self.YH @ self.YH.conj().T
+        outer = np.empty((n, n), dtype=self.cross.dtype)
+        outer[:r, :r] = np.eye(r)
+        outer[:r, r:] = self.cross.conj().T
+        outer[r:, :r] = self.cross
+        outer[r:, r:] = self.cross @ self.cross.conj().T + np.diag(
+            self.sig1 ** 2)
         mid = np.zeros((n, d, n, d), dtype=np.result_type(inner, outer))
-        cols, rows = np.arange(n), np.arange(d)
-        mid[cols, :, cols, :] = self.mask[:, None, None] * inner.conj()
-        mid[:, rows, :, rows] += outer
+        for i in range(d):
+            mid[:, i, :, i] = outer
+        free = np.arange(r, n)
+        mid[free, :, free, :] += inner.conj()
+        mid = mid.reshape(n * d, n * d)
         # two divisions, not one by outer(denom, denom), which overflows
         # or underflows for data scaled by 1e+-80 and beyond
-        mid = mid.reshape(n * d, n * d) / self.denom[:, None] / self.denom
+        mid /= self.denom[:, None]
+        mid /= self.denom
         # mid is Hermitian, so H (H mid)^H = H mid H^H
         return self.apply_H(self.apply_H(mid).conj().T)
 
-    def kappa(self) -> float:
-        gram = self.gram()
-        lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]
-        kappa = float(np.sqrt(max(lam, 0.0))) * self.jk_norm / self.x_norm
+    def kappa(self, data_norm: float) -> float:
+        """kappa from the largest eigenvalue of the Gram matrix, which
+        eigvalsh reads from one triangle, and ||[J, K]||_F."""
+        lam = np.linalg.eigvalsh(self.gram())[-1]
+        kappa = float(np.sqrt(max(lam, 0.0))) * data_norm / self.x_norm
         if not (np.isfinite(kappa) and kappa > 0.0):
             raise ConditioningUndefined(
                 f"condition number {kappa!r} is not finite and positive")
@@ -247,11 +260,22 @@ def condition_real(problem: TlseProblem,
                    solution: TlseSolution) -> ConditionReport:
     """Relative normwise condition number of a real or complex solution.
 
-    Works from the stacks and SVD blocks retained on ``solution`` alone;
-    ``problem`` (the data ``solution`` solves) is not read.
+    Works from the stacks and factors retained on ``solution``; of
+    ``problem``, the data ``solution`` solves, it reads the sizes, which
+    must match the solution's (else DimensionMismatch), and the cached
+    ||[J, K]||_F that kappa is relative to.
     """
+    m, n, p, d = problem.sizes
+    q = (_COMPLEX if np.iscomplexobj(solution.P) else _REAL).rows
+    if (solution.X.shape != (n, d)
+            or solution.P.shape != (q * m, n + d)
+            or solution.S.shape != (q * p, n + d)):
+        raise DimensionMismatch(
+            f"problem sizes (m, n, p, d) = {problem.sizes} do not match "
+            f"the solution: P {solution.P.shape}, S {solution.S.shape}, "
+            f"X {solution.X.shape}")
     try:
-        kappa = _Pieces(solution).kappa()
+        kappa = _Pieces(solution).kappa(problem.data_norm)
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc

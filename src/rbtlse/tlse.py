@@ -24,7 +24,9 @@ conjugate transposes (plain transposes on real stacks), with r = q*p:
    above max(r, n) * eps * sigma_1, the one rank rule (_rank) of the
    package, which the condition number applies to S as well;
 2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
-   (with p = 0, S^H has no columns and Q2 is the identity);
+   (with p = 0, S^H has no columns and Q2 is the identity), and the
+   leading r columns Q1 and the triangle R are kept for the condition
+   number;
 3. singular values and right singular vectors of P @ Q2, taken from the
    SVD of its small R factor, so the tall left factor U is never formed;
    the d trailing right singular vectors, pushed back through Q2 into
@@ -188,7 +190,10 @@ class TlseSolution:
     V_check retain the data and the factorization for the conditioning
     module, which reuses them instead of rebuilding or refactoring; the
     left singular vectors are not kept (P @ V_check gives them scaled by
-    sigma).  P, S and V_check are read-only.
+    sigma).  Q1 ((n+d)-by-r) and the triangle R (r-by-r) are the leading
+    factors of the complete QR of S^H that gave the null space, S^H =
+    Q1 R, from which the conditioning module forms S^+ = Q1 R^-H.  P, S,
+    V_check, Q1 and R are read-only.
 
     E_bar and F_bar are formed on first read, from P and V_check, and
     then kept; a caller that reads only X, sigma or the conditioning
@@ -203,6 +208,8 @@ class TlseSolution:
     P: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)
     V_check: np.ndarray = field(repr=False)
+    Q1: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
     # the representation's inverse map, which reads the correction back
     _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(
         repr=False, compare=False)
@@ -246,9 +253,10 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
     P = rep.column(problem.A, problem.B)
     S = rep.column(problem.C, problem.D)
     _check_constraint_rank(S[:, :n])
-    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
-    # P @ Q2 = Q R shares singular values and right singular vectors
-    # with its small R factor, so the tall left factor is never formed
+    Q, R = np.linalg.qr(S.conj().T, mode="complete")
+    Q1, R, Q2 = Q[:, :r], R[:r], Q[:, r:]
+    # P @ Q2 shares singular values and right singular vectors with the
+    # small triangle of its own QR, so the tall left factor is never formed
     _, sigma, Vh = np.linalg.svd(np.linalg.qr(P @ Q2, mode="r"),
                                  full_matrices=False)
     V_check = Q2 @ Vh.conj().T
@@ -275,13 +283,15 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
 
     X = -np.linalg.solve(V22.T, V12.T).T
 
-    # the deferred correction reads these after the solve returns
-    for kept in (P, S, V_check):
+    # the deferred correction and the conditioning read these after the
+    # solve returns
+    for kept in (P, S, V_check, Q1, R):
         kept.setflags(write=False)
     return TlseSolution(
         X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
         residual_perturbation_norm=rb._norm(sigma[k:]),
-        P=P, S=S, V_check=V_check, _from_column=rep.from_column)
+        P=P, S=S, V_check=V_check, Q1=Q1, R=R,
+        _from_column=rep.from_column)
 
 
 def solve_real(problem: TlseProblem) -> TlseSolution:

@@ -222,8 +222,9 @@ def brute_kappa(problem, solve, h: float = 1e-7):
     of X is one column of the Jacobian (complex X as its real and
     imaginary parts stacked).  Columns run over A, B, C, D in turn, then
     components 0..3, then rows, then columns.  kappa is the Jacobian's
-    spectral norm times ||[J, K]||_F / ||X||_F.  ``problem`` is a dataclass with matrix
-    fields A, B, C, D holding the components p0..p3.
+    spectral norm times ||[J, K]||_F / ||X||_F.  ``problem`` is a
+    dataclass with matrix fields A, B, C, D holding the components
+    p0..p3.
     """
     sol = solve(problem)
     m, n, p, d = problem.sizes

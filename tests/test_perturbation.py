@@ -20,7 +20,8 @@ import pytest
 import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
-from rbtlse.errors import BlockNotInvertible, ConditioningUndefined
+from rbtlse.errors import (BlockNotInvertible, ConditioningUndefined,
+                           DimensionMismatch)
 from rbtlse.perturbation import (PerturbationInstance, _Pieces,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
@@ -235,6 +236,10 @@ def test_kappa_matches_dense_oracle(kind, sizes):
     gram = op @ op.conj().T
     assert np.allclose(_Pieces(sol).gram(), gram, rtol=0,
                        atol=1e-12 * np.abs(gram).max())
+    # the kept factors of the QR S^H = Q1 R give S^+ = Q1 R^-H
+    S_pinv = np.linalg.pinv(sol.S)
+    assert (np.linalg.norm(sol.Q1 @ np.linalg.inv(sol.R).conj().T - S_pinv)
+            <= 1e-12 * np.linalg.norm(S_pinv))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,21 @@ def test_tiny_v22_is_block_not_invertible(solve):
         solve(problem)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("grown", range(4), ids=["m", "n", "p", "d"])
+def test_condition_rejects_a_problem_of_other_sizes(kind, grown):
+    """kappa is relative to the problem's ||[J, K]||_F, so a problem
+    whose sizes are not the solution's is refused, not read."""
+    sizes = accuracy_sizes(kind, 1)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    sol = solve(gen_instance(kind, sizes, 0))
+    other = gen_instance(
+        kind, [s + (i == grown) for i, s in enumerate(sizes)], 0)
+    with pytest.raises(DimensionMismatch, match="do not match"):
+        condition(other, sol)
+
+
 def test_kappa_real_vs_complex_on_real_data():
     """Same consistent all-real data through both solution paths: the two
     condition numbers agree to within a small factor."""
@@ -337,10 +357,11 @@ def test_factor_shapes():
     assert G.shape == (nd, 2 * nd)
     assert Z.shape == (2 * nd, q_in)
     assert Q.shape == (4 * p + 4 * m, 4 * m)
-    assert pieces.S_diag.shape == (n,)
-    assert pieces.W1.shape == (n, n)
-    assert pieces.V22.shape == (d, d)
-    assert pieces.ST2.shape == (n, n)
+    r = 4 * p
+    assert pieces.W1_inv_h.shape == (n, n)
+    assert pieces.V22_inv_t.shape == (d, d)
+    assert pieces.cross.shape == (n - r, r)
+    assert pieces.YH.shape == (d, r)
     gram = pieces.gram()
     assert gram.shape == (nd, nd)
     assert np.allclose(gram, gram.conj().T, rtol=0,
@@ -353,7 +374,7 @@ def test_factor_shapes():
         op * jk / np.linalg.norm(sol.X), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["eigvalsh", "svd", "inv"])
+@pytest.mark.parametrize("name", ["eigvalsh", "svd", "inv", "solve"])
 def test_linalg_failure_is_conditioning_undefined(monkeypatch, name):
     """A LAPACK failure in any factorization kappa runs surfaces as
     ConditioningUndefined; the solve runs before the patch."""

@@ -161,7 +161,7 @@ def test_correction_read_after_conditioning_is_unchanged(kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("name", ["P", "S", "V_check"])
+@pytest.mark.parametrize("name", ["P", "S", "V_check", "Q1", "R"])
 def test_kept_factors_are_read_only(kind, name):
     sol = ALGEBRAS[kind](gen_instance(kind, accuracy_sizes(kind, 1), 0))
     with pytest.raises(ValueError):
