@@ -47,18 +47,22 @@ have numerical rank r by the solver's rank rule, checked from its
 singular values alone; the solve checked only Cc, and although
 sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
-The bracketed middle matrix is filled by its block pattern, with the
-outer product of S T2 = [I, 0; -(P V1)^H P S^+, S1] written block by
-block, and H is applied by multiplication with two small inverses formed
-once: W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
-[W1, V12; W2, V22] (with the leading r columns rescaled as above), and
-V22^-T (a plain transpose, also for complex data).  W1 is not factored:
-the solve's check of V22 covers it.  Neither a Kronecker product nor the
-tall projection Q = [-(P S^+)^H; I] is ever formed.  ||[J, K]||_F is the
-problem's cached data norm.  Real data uses the same code path as
-complex: every conjugate transpose degrades to a plain transpose on
-reals, and every conjugate to a no-op, which is exactly the real variant
-of the formulas.
+H is (V22^-T (x) W1^-H) times the commutation matrix, so the Gram
+matrix is assembled block by block, one n x n block per pair of
+right-hand sides (see _Pieces.gram): the (S T2)(S T2)^H (x) I_d part
+gives one product F_i F_i^H per right-hand side i, F_i = W1^-H D_i^-1
+S T2 with D_i the part of D at i, and the masked part, diagonal in the
+columns, gives in each block the unconstrained columns of W1^-H times
+their conjugate transpose, weighted column by column.  No Kronecker product,
+no nd x nd middle matrix and not the tall projection Q = [-(P S^+)^H; I]
+is ever formed.  W1^-H = W1 + X W2, the Schur complement of V22 in the
+unitary [W1, V12; W2, V22] (with the leading r columns rescaled as
+above), and V22^-T (a plain transpose, also for complex data) are formed
+once; W1 is not factored: the solve's check of V22 covers it.
+||[J, K]||_F is the problem's cached data norm.  Real data uses the same
+code path as complex: every conjugate transpose degrades to a plain
+transpose on reals, and every conjugate to a no-op, which is exactly the
+real variant of the formulas.
 
 kappa is returned finite and positive, or ConditioningUndefined is raised.
 Callers form the first-order bound U = kappa * eps_n themselves, with
@@ -155,8 +159,8 @@ class _Pieces:
     Attributes keep the names of the formulas: sig1 and sig2 are the
     leading n-r and trailing d singular values of the solve, cross the
     lower-left block -(P V1)^H P S^+ of S T2, YH = (P V2)^H P S^+ = Y^H,
-    and denom the diagonal of D.  W1_inv_h and V22_inv_t are the two
-    inverses that H applies.
+    and denom the diagonal of D at the unconstrained columns.  W1_inv_h
+    and V22_inv_t are the two inverses that make up H.
     """
 
     def __init__(self, solution: TlseSolution):
@@ -179,8 +183,8 @@ class _Pieces:
         # (P V_check)^H P S^+ stacks -cross over YH, so both need only
         # one product with P; P V_check = U diag(sigma)
         PV = P @ V_check
-        blocks = (PV.conj().T @ P) @ S_pinv
-        self.cross, self.YH = -blocks[:k], blocks[k:]
+        stacked = (PV.conj().T @ P) @ S_pinv
+        self.cross, self.YH = -stacked[:k], stacked[k:]
 
         # W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
         # [W, V_check], W = [Vs, V1], with Vs replaced by S^+ (see the
@@ -189,10 +193,9 @@ class _Pieces:
         self.W1_inv_h = W[:n] + X @ W[n:]
         self.V22_inv_t = np.linalg.inv(V_check[n:, k:].T)
 
-        # D in vec order: entry j*d + i belongs to column j, row i
-        self.denom = np.concatenate([
-            np.ones(r * d),
-            (self.sig1[:, None] ** 2 - self.sig2 ** 2).ravel()])
+        # D at the unconstrained columns j (rows) and right-hand sides i
+        # (columns); at the constrained columns it is 1 (module docstring)
+        self.denom = self.sig1[:, None] ** 2 - self.sig2 ** 2
         if np.any(self.denom <= 0.0):
             raise ConditioningUndefined(
                 "diagonal resolvent in G is singular; gap condition "
@@ -203,47 +206,46 @@ class _Pieces:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
 
-    def apply_H(self, M: np.ndarray) -> np.ndarray:
-        """H @ M for nd-by-N M, by multiplication only: each column, read
-        row by row as an n-by-d matrix Mc, becomes V22^-T (W1^-H Mc)^T,
-        read back row by row.  W1^-H and V22^-T are formed once in
-        ``__init__``."""
-        n, d = self.n, self.d
-        N = M.shape[1]
-        step = self.W1_inv_h @ M.reshape(n, d * N)
-        step = step.reshape(n, d, N).transpose(1, 0, 2).reshape(d, n * N)
-        return (self.V22_inv_t @ step).reshape(n * d, N)
-
     def gram(self) -> np.ndarray:
-        """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix.
+        """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix, block by block.
 
-        G Z Z^H G^H is D^-1 times a block matrix with blocks
+        G Z Z^H G^H = D^-1 M D^-1 with M = (S T2)(S T2)^H (x) I_d +
         diag(mask) (x) conj(S2^2 + Y^H Y), mask selecting the n-r
-        unconstrained columns, and (S T2)(S T2)^H (x) I_d, times D^-1.
-        S T2 = [I, 0; cross, diag(sig1)], so its outer product is filled
-        block by block.  The middle matrix is filled by its block
-        pattern, then H is applied on both sides.
+        unconstrained columns, and H = (V (x) W) times a commutation
+        matrix, V = V22^-T and W = W1^-H.  In H's output order, rows
+        (a, j) with a < d and j < n, the d x d blocks of the Gram matrix
+        are therefore
+
+            block (a, b) = sum_i V[a, i] conj(V[b, i]) F_i F_i^H
+                           + Wf diag(E_ab) Wf^H,
+
+        with F_i = W D_i^-1 S T2, D_i the diagonal of D at right-hand
+        side i (1 on the constrained columns), S T2 = [I, 0; cross,
+        diag(sig1)], Wf the unconstrained columns of W, and E_ab[j] the
+        entry (a, b) of V E_j V^H, E_j = conj(S2^2 + Y^H Y) scaled on
+        both sides by the d entries of D^-1 at unconstrained column j.
         """
         n, d, r = self.n, self.d, self.r
+        V, W = self.V22_inv_t, self.W1_inv_h
+        Wf = W[:, r:]
+        WfD = Wf / self.denom.T[:, None, :]
+        F = np.empty((d, n, n), dtype=np.result_type(W, self.cross))
+        F[:, :, :r] = W[:, :r] + WfD @ self.cross
+        F[:, :, r:] = WfD * self.sig1
+        C = F @ F.conj().transpose(0, 2, 1)
         inner = np.diag(self.sig2 ** 2) + self.YH @ self.YH.conj().T
-        outer = np.empty((n, n), dtype=self.cross.dtype)
-        outer[:r, :r] = np.eye(r)
-        outer[:r, r:] = self.cross.conj().T
-        outer[r:, :r] = self.cross
-        outer[r:, r:] = self.cross @ self.cross.conj().T + np.diag(
-            self.sig1 ** 2)
-        mid = np.zeros((n, d, n, d), dtype=np.result_type(inner, outer))
-        for i in range(d):
-            mid[:, i, :, i] = outer
-        free = np.arange(r, n)
-        mid[free, :, free, :] += inner.conj()
-        mid = mid.reshape(n * d, n * d)
-        # two divisions, not one by outer(denom, denom), which overflows
-        # or underflows for data scaled by 1e+-80 and beyond
-        mid /= self.denom[:, None]
-        mid /= self.denom
-        # mid is Hermitian, so H (H mid)^H = H mid H^H
-        return self.apply_H(self.apply_H(mid).conj().T)
+        # two divisions, not one by their product, which overflows or
+        # underflows for data scaled by 1e+-80 and beyond
+        E = inner.conj() / self.denom[:, :, None] / self.denom[:, None, :]
+        E = V @ E @ V.conj().T
+        blocks = ((E.transpose(1, 2, 0)[:, :, None, :] * Wf)
+                  .reshape(d * d * n, n - r) @ Wf.conj().T)
+        blocks = blocks.reshape(d * d, n * n)
+        # VV[(a, b), i] = V[a, i] conj(V[b, i])
+        VV = (V[:, None, :] * V.conj()).reshape(d * d, d)
+        blocks += VV @ C.reshape(d, n * n)
+        return (blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3)
+                .reshape(n * d, n * d))
 
     def kappa(self, data_norm: float) -> float:
         """kappa from the largest eigenvalue of the Gram matrix, which
