@@ -213,8 +213,8 @@ class _Pieces:
         diag(mask) (x) conj(S2^2 + Y^H Y), mask selecting the n-r
         unconstrained columns, and H = (V (x) W) times a commutation
         matrix, V = V22^-T and W = W1^-H.  In H's output order, rows
-        (a, j) with a < d and j < n, the d x d blocks of the Gram matrix
-        are therefore
+        (a, j) with a < d and j < n, the Gram matrix has d x d blocks of
+        size n x n:
 
             block (a, b) = sum_i V[a, i] conj(V[b, i]) F_i F_i^H
                            + Wf diag(E_ab) Wf^H,
