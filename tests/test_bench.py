@@ -76,6 +76,24 @@ def test_gen_instance_deterministic():
     assert a.A != c.A
 
 
+@pytest.mark.parametrize("draw, method", [(bench._rb_randn, "standard_normal"),
+                                          (bench._rb_rand, "random")])
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 1), (0, 4), (3, 0)])
+def test_rb_draws_are_four_component_draws(draw, method, m, n):
+    """An RB matrix draw takes the values and leaves the stream where four
+    (m, n) draws of components 0..3 from a same-seeded generator would,
+    bit for bit, empty shapes included."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    P = draw(rng, m, n)
+    expected = np.stack([getattr(ref, method)((m, n)) for _ in range(4)])
+    assert P.components.dtype == np.float64 and P.shape == (m, n)
+    assert np.array_equal(P.components.view(np.uint64),
+                          expected.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(getattr(rng, method)(9).view(np.uint64),
+                          getattr(ref, method)(9).view(np.uint64))
+
+
 def test_rng_statistics():
     rng = np.random.default_rng(0)
     normals = rng.standard_normal(100000)

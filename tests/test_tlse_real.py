@@ -352,6 +352,22 @@ def test_data_norm_sums_in_stacked_order():
         assert problem.data_norm == rb.frobenius_norm(stacked)
 
 
+@pytest.mark.parametrize("sizes", [(12, 4, 2, 3), (12, 4, 0, 3),
+                                   (12, 4, 2, 1), (12, 4, 0, 1)])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -520, 2.0 ** 520])
+def test_data_norm_matches_the_block_oracle(sizes, scale):
+    """data_norm equals the scale-safe norm of the four components of
+    np.block([[C, D], [A, B]]) bit for bit, on the plain sum and on the
+    rescaled one that underflow or overflow selects."""
+    for seed in range(5):
+        drawn = gen_instance("real", sizes, seed)
+        A, B, C, D = (M * scale for M in (drawn.A, drawn.B, drawn.C, drawn.D))
+        problem = TlseProblem(A=A, B=B, C=C, D=D)
+        expected = rb._norm(*np.block([[C.components, D.components],
+                                       [A.components, B.components]]))
+        assert problem.data_norm == expected
+
+
 def test_data_norm_is_computed_once(monkeypatch):
     """data_norm is summed on first read and then kept, with the value of
     the stacked-order sum."""
