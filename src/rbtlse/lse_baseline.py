@@ -29,9 +29,10 @@ from .tlse import (_COMPLEX, _REAL, TlseProblem, _Representation,
 __all__ = ["LseSolution", "lse_solve_real", "lse_solve_complex"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LseSolution:
-    """Constrained least squares solution with its two residual norms."""
+    """Constrained least squares solution with its two residual norms;
+    compared and hashed by identity, as its X is an array."""
 
     X: np.ndarray
     residual: float

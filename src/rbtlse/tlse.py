@@ -176,7 +176,7 @@ class TlseProblem:
                                    [self.A.components, self.B.components]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TlseSolution:
     """Solution of a real- or complex-solution solve.
 
@@ -197,7 +197,8 @@ class TlseSolution:
 
     E_bar and F_bar are formed on first read, from P and V_check, and
     then kept; a caller that reads only X, sigma or the conditioning
-    never forms them.
+    never forms them.  A solution is compared and hashed by identity, as
+    its fields are arrays.
     """
 
     X: np.ndarray
@@ -211,8 +212,7 @@ class TlseSolution:
     Q1: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
     # the representation's inverse map, which reads the correction back
-    _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(
-        repr=False, compare=False)
+    _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(repr=False)
 
     @functools.cached_property
     def _correction(self) -> tuple[rb.RBMatrix, rb.RBMatrix]:

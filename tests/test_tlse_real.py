@@ -168,6 +168,20 @@ def test_kept_factors_are_read_only(kind, name):
         getattr(sol, name)[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_solutions_compare_and_hash_by_identity(kind):
+    """Solutions hold arrays, so == is identity and hash() works, for the
+    total and the constrained least squares solutions alike."""
+    problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    lse = {"real": lse_solve_real, "complex": lse_solve_complex}[kind]
+    for solve in (ALGEBRAS[kind],
+                  lambda pr: lse(pr.A, pr.B, pr.C, pr.D)):
+        a, b = solve(problem), solve(problem)
+        assert np.array_equal(a.X, b.X)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_constraint_residual_identity():
     """For real X, the constraint residual equals ||C_col (X - X*)||_F
     when D was built from X*."""
