@@ -149,17 +149,21 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
+# One (4, m, n) draw: the Generator fills in C order, so it takes the
+# values and leaves the stream where four (m, n) draws of components 0..3
+# would, and the drawn array is the matrix's storage, with no copy.
 def _rb_randn(rng, m, n) -> rb.RBMatrix:
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
+    return rb.RBMatrix._wrap(rng.standard_normal((4, m, n)))
 
 
 def _rb_rand(rng, m, n) -> rb.RBMatrix:
-    return rb.RBMatrix(*(rng.random((m, n)) for _ in range(4)))
+    return rb.RBMatrix._wrap(rng.random((4, m, n)))
 
 
 def gen_instance(kind: str, sizes: Sequence[int], seed) -> TlseProblem:
     """Random problem instance; components drawn block by block (A, B, C,
-    D), components 0..3 within each block.
+    D), components 0..3 within each block, each block as one (4, rows,
+    cols) draw that is the same stream as four (rows, cols) draws.
 
     Real instances use standard normal components, complex instances
     uniform [0,1) for every component (i.e. uniform real and imaginary

@@ -41,6 +41,7 @@ the norm of the full complex representation.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 import secrets
 from itertools import chain
@@ -151,7 +152,13 @@ class RBMatrix:
 
     def __mul__(self, zeta):
         """Scale by a real or complex factor (entrywise); a reduced
-        biquaternion factor is a 1x1 RBMatrix, applied with ``@``."""
+        biquaternion factor is a 1x1 RBMatrix, applied with ``@``.
+
+        A real factor scales the component array itself, so every entry
+        is the float64 product, a signed zero included; a complex factor
+        scales both halves of the complex pair."""
+        if isinstance(zeta, numbers.Real):
+            return RBMatrix._wrap(self.components * float(zeta))
         zeta = complex(zeta)
         r1, r2 = to_complex_pair(self)
         return from_complex_pair(r1 * zeta, r2 * zeta)

@@ -170,10 +170,18 @@ class TlseProblem:
     @functools.cached_property
     def data_norm(self) -> float:
         """||[J, K]||_F, J = [C; A], K = [D; B], scale-safe; the stacked
-        layout, one array per component, fixes the rounding of the sum.
-        Computed on first read and kept, as the data is read-only."""
-        return rb._norm(*np.block([[self.C.components, self.D.components],
-                                   [self.A.components, self.B.components]]))
+        layout, one (p+m)-by-(n+d) array per component, fixes the rounding
+        of the sum.  The four blocks are written into one (4, p+m, n+d)
+        array, the one np.block([[C, D], [A, B]]) of the component arrays
+        would build.  Computed on first read and kept, as the data is
+        read-only."""
+        m, n, p, d = self.sizes
+        stacked = np.empty((4, p + m, n + d))
+        stacked[:, :p, :n] = self.C.components
+        stacked[:, :p, n:] = self.D.components
+        stacked[:, p:, :n] = self.A.components
+        stacked[:, p:, n:] = self.B.components
+        return rb._norm(*stacked)
 
 
 @dataclass(frozen=True, eq=False)

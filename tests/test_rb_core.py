@@ -385,6 +385,43 @@ def test_scalar_multiplication_rb():
         assert np.allclose(c, d, atol=1e-15)
 
 
+def _signed_zero_components():
+    """Random components with -0.0 and +0.0 in every slice and one inf."""
+    comps = np.random.default_rng(11).standard_normal((4, 3, 2))
+    comps[:, 0, 0] = -0.0
+    comps[:, 2, 1] = 0.0
+    comps[3, 1, 1] = np.inf
+    return comps
+
+
+@pytest.mark.parametrize("f", [2.5, -3.0, 0.0, -0.0, 3, np.float64(1e-8)])
+def test_real_scaling_is_the_component_product(f):
+    """P * f and f * P for a real f are the float64 products of the
+    components, bit for bit: a signed zero keeps its sign and inf * 0 is
+    the nan of that product."""
+    comps = _signed_zero_components()
+    P = rb.RBMatrix(*comps)
+    with np.errstate(invalid="ignore"):
+        expected = (comps * f).view(np.uint64)
+        scaled = (P * f, f * P)
+    for Q in scaled:
+        assert Q.components.dtype == np.float64
+        assert not Q.components.flags.writeable
+        assert np.array_equal(Q.components.view(np.uint64), expected)
+
+
+@pytest.mark.parametrize("z", [0.5 - 2j, complex(2.0), np.complex128(-1j)])
+def test_complex_scaling_scales_the_pair(z):
+    """A complex factor, one with zero imaginary part included, scales
+    both halves of the complex pair."""
+    P = rb.RBMatrix(*_signed_zero_components()[:, :, :1])
+    r1, r2 = rb.to_complex_pair(P)
+    expected = rb.from_complex_pair(r1 * z, r2 * z).components
+    for Q in (P * z, z * P):
+        assert np.array_equal(Q.components.view(np.uint64),
+                              expected.view(np.uint64))
+
+
 def test_hstack_vstack():
     rng = np.random.default_rng(10)
     a = _rand_rb(rng, 2, 3)
