@@ -272,8 +272,9 @@ def from_real_block_column(Y: np.ndarray) -> RBMatrix:
 def from_complex_block_column(Y: np.ndarray) -> RBMatrix:
     """Inverse of :func:`complex_block_column`."""
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.shape[0] % 2 != 0:
-        raise DimensionMismatch(f"row count {Y.shape[0]} not divisible by 2")
+    if Y.ndim != 2 or Y.shape[0] % 2 != 0:
+        raise DimensionMismatch(
+            f"need 2-D with a row count divisible by 2, got shape {Y.shape}")
     m = Y.shape[0] // 2
     return from_complex_pair(Y[:m], Y[m:])
 

@@ -310,6 +310,17 @@ def test_block_column_round_trip():
     assert rb.from_complex_pair(r1, r2) == P
 
 
+@pytest.mark.parametrize("inverse", [rb.from_real_block_column,
+                                     rb.from_complex_block_column])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2), (3, 2)])
+def test_block_column_inverses_reject_other_shapes(inverse, shape):
+    """Not a 2-D stack of whole blocks: DimensionMismatch naming the shape
+    given, never a raw IndexError."""
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"got shape {shape}")):
+        inverse(np.zeros(shape))
+
+
 def test_real_repr_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(20):
