@@ -134,8 +134,7 @@ def _cmd_solve(args) -> int:
     m, n, p, d = problem.sizes
     # relative size of the fitted correction (C and D are not corrected),
     # reused as the perturbation level in the printed first-order bound
-    eps_fit = (rb.frobenius_norm(rb.hstack(solution.E_bar, solution.F_bar))
-               / problem.data_norm)
+    eps_fit = solution.residual_perturbation_norm / problem.data_norm
     lines.append(f"solver: {args.flavor}")
     lines.append(f"sizes: m={m} n={n} p={p} d={d}")
     lines.append(f"X ({n} x {d}):")
