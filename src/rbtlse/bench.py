@@ -185,11 +185,9 @@ def random_perturbation(problem, rng, eps_target: float) -> PerturbationInstance
     """Random direction with all components standard normal, rescaled so
     the relative perturbation size equals ``eps_target``."""
     m, n, p, d = problem.sizes
-    inst = PerturbationInstance(
-        problem=problem,
-        dA=_rb_randn(rng, m, n), dB=_rb_randn(rng, m, d),
-        dC=_rb_randn(rng, p, n), dD=_rb_randn(rng, p, d))
-    return scaled_to(inst, eps_target)
+    delta = TlseProblem(A=_rb_randn(rng, m, n), B=_rb_randn(rng, m, d),
+                        C=_rb_randn(rng, p, n), D=_rb_randn(rng, p, d))
+    return scaled_to(PerturbationInstance(problem, delta), eps_target)
 
 
 def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):

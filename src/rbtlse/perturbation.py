@@ -49,7 +49,7 @@ sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
 
 H is (V22^-T (x) W1^-H) times the commutation matrix, so the Gram
 matrix is assembled block by block, one n x n block per pair of
-right-hand sides (see _Pieces.gram): the (S T2)(S T2)^H (x) I_d part
+right-hand sides (see _gram): the (S T2)(S T2)^H (x) I_d part
 gives one product F_i F_i^H per right-hand side i, F_i = W1^-H D_i^-1
 S T2 with D_i the part of D at i, and the masked part, diagonal in the
 columns, gives in each block the unconstrained columns of W1^-H times
@@ -77,9 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rb_core as rb
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import _COMPLEX, _REAL, TlseProblem, TlseSolution, _rank
+from .tlse import TlseProblem, TlseSolution, _rank
 
 __all__ = [
     "PerturbationInstance",
@@ -93,32 +92,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationInstance:
-    """A base problem together with perturbations of all four blocks."""
+    """A base problem and a perturbation of all four of its blocks.
+
+    ``delta`` holds the perturbations dA, dB, dC, dD as the blocks of a
+    TlseProblem, which checks them like any data (a non-finite one raises
+    NonFiniteInput when it is built); its sizes must be the base
+    problem's, else DimensionMismatch.
+    """
 
     problem: TlseProblem
-    dA: rb.RBMatrix
-    dB: rb.RBMatrix
-    dC: rb.RBMatrix
-    dD: rb.RBMatrix
+    delta: TlseProblem
 
     def __post_init__(self):
-        pairs = [("dA", self.dA, self.problem.A), ("dB", self.dB, self.problem.B),
-                 ("dC", self.dC, self.problem.C), ("dD", self.dD, self.problem.D)]
-        for name, delta, base in pairs:
-            if delta.shape != base.shape:
-                raise DimensionMismatch(
-                    f"{name} shape {delta.shape} != base {base.shape}")
+        if self.delta.sizes != self.problem.sizes:
+            raise DimensionMismatch(
+                f"delta sizes (m, n, p, d) = {self.delta.sizes} != base "
+                f"{self.problem.sizes}")
 
     def perturbed(self) -> TlseProblem:
         """The perturbed data as a TlseProblem, for either solver."""
-        pr = self.problem
-        return TlseProblem(A=pr.A + self.dA, B=pr.B + self.dB,
-                           C=pr.C + self.dC, D=pr.D + self.dD)
+        pr, dl = self.problem, self.delta
+        return TlseProblem(A=pr.A + dl.A, B=pr.B + dl.B,
+                           C=pr.C + dl.C, D=pr.D + dl.D)
 
 
 def epsilon_n(instance: PerturbationInstance) -> float:
     """Relative perturbation size ||[dJ, dK]||_F / ||[J, K]||_F, with
-    J = [C; A], K = [D; B] and dJ, dK alike; both norms are scale-safe.
+    J = [C; A], K = [D; B] and dJ, dK alike: the ratio of the cached,
+    scale-safe data norms of the delta and the base problem.
 
     The ratio is identical whether evaluated on the matrices themselves or
     on their leading block columns; this computes it directly.
@@ -126,8 +127,7 @@ def epsilon_n(instance: PerturbationInstance) -> float:
     den = instance.problem.data_norm
     if den == 0.0:
         raise ValueError("perturbation size undefined: ||[J, K]||_F = 0")
-    return TlseProblem(instance.dA, instance.dB, instance.dC,
-                       instance.dD).data_norm / den
+    return instance.delta.data_norm / den
 
 
 def scaled_to(instance: PerturbationInstance,
@@ -137,9 +137,10 @@ def scaled_to(instance: PerturbationInstance,
     if current == 0.0:
         raise ValueError("cannot rescale an all-zero perturbation")
     f = eps_target / current
+    dl = instance.delta
     return PerturbationInstance(
-        problem=instance.problem, dA=instance.dA * f, dB=instance.dB * f,
-        dC=instance.dC * f, dD=instance.dD * f)
+        instance.problem, TlseProblem(A=dl.A * f, B=dl.B * f,
+                                      C=dl.C * f, D=dl.D * f))
 
 
 @dataclass(frozen=True)
@@ -149,135 +150,119 @@ class ConditionReport:
     kappa: float
 
 
-# ---------------------------------------------------------------------------
-# The exact Gram route shared by the real and complex paths.
-# ---------------------------------------------------------------------------
+def _gram(solution: TlseSolution) -> np.ndarray:
+    """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix, block by block,
+    from the stacks and factors ``solution`` keeps, reparameterised by S^+.
 
-class _Pieces:
-    """The small factors H G Z is built from, reparameterised by S^+.
-
-    Attributes keep the names of the formulas: sig1 and sig2 are the
+    The local names are those of the formulas: sig1 and sig2 are the
     leading n-r and trailing d singular values of the solve, cross the
     lower-left block -(P V1)^H P S^+ of S T2, YH = (P V2)^H P S^+ = Y^H,
-    and denom the diagonal of D at the unconstrained columns.  W1_inv_h
-    and V22_inv_t are the two inverses that make up H.
+    and denom the diagonal of D at the unconstrained columns.
+
+    G Z Z^H G^H = D^-1 M D^-1 with M = (S T2)(S T2)^H (x) I_d +
+    diag(mask) (x) conj(S2^2 + Y^H Y), mask selecting the n-r
+    unconstrained columns, and H = (V (x) W) times a commutation
+    matrix, V = V22^-T and W = W1^-H.  In H's output order, rows
+    (a, j) with a < d and j < n, the Gram matrix has d x d blocks of
+    size n x n:
+
+        block (a, b) = sum_i V[a, i] conj(V[b, i]) F_i F_i^H
+                       + Wf diag(E_ab) Wf^H,
+
+    with F_i = W D_i^-1 S T2, D_i the diagonal of D at right-hand
+    side i (1 on the constrained columns), S T2 = [I, 0; cross,
+    diag(sig1)], Wf the unconstrained columns of W, and E_ab[j] the
+    entry (a, b) of V E_j V^H, E_j = conj(S2^2 + Y^H Y) scaled on
+    both sides by the d entries of D^-1 at unconstrained column j.
+
+    Raises ConditioningUndefined when S has numerical rank below r or
+    the resolvent is singular.
     """
+    P, S, sigma, V_check, X = (
+        solution.P, solution.S, solution.sigma, solution.V_check,
+        solution.X)
+    r = S.shape[0]
+    n, d = X.shape
+    k = n - r
+    sig1, sig2 = sigma[:k], sigma[k:]
 
-    def __init__(self, solution: TlseSolution):
-        P, S, sigma, V_check, X = (
-            solution.P, solution.S, solution.sigma, solution.V_check,
-            solution.X)
-        r = S.shape[0]
-        n, d = X.shape
-        k = n - r
-        self.n, self.d, self.r = n, d, r
-        self.sig1, self.sig2 = sigma[:k], sigma[k:]
+    rank = _rank(np.linalg.svd(S, compute_uv=False), S.shape)
+    if rank < r:
+        raise ConditioningUndefined(
+            f"constraint stack rank {rank} < {r}; its pseudoinverse "
+            f"is unusable")
+    # S^+ = Q1 R^-H from the solve's complete QR of S^H = Q1 R
+    S_pinv = np.linalg.solve(solution.R, solution.Q1.conj().T).conj().T
+    # (P V_check)^H P S^+ stacks -cross over YH, so both need only
+    # one product with P; P V_check = U diag(sigma)
+    PV = P @ V_check
+    stacked = (PV.conj().T @ P) @ S_pinv
+    cross, YH = -stacked[:k], stacked[k:]
 
-        rank = _rank(np.linalg.svd(S, compute_uv=False), S.shape)
-        if rank < r:
-            raise ConditioningUndefined(
-                f"constraint stack rank {rank} < {r}; its pseudoinverse "
-                f"is unusable")
-        # S^+ = Q1 R^-H from the solve's complete QR of S^H = Q1 R
-        S_pinv = np.linalg.solve(solution.R, solution.Q1.conj().T).conj().T
-        # (P V_check)^H P S^+ stacks -cross over YH, so both need only
-        # one product with P; P V_check = U diag(sigma)
-        PV = P @ V_check
-        stacked = (PV.conj().T @ P) @ S_pinv
-        self.cross, self.YH = -stacked[:k], stacked[k:]
+    # W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
+    # [W, V_check], W = [Vs, V1], with Vs replaced by S^+ (see the
+    # module docstring); W becomes W1^-H, and V is V22^-T
+    W = np.hstack([S_pinv, V_check[:, :k]])
+    W = W[:n] + X @ W[n:]
+    V = np.linalg.inv(V_check[n:, k:].T)
 
-        # W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
-        # [W, V_check], W = [Vs, V1], with Vs replaced by S^+ (see the
-        # module docstring)
-        W = np.hstack([S_pinv, V_check[:, :k]])
-        self.W1_inv_h = W[:n] + X @ W[n:]
-        self.V22_inv_t = np.linalg.inv(V_check[n:, k:].T)
+    # D at the unconstrained columns j (rows) and right-hand sides i
+    # (columns); at the constrained columns it is 1 (module docstring)
+    denom = sig1[:, None] ** 2 - sig2 ** 2
+    if np.any(denom <= 0.0):
+        raise ConditioningUndefined(
+            "diagonal resolvent in G is singular; gap condition "
+            "violated at conditioning time")
 
-        # D at the unconstrained columns j (rows) and right-hand sides i
-        # (columns); at the constrained columns it is 1 (module docstring)
-        self.denom = self.sig1[:, None] ** 2 - self.sig2 ** 2
-        if np.any(self.denom <= 0.0):
-            raise ConditioningUndefined(
-                "diagonal resolvent in G is singular; gap condition "
-                "violated at conditioning time")
-
-        self.x_norm = float(np.linalg.norm(X))
-        if self.x_norm == 0.0:
-            raise ConditioningUndefined(
-                "relative condition number undefined for X = 0")
-
-    def gram(self) -> np.ndarray:
-        """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix, block by block.
-
-        G Z Z^H G^H = D^-1 M D^-1 with M = (S T2)(S T2)^H (x) I_d +
-        diag(mask) (x) conj(S2^2 + Y^H Y), mask selecting the n-r
-        unconstrained columns, and H = (V (x) W) times a commutation
-        matrix, V = V22^-T and W = W1^-H.  In H's output order, rows
-        (a, j) with a < d and j < n, the Gram matrix has d x d blocks of
-        size n x n:
-
-            block (a, b) = sum_i V[a, i] conj(V[b, i]) F_i F_i^H
-                           + Wf diag(E_ab) Wf^H,
-
-        with F_i = W D_i^-1 S T2, D_i the diagonal of D at right-hand
-        side i (1 on the constrained columns), S T2 = [I, 0; cross,
-        diag(sig1)], Wf the unconstrained columns of W, and E_ab[j] the
-        entry (a, b) of V E_j V^H, E_j = conj(S2^2 + Y^H Y) scaled on
-        both sides by the d entries of D^-1 at unconstrained column j.
-        """
-        n, d, r = self.n, self.d, self.r
-        V, W = self.V22_inv_t, self.W1_inv_h
-        Wf = W[:, r:]
-        WfD = Wf / self.denom.T[:, None, :]
-        F = np.empty((d, n, n), dtype=np.result_type(W, self.cross))
-        F[:, :, :r] = W[:, :r] + WfD @ self.cross
-        F[:, :, r:] = WfD * self.sig1
-        C = F @ F.conj().transpose(0, 2, 1)
-        inner = np.diag(self.sig2 ** 2) + self.YH @ self.YH.conj().T
-        # two divisions, not one by their product, which overflows or
-        # underflows for data scaled by 1e+-80 and beyond
-        E = inner.conj() / self.denom[:, :, None] / self.denom[:, None, :]
-        E = V @ E @ V.conj().T
-        blocks = ((E.transpose(1, 2, 0)[:, :, None, :] * Wf)
-                  .reshape(d * d * n, n - r) @ Wf.conj().T)
-        blocks = blocks.reshape(d * d, n * n)
-        # VV[(a, b), i] = V[a, i] conj(V[b, i])
-        VV = (V[:, None, :] * V.conj()).reshape(d * d, d)
-        blocks += VV @ C.reshape(d, n * n)
-        return (blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3)
-                .reshape(n * d, n * d))
-
-    def kappa(self, data_norm: float) -> float:
-        """kappa from the largest eigenvalue of the Gram matrix, which
-        eigvalsh reads from one triangle, and ||[J, K]||_F."""
-        lam = np.linalg.eigvalsh(self.gram())[-1]
-        kappa = float(np.sqrt(max(lam, 0.0))) * data_norm / self.x_norm
-        if not (np.isfinite(kappa) and kappa > 0.0):
-            raise ConditioningUndefined(
-                f"condition number {kappa!r} is not finite and positive")
-        return kappa
+    Wf = W[:, r:]
+    WfD = Wf / denom.T[:, None, :]
+    F = np.empty((d, n, n), dtype=np.result_type(W, cross))
+    F[:, :, :r] = W[:, :r] + WfD @ cross
+    F[:, :, r:] = WfD * sig1
+    C = F @ F.conj().transpose(0, 2, 1)
+    inner = np.diag(sig2 ** 2) + YH @ YH.conj().T
+    # two divisions, not one by their product, which overflows or
+    # underflows for data scaled by 1e+-80 and beyond
+    E = inner.conj() / denom[:, :, None] / denom[:, None, :]
+    E = V @ E @ V.conj().T
+    blocks = ((E.transpose(1, 2, 0)[:, :, None, :] * Wf)
+              .reshape(d * d * n, n - r) @ Wf.conj().T)
+    blocks = blocks.reshape(d * d, n * n)
+    # VV[(a, b), i] = V[a, i] conj(V[b, i])
+    VV = (V[:, None, :] * V.conj()).reshape(d * d, d)
+    blocks += VV @ C.reshape(d, n * n)
+    return (blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3)
+            .reshape(n * d, n * d))
 
 
 def condition_real(problem: TlseProblem,
                    solution: TlseSolution) -> ConditionReport:
     """Relative normwise condition number of a real or complex solution.
 
-    Works from the stacks and factors retained on ``solution``; of
+    Works from the stacks and factors retained on ``solution``.  Of
     ``problem``, the data ``solution`` solves, it reads the sizes, which
-    must match the solution's (else DimensionMismatch), and the cached
-    ||[J, K]||_F that kappa is relative to.
+    must be those of ``solution.problem`` (else DimensionMismatch), and
+    the cached ||[J, K]||_F that kappa is relative to.  kappa comes from
+    the largest eigenvalue of the Gram matrix, which eigvalsh reads from
+    one triangle; it is returned finite and positive, else
+    ConditioningUndefined is raised, as it is for X = 0 and for a LAPACK
+    failure.
     """
-    m, n, p, d = problem.sizes
-    q = (_COMPLEX if np.iscomplexobj(solution.P) else _REAL).rows
-    if (solution.X.shape != (n, d)
-            or solution.P.shape != (q * m, n + d)
-            or solution.S.shape != (q * p, n + d)):
+    if problem.sizes != solution.problem.sizes:
         raise DimensionMismatch(
             f"problem sizes (m, n, p, d) = {problem.sizes} do not match "
-            f"the solution: P {solution.P.shape}, S {solution.S.shape}, "
-            f"X {solution.X.shape}")
+            f"the solution's {solution.problem.sizes}")
     try:
-        kappa = _Pieces(solution).kappa(problem.data_norm)
+        gram = _gram(solution)
+        x_norm = float(np.linalg.norm(solution.X))
+        if x_norm == 0.0:
+            raise ConditioningUndefined(
+                "relative condition number undefined for X = 0")
+        lam = np.linalg.eigvalsh(gram)[-1]
+        kappa = float(np.sqrt(max(lam, 0.0))) * problem.data_norm / x_norm
+        if not (np.isfinite(kappa) and kappa > 0.0):
+            raise ConditioningUndefined(
+                f"condition number {kappa!r} is not finite and positive")
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc

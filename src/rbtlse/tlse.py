@@ -201,7 +201,9 @@ class TlseSolution:
     sigma).  Q1 ((n+d)-by-r) and the triangle R (r-by-r) are the leading
     factors of the complete QR of S^H that gave the null space, S^H =
     Q1 R, from which the conditioning module forms S^+ = Q1 R^-H.  P, S,
-    V_check, Q1 and R are read-only.
+    V_check, Q1 and R are read-only.  problem is the TlseProblem solved,
+    kept by reference, not copied, so the conditioning module reads its
+    sizes from the solution.
 
     E_bar and F_bar are formed on first read, from P and V_check, and
     then kept; a caller that reads only X, sigma or the conditioning
@@ -219,6 +221,7 @@ class TlseSolution:
     V_check: np.ndarray = field(repr=False)
     Q1: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
+    problem: TlseProblem = field(repr=False)
     # the representation's inverse map, which reads the correction back
     _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(repr=False)
 
@@ -298,7 +301,7 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
     return TlseSolution(
         X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
         residual_perturbation_norm=rb._norm(sigma[k:]),
-        P=P, S=S, V_check=V_check, Q1=Q1, R=R,
+        P=P, S=S, V_check=V_check, Q1=Q1, R=R, problem=problem,
         _from_column=rep.from_column)
 
 

@@ -204,9 +204,9 @@ def _sampling_criterion(kind: str) -> bool:
         kappa = condition(prob, sol).kappa
         xn = np.linalg.norm(sol.X)
         for _ in range(5):
-            inst = scaled_to(PerturbationInstance(
-                problem=prob, dA=_rand_rb(rng, m, n), dB=_rand_rb(rng, m, d),
-                dC=_rand_rb(rng, p, n), dD=_rand_rb(rng, p, d)), eps)
+            inst = scaled_to(PerturbationInstance(prob, TlseProblem(
+                A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))), eps)
             fwd = np.linalg.norm(solve(inst.perturbed()).X - sol.X) / xn
             if fwd > kappa * eps * 1.001:
                 return False

@@ -21,8 +21,8 @@ import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import (BlockNotInvertible, ConditioningUndefined,
-                           DimensionMismatch)
-from rbtlse.perturbation import (PerturbationInstance, _Pieces,
+                           DimensionMismatch, NonFiniteInput)
+from rbtlse.perturbation import (PerturbationInstance, _gram,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
 from rbtlse.tlse import TlseProblem, solve_complex, solve_real
@@ -48,10 +48,9 @@ def _complex_problem(seed, m=30, n=6, p=2, d=3):
 
 def _rand_instance(problem, rng):
     m, n, p, d = problem.sizes
-    return PerturbationInstance(
-        problem=problem,
-        dA=_rand_rb(rng, m, n), dB=_rand_rb(rng, m, d),
-        dC=_rand_rb(rng, p, n), dD=_rand_rb(rng, p, d))
+    return PerturbationInstance(problem, TlseProblem(
+        A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+        C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +60,11 @@ def _rand_instance(problem, rng):
 def test_epsilon_n_zero_and_one():
     prob = _real_problem(0)
     m, n, p, d = prob.sizes
-    zero = PerturbationInstance(
-        problem=prob, dA=rb.RBMatrix.zeros(m, n), dB=rb.RBMatrix.zeros(m, d),
-        dC=rb.RBMatrix.zeros(p, n), dD=rb.RBMatrix.zeros(p, d))
+    zero = PerturbationInstance(prob, TlseProblem(
+        A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
+        C=rb.RBMatrix.zeros(p, n), D=rb.RBMatrix.zeros(p, d)))
     assert epsilon_n(zero) == 0.0
-    copy = PerturbationInstance(problem=prob, dA=prob.A, dB=prob.B,
-                                dC=prob.C, dD=prob.D)
+    copy = PerturbationInstance(prob, prob)
     assert epsilon_n(copy) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -77,8 +75,9 @@ def test_epsilon_n_matches_representation_route():
     # independent route: stacked leading block columns
     def col(M):
         return rb.real_block_column(M)
-    num = np.sqrt(np.linalg.norm(np.vstack([col(inst.dC), col(inst.dA)])) ** 2
-                  + np.linalg.norm(np.vstack([col(inst.dD), col(inst.dB)])) ** 2)
+    dl = inst.delta
+    num = np.sqrt(np.linalg.norm(np.vstack([col(dl.C), col(dl.A)])) ** 2
+                  + np.linalg.norm(np.vstack([col(dl.D), col(dl.B)])) ** 2)
     den = np.sqrt(np.linalg.norm(np.vstack([col(prob.C), col(prob.A)])) ** 2
                   + np.linalg.norm(np.vstack([col(prob.D), col(prob.B)])) ** 2)
     assert epsilon_n(inst) == pytest.approx(num / den, rel=1e-14)
@@ -89,9 +88,9 @@ def test_epsilon_n_homogeneity():
     rng = np.random.default_rng(4)
     inst = _rand_instance(prob, rng)
     e = epsilon_n(inst)
-    half = PerturbationInstance(problem=prob, dA=inst.dA * 0.5,
-                                dB=inst.dB * 0.5, dC=inst.dC * 0.5,
-                                dD=inst.dD * 0.5)
+    dl = inst.delta
+    half = PerturbationInstance(prob, TlseProblem(
+        A=dl.A * 0.5, B=dl.B * 0.5, C=dl.C * 0.5, D=dl.D * 0.5))
     assert epsilon_n(half) == pytest.approx(0.5 * e, rel=1e-14)
 
 
@@ -107,11 +106,33 @@ def test_scaled_to_hits_target():
 def test_scaled_to_rejects_zero_direction():
     prob = _real_problem(7)
     m, n, p, d = prob.sizes
-    zero = PerturbationInstance(
-        problem=prob, dA=rb.RBMatrix.zeros(m, n), dB=rb.RBMatrix.zeros(m, d),
-        dC=rb.RBMatrix.zeros(p, n), dD=rb.RBMatrix.zeros(p, d))
+    zero = PerturbationInstance(prob, TlseProblem(
+        A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
+        C=rb.RBMatrix.zeros(p, n), D=rb.RBMatrix.zeros(p, d)))
     with pytest.raises(ValueError):
         scaled_to(zero, 1e-8)
+
+
+@pytest.mark.parametrize("grown", range(4), ids=["m", "n", "p", "d"])
+def test_instance_rejects_a_delta_of_other_sizes(grown):
+    prob = _real_problem(10)
+    other = _real_problem(
+        10, *[s + (i == grown) for i, s in enumerate(prob.sizes)])
+    with pytest.raises(DimensionMismatch, match="delta sizes"):
+        PerturbationInstance(prob, other)
+
+
+@pytest.mark.parametrize("block", "ABCD")
+def test_instance_rejects_a_non_finite_delta(block):
+    """A nan in a delta is refused when the instance is built, not at
+    epsilon_n or perturbed()."""
+    prob = _real_problem(11)
+    components = getattr(prob, block).components.copy()
+    components[0, 0, 0] = np.nan
+    blocks = {name: getattr(prob, name) for name in "ABCD"}
+    blocks[block] = rb.RBMatrix(*components)
+    with pytest.raises(NonFiniteInput):
+        PerturbationInstance(prob, TlseProblem(**blocks))
 
 
 def test_perturbed_problem_adds_all_blocks():
@@ -119,8 +140,8 @@ def test_perturbed_problem_adds_all_blocks():
     rng = np.random.default_rng(9)
     inst = _rand_instance(prob, rng)
     pp = inst.perturbed()
-    assert pp.A == prob.A + inst.dA
-    assert pp.D == prob.D + inst.dD
+    assert pp.A == prob.A + inst.delta.A
+    assert pp.D == prob.D + inst.delta.D
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +206,7 @@ def test_kappa_at_experiment_size(kind):
         deltas.append(rb.RBMatrix(*top[start:stop].reshape(4, rows, cols)))
         start = stop
     eps = 1e-8
-    inst = scaled_to(PerturbationInstance(prob, *deltas), eps)
+    inst = scaled_to(PerturbationInstance(prob, TlseProblem(*deltas)), eps)
     fwd = (np.linalg.norm(solve(inst.perturbed()).X - sol.X)
            / np.linalg.norm(sol.X))
     assert 0.99 <= fwd / (kappa * eps) <= 1.01
@@ -234,7 +255,7 @@ def test_kappa_matches_dense_oracle(kind, sizes):
     dense = oracles.spectral_norm(op) * scale
     assert condition(prob, sol).kappa == pytest.approx(dense, rel=1e-12)
     gram = op @ op.conj().T
-    assert np.allclose(_Pieces(sol).gram(), gram, rtol=0,
+    assert np.allclose(_gram(sol), gram, rtol=0,
                        atol=1e-12 * np.abs(gram).max())
     # the kept factors of the QR S^H = Q1 R give S^+ = Q1 R^-H
     S_pinv = np.linalg.pinv(sol.S)
@@ -349,7 +370,6 @@ def test_factor_shapes():
     prob = _real_problem(16)
     m, n, p, d = prob.sizes
     sol = solve_real(prob)
-    pieces = _Pieces(sol)
     H, G, Z, Q = oracles.dense_condition_factors(sol)
     nd = n * d
     q_in = n * (4 * p + 4 * m) + nd
@@ -357,12 +377,7 @@ def test_factor_shapes():
     assert G.shape == (nd, 2 * nd)
     assert Z.shape == (2 * nd, q_in)
     assert Q.shape == (4 * p + 4 * m, 4 * m)
-    r = 4 * p
-    assert pieces.W1_inv_h.shape == (n, n)
-    assert pieces.V22_inv_t.shape == (d, d)
-    assert pieces.cross.shape == (n - r, r)
-    assert pieces.YH.shape == (d, r)
-    gram = pieces.gram()
+    gram = _gram(sol)
     assert gram.shape == (nd, nd)
     assert np.allclose(gram, gram.conj().T, rtol=0,
                        atol=1e-13 * np.abs(gram).max())

@@ -75,3 +75,20 @@ def test_component_storage_stays_in_rb_core():
                     and node.attr in ("p0", "p1", "p2", "p3")):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_representations_stay_in_the_solvers():
+    """Only tlse, which defines the representations _REAL and _COMPLEX,
+    and lse_baseline, which solves with them, name them; every other
+    module reads what it needs from the problem or the solution."""
+    names = {"_REAL", "_COMPLEX"}
+    readers = []
+    for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
+        if path.name in ("tlse.py", "lse_baseline.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a Name's id, an Attribute's attr or an import alias's name
+            if names & {getattr(node, key, None)
+                        for key in ("id", "attr", "name")}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

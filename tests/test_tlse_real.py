@@ -182,6 +182,29 @@ def test_solutions_compare_and_hash_by_identity(kind):
         assert len({a, b, a}) == 2
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_solution_keeps_its_problem(kind):
+    problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    assert ALGEBRAS[kind](problem).problem is problem
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("real", accuracy_sizes("real", 2)),
+    ("complex", accuracy_sizes("complex", 2)),
+    ("real", (30, 8, 2, 2)),        # k = n - 4p = 0
+    ("complex", (30, 8, 4, 2)),     # k = n - 2p = 0
+])
+def test_gap_and_v22_condition(kind, sizes):
+    """gap is sigma[k-1] - sigma[k] (inf when k = 0) and v22_condition
+    the 2-norm condition number of V22 = V_check[n:, k:]."""
+    sol = ALGEBRAS[kind](gen_instance(kind, sizes, 0))
+    n, _ = sol.X.shape
+    k = n - sol.S.shape[0]
+    assert sol.gap == (np.inf if k == 0 else sol.sigma[k - 1] - sol.sigma[k])
+    assert sol.v22_condition == pytest.approx(
+        np.linalg.cond(sol.V_check[n:, k:]), rel=1e-12)
+
+
 def test_constraint_residual_identity():
     """For real X, the constraint residual equals ||C_col (X - X*)||_F
     when D was built from X*."""
@@ -425,9 +448,9 @@ def test_correction_norm_at_extreme_scale(kind, e):
         assert eps <= 1e-10 * data_norm * (1 + np.linalg.norm(sol.X))
 
     inst = random_perturbation(prob, np.random.default_rng(1), 1e-8)
-    scaled_inst = PerturbationInstance(
-        problem=scaled_prob, dA=inst.dA * z, dB=inst.dB * z,
-        dC=inst.dC * z, dD=inst.dD * z)
+    dl = inst.delta
+    scaled_inst = PerturbationInstance(scaled_prob, TlseProblem(
+        A=dl.A * z, B=dl.B * z, C=dl.C * z, D=dl.D * z))
     assert epsilon_n(scaled_inst) == pytest.approx(epsilon_n(inst),
                                                    rel=1e-12)
 
