@@ -16,7 +16,7 @@ from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
                      GapConditionFailed, BlockNotInvertible,
                      DegenerateSpectrum, ConditioningUndefined,
                      FactorizationFailed, NonFiniteInput, FileFormatError)
-from .rb_core import (RBMatrix, mat_mul, hstack, vstack, frobenius_norm,
+from .rb_core import (RBMatrix, mat_mul, frobenius_norm,
                       real_block_column, complex_block_column,
                       from_real_block_column, from_complex_block_column,
                       from_complex_pair, to_complex_pair,
@@ -38,7 +38,7 @@ __all__ = [
     "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
     "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
     "FileFormatError",
-    "RBMatrix", "mat_mul", "hstack", "vstack",
+    "RBMatrix", "mat_mul",
     "frobenius_norm", "real_block_column", "complex_block_column",
     "from_real_block_column", "from_complex_block_column",
     "from_complex_pair", "to_complex_pair",

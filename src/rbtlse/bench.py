@@ -32,8 +32,9 @@ a crashed run never leaves a half-written report.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -250,113 +251,112 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
 # Experiment loops.
 # ---------------------------------------------------------------------------
 
-def _point_seed(seed: int, t: int, trial: int) -> int:
-    return seed + _POINT_STRIDE * t + trial
+def _attempt(rows: list[ExperimentRecord], key: tuple, compute: Callable):
+    """``compute()``, or None once the error row of the point ``key``
+    (experiment, t, m, seed, trial) is appended to ``rows`` because it
+    raised an RbtlseError: the harness's one path from a solver or
+    conditioning failure to a row."""
+    try:
+        return compute()
+    except RbtlseError as exc:
+        rows.append(ExperimentRecord(
+            *key, error=f"{type(exc).__name__}: {exc}"))
+        return None
 
 
-def _error_row(experiment: str, t: Optional[int], m: int, seed: int,
-               trial: int, exc: RbtlseError) -> ExperimentRecord:
-    """The row of a point whose solve or conditioning raised ``exc``."""
-    return ExperimentRecord(experiment, t, m, seed, trial,
-                            error=f"{type(exc).__name__}: {exc}")
+def _accuracy_point(rows, key, draw, solve) -> None:
+    """Residuals of the solution of the instance drawn from the point
+    seed, key[3]; the draw is outside the guard."""
+    problem = draw(key[3])
+    eps = _attempt(rows, key, lambda: residuals_real(problem, solve(problem)))
+    if eps is not None:
+        rows.append(ExperimentRecord(*key, eps1=eps[0], eps2=eps[1]))
 
 
-def _run_accuracy(config: ExperimentConfig) -> list[ExperimentRecord]:
-    kind = "real" if config.experiment.endswith("real") else "complex"
+def _bound_point(rows, key, draw, solve) -> None:
+    """Forward error against kappa * eps_n at each of MAGNITUDES.  The
+    point seed splits into the instance's stream and one delta stream per
+    magnitude; a failed base solve or kappa gives the point one error
+    row, a failed perturbed solve one row for its magnitude."""
+    streams = np.random.SeedSequence(key[3]).spawn(1 + len(MAGNITUDES))
+
+    def base():
+        problem = draw(streams[0])
+        solution = solve(problem)
+        return problem, solution, condition_real(problem, solution).kappa
+
+    got = _attempt(rows, key, base)
+    if got is None:
+        return
+    problem, solution, kappa = got
+    x_norm = np.linalg.norm(solution.X)
+    for stream, mag in zip(streams[1:], MAGNITUDES):
+        inst = random_perturbation(problem, np.random.default_rng(stream), mag)
+        perturbed = _attempt(rows, key, lambda: solve(inst.perturbed()))
+        if perturbed is not None:
+            eps = epsilon_n(inst)
+            rows.append(ExperimentRecord(
+                *key, delta_norm=eps * problem.data_norm,
+                fwd_err=float(np.linalg.norm(perturbed.X - solution.X)
+                              / x_norm),
+                bound=kappa * eps))
+
+
+_POINTS = {"accuracy": _accuracy_point, "bound": _bound_point}
+
+
+def _run_points(config: ExperimentConfig) -> list[ExperimentRecord]:
+    """Each (t, trial) point of an accuracy or bound run, seeded
+    seed + _POINT_STRIDE*t + trial, through the experiment's point
+    function, which takes the rows, the point's key (experiment, t, m,
+    seed, trial), a draw of the instance from a seed, and the solver."""
+    stem, kind = config.experiment.split("-")
     solve = solve_real if kind == "real" else solve_complex
-    records = []
+    rows = []
     for t in config.t_values:
         sizes = accuracy_sizes(kind, t)
+        draw = functools.partial(gen_instance, kind, sizes)
         for trial in range(config.effective_trials):
-            point = _point_seed(config.seed, t, trial)
-            problem = gen_instance(kind, sizes, point)
-            try:
-                solution = solve(problem)
-                e1, e2 = residuals_real(problem, solution)
-                records.append(ExperimentRecord(
-                    config.experiment, t, sizes[0], point, trial,
-                    eps1=e1, eps2=e2))
-            except RbtlseError as exc:
-                records.append(_error_row(
-                    config.experiment, t, sizes[0], point, trial, exc))
-    return records
-
-
-def _run_bound(config: ExperimentConfig) -> list[ExperimentRecord]:
-    kind = "real" if config.experiment.endswith("real") else "complex"
-    solve = solve_real if kind == "real" else solve_complex
-    records = []
-    for t in config.t_values:
-        sizes = accuracy_sizes(kind, t)
-        for trial in range(config.effective_trials):
-            point = _point_seed(config.seed, t, trial)
-            ss = np.random.SeedSequence(point)
-            streams = ss.spawn(1 + len(MAGNITUDES))
-            try:
-                problem = gen_instance(kind, sizes, streams[0])
-                solution = solve(problem)
-                report = condition_real(problem, solution)
-            except RbtlseError as exc:
-                records.append(_error_row(
-                    config.experiment, t, sizes[0], point, trial, exc))
-                continue
-            x_norm = np.linalg.norm(solution.X)
-            jk_norm = problem.data_norm
-            for idx, mag in enumerate(MAGNITUDES):
-                rng = np.random.default_rng(streams[1 + idx])
-                inst = random_perturbation(problem, rng, mag)
-                try:
-                    pert_solution = solve(inst.perturbed())
-                except RbtlseError as exc:
-                    records.append(_error_row(
-                        config.experiment, t, sizes[0], point, trial, exc))
-                    continue
-                fwd = float(np.linalg.norm(pert_solution.X - solution.X)
-                            / x_norm)
-                eps = epsilon_n(inst)
-                records.append(ExperimentRecord(
-                    config.experiment, t, sizes[0], point, trial,
-                    delta_norm=eps * jk_norm, fwd_err=fwd,
-                    bound=report.kappa * eps))
-    return records
+            point = config.seed + _POINT_STRIDE * t + trial
+            _POINTS[stem](rows, (config.experiment, t, sizes[0], point, trial),
+                          draw, solve)
+    return rows
 
 
 def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
     solve, lse_solve = ((solve_real, lse_solve_real)
                         if config.variant == "real"
                         else (solve_complex, lse_solve_complex))
-    records = []
+    rows = []
     for m in config.m_values:
+        # two lists, not one N x 2 array: np.mean over an axis sums in
+        # another order and moves the last bits of the means
         errs_t, errs_l = [], []
         for trial in range(config.effective_trials):
             inst_seed = config.seed + trial
             base, pert, x_star = gen_compare_instance(
                 config.case, m, inst_seed, config.variant)
-            try:
-                xt = solve(pert).X
-                xl = lse_solve(pert.A, pert.B, pert.C, pert.D).X
-            except RbtlseError as exc:
-                records.append(_error_row(
-                    config.experiment, None, m, inst_seed, trial, exc))
-                continue
-            errs_t.append(float(np.linalg.norm(xt - x_star)))
-            errs_l.append(float(np.linalg.norm(xl - x_star)))
+            xs = _attempt(
+                rows, (config.experiment, None, m, inst_seed, trial),
+                lambda: (solve(pert).X,
+                         lse_solve(pert.A, pert.B, pert.C, pert.D).X))
+            if xs is not None:
+                errs_t.append(float(np.linalg.norm(xs[0] - x_star)))
+                errs_l.append(float(np.linalg.norm(xs[1] - x_star)))
         if errs_t:
-            records.append(ExperimentRecord(
+            rows.append(ExperimentRecord(
                 config.experiment, None, m, config.seed, None,
                 eps_T=float(np.mean(errs_t)), eps_L=float(np.mean(errs_l))))
-    return records
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured experiment; writes the CSV when config.out is
     set.  Solver failures become error rows, I/O failures propagate."""
-    if config.experiment.startswith("accuracy"):
-        records = _run_accuracy(config)
-    elif config.experiment.startswith("bound"):
-        records = _run_bound(config)
-    else:
+    if config.experiment == "compare-lse":
         records = _run_compare(config)
+    else:
+        records = _run_points(config)
     records.sort(key=lambda r: (r.t if r.t is not None else 0, r.m,
                                 r.trial if r.trial is not None else -1))
     if config.out is not None:

@@ -42,7 +42,9 @@ class DegenerateSpectrum(RbtlseError):
 
 
 class ConditioningUndefined(RbtlseError):
-    """A factor needed by the condition number is singular."""
+    """The condition number or a relative perturbation size is undefined:
+    a factor it needs is singular or cannot be formed, a norm it divides
+    by is zero, or the data given are not the data solved."""
 
 
 class FactorizationFailed(RbtlseError):

@@ -122,20 +122,23 @@ def epsilon_n(instance: PerturbationInstance) -> float:
     scale-safe data norms of the delta and the base problem.
 
     The ratio is identical whether evaluated on the matrices themselves or
-    on their leading block columns; this computes it directly.
+    on their leading block columns; this computes it directly.  An
+    all-zero base problem raises ConditioningUndefined.
     """
     den = instance.problem.data_norm
     if den == 0.0:
-        raise ValueError("perturbation size undefined: ||[J, K]||_F = 0")
+        raise ConditioningUndefined(
+            "perturbation size undefined: ||[J, K]||_F = 0")
     return instance.delta.data_norm / den
 
 
 def scaled_to(instance: PerturbationInstance,
               eps_target: float) -> PerturbationInstance:
-    """Rescale all four deltas so that epsilon_n hits ``eps_target``."""
+    """Rescale all four deltas so that epsilon_n hits ``eps_target``; an
+    all-zero direction raises ConditioningUndefined."""
     current = epsilon_n(instance)
     if current == 0.0:
-        raise ValueError("cannot rescale an all-zero perturbation")
+        raise ConditioningUndefined("cannot rescale an all-zero perturbation")
     f = eps_target / current
     dl = instance.delta
     return PerturbationInstance(
@@ -240,18 +243,24 @@ def condition_real(problem: TlseProblem,
     """Relative normwise condition number of a real or complex solution.
 
     Works from the stacks and factors retained on ``solution``.  Of
-    ``problem``, the data ``solution`` solves, it reads the sizes, which
-    must be those of ``solution.problem`` (else DimensionMismatch), and
-    the cached ||[J, K]||_F that kappa is relative to.  kappa comes from
-    the largest eigenvalue of the Gram matrix, which eigvalsh reads from
-    one triangle; it is returned finite and positive, else
-    ConditioningUndefined is raised, as it is for X = 0 and for a LAPACK
-    failure.
+    ``problem``, the data ``solution`` solves, it reads the cached
+    ||[J, K]||_F that kappa is relative to.  Its sizes must be those of
+    ``solution.problem`` (else DimensionMismatch), and so must its data,
+    unless it is that very object (else ConditioningUndefined).  kappa
+    comes from the largest eigenvalue of the Gram matrix, which eigvalsh
+    reads from one triangle; it is returned finite and positive, else
+    ConditioningUndefined is raised, as it is for X = 0, for a LAPACK
+    failure and for a MemoryError while forming or reading the Gram
+    matrix (where the operating system lets the allocation fail; Linux
+    may kill the process instead).
     """
     if problem.sizes != solution.problem.sizes:
         raise DimensionMismatch(
             f"problem sizes (m, n, p, d) = {problem.sizes} do not match "
             f"the solution's {solution.problem.sizes}")
+    if problem is not solution.problem and problem != solution.problem:
+        raise ConditioningUndefined(
+            "problem data differ from the data the solution solves")
     try:
         gram = _gram(solution)
         x_norm = float(np.linalg.norm(solution.X))
@@ -266,6 +275,9 @@ def condition_real(problem: TlseProblem,
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc
+    except MemoryError as exc:
+        raise ConditioningUndefined(
+            f"out of memory while conditioning: {exc!r}") from exc
     return ConditionReport(kappa=kappa)
 
 

@@ -59,8 +59,6 @@ __all__ = [
     "complex_block_column",
     "from_real_block_column",
     "from_complex_block_column",
-    "hstack",
-    "vstack",
     "frobenius_norm",
     "read_rbmat",
     "write_rbmat",
@@ -180,9 +178,6 @@ class RBMatrix:
         m, n = self.shape
         return f"RBMatrix({m}x{n}, |.|_F={frobenius_norm(self):.6g})"
 
-    def norm(self) -> float:
-        return frobenius_norm(self)
-
 
 def _is_finite(P: RBMatrix) -> bool:
     """Whether every component entry of ``P`` is finite."""
@@ -292,18 +287,6 @@ def mat_mul(P: RBMatrix, T: RBMatrix) -> RBMatrix:
     r1, r2 = to_complex_pair(P)
     s1, s2 = to_complex_pair(T)
     return from_complex_pair(r1 @ s1 + r2 @ s2, r1 @ s2 + r2 @ s1)
-
-
-def hstack(P: RBMatrix, T: RBMatrix) -> RBMatrix:
-    _row_aligned((P, T))
-    return RBMatrix._wrap(np.concatenate([P.components, T.components], 2))
-
-
-def vstack(P: RBMatrix, T: RBMatrix) -> RBMatrix:
-    if P.cols != T.cols:
-        raise DimensionMismatch(
-            f"column counts disagree: {P.shape} vs {T.shape}")
-    return RBMatrix._wrap(np.concatenate([P.components, T.components], 1))
 
 
 def _norm(*arrays: np.ndarray) -> float:

@@ -6,7 +6,8 @@ the tests can compare against them.  They use numpy alone and import
 nothing from ``rbtlse``, so they never share code with what they check:
 
 * the full real and complex representations of a reduced biquaternion
-  matrix, written as explicit block grids;
+  matrix, written as explicit block grids, and the side-by-side and
+  stacked concatenations of two such matrices, component by component;
 * the Moore-Penrose pseudoinverse, the commutation matrix and column-major
   vec/unvec that the dense condition-number formula is written in;
 * that formula's factors H, G and Z, built densely from the stacks and
@@ -58,6 +59,20 @@ def complex_repr(P) -> np.ndarray:
     r1 = P.p0 + 1j * P.p1
     r2 = P.p2 + 1j * P.p3
     return np.block([[r1, r2], [r2, r1]])
+
+
+# The concatenations build their result with type(P), the matrix class of
+# their operands, so this module still imports nothing from rbtlse; numpy
+# refuses blocks that do not line up with ValueError.
+
+def hstack(P, T):
+    """[P, T] of two matrices with the same row count."""
+    return type(P)(*map(np.hstack, zip(P.components, T.components)))
+
+
+def vstack(P, T):
+    """[P; T] of two matrices with the same column count."""
+    return type(P)(*map(np.vstack, zip(P.components, T.components)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_criterion_7_consistent_recovery():
         B = rb.mat_mul(A, Xrb)
         D = rb.mat_mul(C, Xrb) if p else rb.RBMatrix.zeros(0, d)
         sol = solve_real(TlseProblem(A=A, B=B, C=C, D=D))
-        scale = rb.frobenius_norm(rb.hstack(A, B))
+        scale = rb.frobenius_norm(oracles.hstack(A, B))
         if np.linalg.norm(sol.X - Xs) > 1e-8 * np.linalg.norm(Xs):
             ok = False
             break
@@ -173,7 +173,7 @@ def test_criterion_7_consistent_recovery():
         Bc = rb.mat_mul(A, Zrb)
         Dc = rb.mat_mul(C, Zrb) if p else rb.RBMatrix.zeros(0, d)
         csol = solve_complex(TlseProblem(A=A, B=Bc, C=C, D=Dc))
-        cscale = rb.frobenius_norm(rb.hstack(A, Bc))
+        cscale = rb.frobenius_norm(oracles.hstack(A, Bc))
         if np.linalg.norm(csol.X - Zs) > 1e-8 * np.linalg.norm(Zs):
             ok = False
             break

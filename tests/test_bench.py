@@ -10,6 +10,7 @@ import rbtlse.rb_core as rb
 from rbtlse.bench import (CSV_COLUMNS, ExperimentConfig, ExperimentRecord,
                           accuracy_sizes, gen_instance, gen_compare_instance,
                           random_perturbation, run_experiment, write_csv)
+from rbtlse.errors import FactorizationFailed
 from rbtlse.perturbation import epsilon_n
 
 
@@ -218,13 +219,41 @@ def test_lapack_failure_becomes_error_rows(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", fail)
     # one error row per trial: 2 t values x 2 trials, 1 m value x 2 trials
-    for experiment, rows in (("accuracy-real", 4), ("compare-lse", 2)):
+    for experiment, rows in (("accuracy-real", 4), ("bound-real", 4),
+                             ("compare-lse", 2)):
         config = ExperimentConfig(experiment=experiment, t_values=(1, 2),
                                   m_values=(60,), trials=2, seed=6)
         records = run_experiment(config)
         assert len(records) == rows
         assert all(rec.error.startswith("FactorizationFailed: ")
                    for rec in records)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_bound_solve_failure_rows(monkeypatch, failing_call):
+    """A failed base solve gives the point one error row; a failed
+    perturbed solve gives its magnitude an error row, and the other
+    magnitudes still give metric rows."""
+    calls = []
+    solve_real = bench.solve_real
+
+    def solve_or_fail(problem):
+        calls.append(problem)
+        if len(calls) == failing_call:
+            raise FactorizationFailed("SVD did not converge")
+        return solve_real(problem)
+
+    monkeypatch.setattr(bench, "solve_real", solve_or_fail)
+    records = run_experiment(
+        ExperimentConfig(experiment="bound-real", t_values=(1,), seed=4))
+    assert [rec.error for rec in records] == (
+        ["FactorizationFailed: SVD did not converge"] if failing_call == 1
+        else ["FactorizationFailed: SVD did not converge", "", ""])
+    assert all((rec.experiment, rec.t, rec.m, rec.seed, rec.trial)
+               == ("bound-real", 1, 30, 1004, 0) for rec in records)
+    assert records[0].fwd_err is None and records[0].bound is None
+    for rec in records[1:]:
+        assert rec.fwd_err <= rec.bound * 1.05
 
 
 def test_records_sorted_by_scale():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rbtlse.cli as cli
+import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
 from rbtlse.bench import CSV_COLUMNS, ExperimentConfig
 from rbtlse.cli import main
@@ -229,6 +230,21 @@ def test_solve_lapack_failure_is_solver_error(tmp_path, capsys, monkeypatch,
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 2
     assert "FactorizationFailed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_solve_memory_error_in_kappa_is_solver_error(tmp_path, capsys,
+                                                     monkeypatch, flavor):
+    paths = _write_consistent_system(tmp_path, seed=10)
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(perturbation, "_gram", fail)
+    code = main([f"solve-{flavor}", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"]])
+    assert code == 2
+    assert "ConditioningUndefined" in capsys.readouterr().err
 
 
 def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
+import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import (BlockNotInvertible, ConditioningUndefined,
@@ -109,8 +110,19 @@ def test_scaled_to_rejects_zero_direction():
     zero = PerturbationInstance(prob, TlseProblem(
         A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
         C=rb.RBMatrix.zeros(p, n), D=rb.RBMatrix.zeros(p, d)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConditioningUndefined):
         scaled_to(zero, 1e-8)
+
+
+def test_epsilon_n_of_an_all_zero_problem_is_undefined():
+    """eps_n is relative to ||[J, K]||_F, which is 0 for all-zero data."""
+    prob = _real_problem(7)
+    m, n, p, d = prob.sizes
+    zero = TlseProblem(
+        A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
+        C=rb.RBMatrix.zeros(p, n), D=rb.RBMatrix.zeros(p, d))
+    with pytest.raises(ConditioningUndefined, match="undefined"):
+        epsilon_n(PerturbationInstance(zero, prob))
 
 
 @pytest.mark.parametrize("grown", range(4), ids=["m", "n", "p", "d"])
@@ -349,6 +361,22 @@ def test_condition_rejects_a_problem_of_other_sizes(kind, grown):
         condition(other, sol)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_condition_rejects_a_problem_of_other_data(kind):
+    """A problem of the solution's sizes but other data is refused, not
+    read: its ||[J, K]||_F would scale kappa without error.  A copy of
+    the solved data is accepted and gives the same kappa."""
+    sizes = accuracy_sizes(kind, 1)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    prob = gen_instance(kind, sizes, 0)
+    sol = solve(prob)
+    with pytest.raises(ConditioningUndefined, match="differ"):
+        condition(gen_instance(kind, sizes, 1), sol)
+    copy = TlseProblem(A=prob.A, B=prob.B, C=prob.C, D=prob.D)
+    assert condition(copy, sol).kappa == condition(prob, sol).kappa
+
+
 def test_kappa_real_vs_complex_on_real_data():
     """Same consistent all-real data through both solution paths: the two
     condition numbers agree to within a small factor."""
@@ -382,8 +410,8 @@ def test_factor_shapes():
     assert np.allclose(gram, gram.conj().T, rtol=0,
                        atol=1e-13 * np.abs(gram).max())
     # the oracle product norm reproduces kappa
-    jk = rb.frobenius_norm(rb.hstack(
-        rb.vstack(prob.C, prob.A), rb.vstack(prob.D, prob.B)))
+    jk = rb.frobenius_norm(oracles.hstack(
+        oracles.vstack(prob.C, prob.A), oracles.vstack(prob.D, prob.B)))
     op = oracles.spectral_norm(H @ G @ Z)
     assert condition_real(prob, sol).kappa == pytest.approx(
         op * jk / np.linalg.norm(sol.X), rel=1e-12)
@@ -401,6 +429,25 @@ def test_linalg_failure_is_conditioning_undefined(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(ConditioningUndefined):
+        condition_real(prob, sol)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("target", ["_gram", "eigvalsh"])
+def test_memory_error_is_conditioning_undefined(monkeypatch, kind, target):
+    """kappa allocates nd-by-nd arrays; running out of memory while
+    forming or reading the Gram matrix surfaces as ConditioningUndefined,
+    and the solve runs before the patch."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    solve = solve_real if kind == "real" else solve_complex
+    sol = solve(prob)
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    owner = perturbation if target == "_gram" else np.linalg
+    monkeypatch.setattr(owner, target, fail)
+    with pytest.raises(ConditioningUndefined, match="out of memory"):
         condition_real(prob, sol)
 
 

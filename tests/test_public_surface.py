@@ -92,3 +92,14 @@ def test_representations_stay_in_the_solvers():
                         for key in ("id", "attr", "name")}:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_bench_has_one_error_row_path():
+    """The experiment harness turns an RbtlseError into an error row in
+    one except handler, so the rows' error text, and anything added to
+    it, has one place to change."""
+    tree = ast.parse((ROOT / "src" / "rbtlse" / "bench.py").read_text())
+    handlers = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler) and node.type
+                and "RbtlseError" in ast.unparse(node.type)]
+    assert len(handlers) == 1, handlers

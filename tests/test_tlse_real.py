@@ -10,6 +10,7 @@ none beats the reported minimum.
 import numpy as np
 import pytest
 
+import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
@@ -79,7 +80,7 @@ def test_consistent_recovery():
         prob, Xs = _consistent(rng, m, n, p, d)
         sol = solve_real(prob)
         assert np.linalg.norm(sol.X - Xs) <= 1e-8 * np.linalg.norm(Xs)
-        scale = rb.frobenius_norm(rb.hstack(prob.A, prob.B))
+        scale = rb.frobenius_norm(oracles.hstack(prob.A, prob.B))
         assert sol.residual_perturbation_norm <= 1e-10 * scale
         e1, e2 = residuals_real(prob, sol)
         assert e1 < 1e-10
@@ -108,8 +109,8 @@ def test_correction_norm_matches_trailing_singular_values():
     k = n - 4 * 2
     want = np.sqrt(np.sum(sol.sigma[k:] ** 2))
     assert sol.residual_perturbation_norm == pytest.approx(want, rel=1e-12)
-    assert rb.frobenius_norm(rb.hstack(sol.E_bar, sol.F_bar)) == pytest.approx(
-        want, rel=1e-12)
+    assert rb.frobenius_norm(oracles.hstack(sol.E_bar, sol.F_bar)) == \
+        pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -385,7 +386,7 @@ def test_data_norm_sums_in_stacked_order():
         A, B, C, D = (_rand_rb(rng, rows, cols) for rows, cols in
                       ((40, 10), (40, 3), (2, 10), (2, 3)))
         problem = TlseProblem(A=A, B=B, C=C, D=D)
-        stacked = rb.hstack(rb.vstack(C, A), rb.vstack(D, B))
+        stacked = oracles.hstack(oracles.vstack(C, A), oracles.vstack(D, B))
         assert problem.data_norm == rb.frobenius_norm(stacked)
 
 
@@ -417,7 +418,7 @@ def test_data_norm_is_computed_once(monkeypatch):
     monkeypatch.setattr(rb, "_norm", lambda *a: calls.append(1) or norm(*a))
     first = problem.data_norm
     assert problem.data_norm == first and len(calls) == 1
-    stacked = rb.hstack(rb.vstack(C, A), rb.vstack(D, B))
+    stacked = oracles.hstack(oracles.vstack(C, A), oracles.vstack(D, B))
     assert first == rb.frobenius_norm(stacked)
 
 
@@ -442,7 +443,8 @@ def test_correction_norm_at_extreme_scale(kind, e):
     assert np.linalg.norm(scaled.X - sol.X) <= 1e-12 * np.linalg.norm(sol.X)
 
     data_norm = z * rb.frobenius_norm(
-        rb.hstack(rb.vstack(prob.C, prob.A), rb.vstack(prob.D, prob.B)))
+        oracles.hstack(oracles.vstack(prob.C, prob.A),
+                       oracles.vstack(prob.D, prob.B)))
     for eps in residuals_real(scaled_prob, scaled):
         assert np.isfinite(eps) and eps > 0.0
         assert eps <= 1e-10 * data_norm * (1 + np.linalg.norm(sol.X))
