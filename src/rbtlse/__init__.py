@@ -22,11 +22,11 @@ from .rb_core import (RBMatrix, mat_mul, frobenius_norm,
                       from_complex_pair, to_complex_pair,
                       read_rbmat, write_rbmat)
 from .tlse import (TlseProblem, TlseSolution, solve_real, solve_complex,
-                   residuals_real, residuals_complex)
+                   residuals_real, residuals_complex,
+                   LseSolution, lse_solve_real, lse_solve_complex)
 from .perturbation import (PerturbationInstance, ConditionReport,
                            epsilon_n, scaled_to,
                            condition_real, condition_complex)
-from .lse_baseline import LseSolution, lse_solve_real, lse_solve_complex
 from .bench import (EXPERIMENTS, ExperimentConfig, ExperimentRecord,
                     accuracy_sizes, gen_instance, gen_compare_instance,
                     random_perturbation, run_experiment, write_csv)

@@ -40,11 +40,11 @@ import numpy as np
 
 from . import rb_core as rb
 from .errors import RbtlseError
-from .lse_baseline import lse_solve_real, lse_solve_complex
 # condition_real and residuals_real serve both algebras
 from .perturbation import (PerturbationInstance, condition_real,
                            epsilon_n, scaled_to)
-from .tlse import TlseProblem, residuals_real, solve_complex, solve_real
+from .tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
+                   residuals_real, solve_complex, solve_real)
 
 __all__ = [
     "EXPERIMENTS",
@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ValueError("variant must be 'real' or 'complex'")
         if not (self.t_values and self.m_values):
             raise ValueError("t_values and m_values must not be empty")
+        for name in ("t_values", "m_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials is not None and self.trials < 1:
@@ -367,8 +371,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    # repr of a numpy float is np.float64(...) under numpy 2
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

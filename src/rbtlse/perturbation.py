@@ -134,8 +134,12 @@ def epsilon_n(instance: PerturbationInstance) -> float:
 
 def scaled_to(instance: PerturbationInstance,
               eps_target: float) -> PerturbationInstance:
-    """Rescale all four deltas so that epsilon_n hits ``eps_target``; an
-    all-zero direction raises ConditioningUndefined."""
+    """Rescale all four deltas so that epsilon_n hits ``eps_target``; a
+    target that is not a finite number >= 0, or an all-zero direction,
+    raises ConditioningUndefined."""
+    if not (np.isfinite(eps_target) and eps_target >= 0.0):
+        raise ConditioningUndefined(
+            f"eps_target must be finite and >= 0, got {eps_target!r}")
     current = epsilon_n(instance)
     if current == 0.0:
         raise ConditioningUndefined("cannot rescale an all-zero perturbation")

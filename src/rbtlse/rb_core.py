@@ -154,9 +154,12 @@ class RBMatrix:
 
         A real factor scales the component array itself, so every entry
         is the float64 product, a signed zero included; a complex factor
-        scales both halves of the complex pair."""
+        scales both halves of the complex pair.  Any other operand, a
+        string included, is not a factor."""
         if isinstance(zeta, numbers.Real):
             return RBMatrix._wrap(self.components * float(zeta))
+        if not isinstance(zeta, numbers.Complex):
+            return NotImplemented
         zeta = complex(zeta)
         r1, r2 = to_complex_pair(self)
         return from_complex_pair(r1 * zeta, r2 * zeta)

@@ -1,5 +1,6 @@
 """Real- and complex-solution solvers for the equality-constrained total
-least squares problem over reduced biquaternion matrices.
+least squares problem over reduced biquaternion matrices, and the
+constrained least squares baseline they are compared against.
 
 Problem: given A (m-by-n), B (m-by-d), C (p-by-n), D (p-by-d), all reduced
 biquaternion, find X minimizing ||[E, F]||_F over perturbations
@@ -16,13 +17,16 @@ TLS problem on (Ac, Bc, Cc, Dc) and perturbation norms agree:
 
 The two differ only in that map and its row count q (4 or 2) per matrix
 row; the solve is one classical null-space reduction, written with
-conjugate transposes (plain transposes on real stacks), with r = q*p:
+conjugate transposes (plain transposes on real stacks), with r = q*p
+the row count of S:
 
 1. write P = [Ac, Bc] and S = [Cc, Dc], each in one call of the map
    into one new array, and check that Cc, the view S[:, :n], has full
    numerical row rank: all r of its singular values (values only) lie
    above max(r, n) * eps * sigma_1, the one rank rule (_rank) of the
-   package, which the condition number applies to S as well;
+   package, which the condition number applies to S as well.  This
+   step (_stacks) is shared with the baseline below; it refuses r > n,
+   as Cc then has at most n nonzero singular values;
 2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
    (with p = 0, S^H has no columns and Q2 is the identity), and the
    leading r columns Q1 and the triangle R are kept for the condition
@@ -44,6 +48,17 @@ checked against a fixed threshold (_GAP_REL, _COND_MAX below; the V22
 check also covers the block W1 that the condition number inverts) and
 reported through the error taxonomy rather than patched over.  The QRs
 and SVDs are numpy's (LAPACK), called directly.
+
+The baseline, equality-constrained least squares, treats only the
+right-hand side as uncertain:
+
+    minimize ||A X - B||_F  subject to  C X = D,
+
+on the same stacks after the same step 1, with the same validation and
+LAPACK failure mapping, solved by the classical null-space reduction: a
+full QR of Cc^H yields a particular solution from the triangular system
+and an orthonormal basis of the admissible variations, and an ordinary
+least squares solve fixes the null-space coefficient.
 """
 
 from __future__ import annotations
@@ -67,6 +82,9 @@ __all__ = [
     "solve_complex",
     "residuals_real",
     "residuals_complex",
+    "LseSolution",
+    "lse_solve_real",
+    "lse_solve_complex",
 ]
 
 
@@ -82,17 +100,16 @@ _COND_MAX = 1e12
 
 @dataclass(frozen=True)
 class _Representation:
-    """Leading-block-column map of one algebra of solutions, its inverse,
-    and the stack rows it gives each matrix row."""
+    """Leading-block-column map of one algebra of solutions and its
+    inverse."""
 
     column: Callable[..., np.ndarray]
     from_column: Callable[[np.ndarray], rb.RBMatrix]
-    rows: int
 
 
-_REAL = _Representation(rb.real_block_column, rb.from_real_block_column, 4)
+_REAL = _Representation(rb.real_block_column, rb.from_real_block_column)
 _COMPLEX = _Representation(rb.complex_block_column,
-                           rb.from_complex_block_column, 2)
+                           rb.from_complex_block_column)
 
 
 def _rank(sv: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -102,18 +119,6 @@ def _rank(sv: np.ndarray, shape: tuple[int, ...]) -> int:
     if sv.size == 0:
         return 0
     return int(np.sum(sv > max(shape) * np.finfo(np.float64).eps * sv[0]))
-
-
-def _check_constraint_rank(Cc: np.ndarray) -> None:
-    """Numerical full-row-rank check of a constraint block column, from
-    its singular values alone; failure is an error, never a silent
-    regularization."""
-    r, n = Cc.shape
-    rank = _rank(np.linalg.svd(Cc, compute_uv=False), Cc.shape)
-    if rank < r:
-        raise AssumptionViolated(
-            f"constraint block column ({r} x {n}) has numerical rank "
-            f"{rank}, needs full row rank {r}")
 
 
 def _lapack_failures(body: Callable) -> Callable:
@@ -247,23 +252,35 @@ class TlseSolution:
         return self._correction[1]
 
 
-@_lapack_failures
-def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
-    m, n, p, d = problem.sizes
-    q = rep.rows
-    r = q * p
-    # the reduced matrix P @ Q2 (qm rows, n+d-r cols) must be tall for
-    # the trailing singular subspace to have dimension d
-    if q * m < n + d - r:
-        raise AssumptionViolated(
-            f"not enough rows: {q}m = {q * m} < n+d-{q}p = {n + d - r}")
-    if r > n:
-        raise AssumptionViolated(
-            f"constraint block too tall: {q}p = {r} > n = {n}")
-
+def _stacks(problem: TlseProblem,
+            rep: _Representation) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks P = [Ac, Bc] and S = [Cc, Dc] of ``problem``, one call
+    of the map each, once Cc, the view S[:, :n], has passed the rank
+    rule: numerical full row rank, from its singular values alone.  A
+    failure is an error, never a silent regularization."""
     P = rep.column(problem.A, problem.B)
     S = rep.column(problem.C, problem.D)
-    _check_constraint_rank(S[:, :n])
+    Cc = S[:, :problem.A.cols]
+    r, n = Cc.shape
+    rank = _rank(np.linalg.svd(Cc, compute_uv=False), Cc.shape)
+    if rank < r:
+        raise AssumptionViolated(
+            f"constraint block column ({r} x {n}) has numerical rank "
+            f"{rank}, needs full row rank {r}")
+    return P, S
+
+
+@_lapack_failures
+def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
+    n, d = problem.A.cols, problem.B.cols
+    P, S = _stacks(problem, rep)
+    r = S.shape[0]
+    # the reduced matrix P @ Q2 (n+d-r cols) must be tall for the
+    # trailing singular subspace to have dimension d
+    if P.shape[0] < n + d - r:
+        raise AssumptionViolated(
+            f"not enough rows: P has {P.shape[0]}, fewer than "
+            f"n+d-r = {n + d - r}")
     Q, R = np.linalg.qr(S.conj().T, mode="complete")
     Q1, R, Q2 = Q[:, :r], R[:r], Q[:, r:]
     # P @ Q2 shares singular values and right singular vectors with the
@@ -336,3 +353,45 @@ def residuals_real(problem: TlseProblem,
 
 
 residuals_complex = residuals_real
+
+
+@dataclass(frozen=True, eq=False)
+class LseSolution:
+    """Constrained least squares solution with its two residual norms;
+    compared and hashed by identity, as its X is an array."""
+
+    X: np.ndarray
+    residual: float
+    constraint_residual: float
+
+
+@_lapack_failures
+def _lse(problem: TlseProblem, rep: _Representation) -> LseSolution:
+    n = problem.A.cols
+    P, S = _stacks(problem, rep)
+    Ac, Bc, Cc, Dc = P[:, :n], P[:, n:], S[:, :n], S[:, n:]
+    r = S.shape[0]
+    Q, R = np.linalg.qr(Cc.conj().T, mode="complete")
+    Q1, Q2 = Q[:, :r], Q[:, r:]
+    # Cc = [R^H 0] Q^H, so Cc X = Dc becomes R^H (Q1^H X) = Dc; with
+    # r = 0, Q2 is the identity and X0 is zero
+    X0 = Q1 @ np.linalg.solve(R[:r].conj().T, Dc)
+    Z, *_ = np.linalg.lstsq(Ac @ Q2, Bc - Ac @ X0, rcond=None)
+    X = X0 + Q2 @ Z
+    return LseSolution(X=X, residual=rb._norm(Ac @ X - Bc),
+                       constraint_residual=rb._norm(Cc @ X - Dc))
+
+
+def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
+                   D: rb.RBMatrix) -> LseSolution:
+    """Real-solution constrained least squares; with p = 0 the same
+    reduction is plain least squares.  The blocks are validated as a
+    TlseProblem, errors are those of the total least squares solver, and
+    the residual norms are scale-safe."""
+    return _lse(TlseProblem(A, B, C, D), _REAL)
+
+
+def lse_solve_complex(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
+                      D: rb.RBMatrix) -> LseSolution:
+    """Complex-solution variant over the complex-pair stacks."""
+    return _lse(TlseProblem(A, B, C, D), _COMPLEX)

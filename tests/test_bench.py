@@ -56,6 +56,17 @@ def test_config_validation():
                             trials=7).effective_trials == 7
 
 
+@pytest.mark.parametrize("repeat", [dict(t_values=(2, 2)),
+                                    dict(t_values=(1, 3, 1)),
+                                    dict(m_values=(60, 60))])
+def test_config_refuses_repeated_scales(repeat):
+    """A repeated t or m would run the same seeded points twice and write
+    each of their rows twice."""
+    for experiment in ("accuracy-real", "compare-lse"):
+        with pytest.raises(ValueError, match="repeats a value"):
+            ExperimentConfig(experiment=experiment, **repeat)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -313,6 +324,20 @@ def test_csv_header_and_cells(tmp_path):
     bad = rows[2]
     assert bad[5] == "" and bad[6] == ""    # no metrics on error rows
     assert bad[12].startswith("GapConditionFailed")
+
+
+def test_csv_cells_of_numpy_floats(tmp_path):
+    """A record holding numpy floats writes the bytes of the same record
+    holding Python floats: numbers, never np.float64(...)."""
+    values = dict(eps1=1.5, eps2=0.1, delta_norm=3.25e-300, fwd_err=0.25)
+    paths = tmp_path / "py.csv", tmp_path / "np.csv"
+    write_csv(str(paths[0]), [ExperimentRecord("bound-real", 1, 30, 0, 0,
+                                               **values)])
+    as_numpy = {key: np.float64(value) for key, value in values.items()}
+    as_numpy["fwd_err"] = np.float32(values["fwd_err"])
+    write_csv(str(paths[1]), [ExperimentRecord("bound-real", 1, 30, 0, 0,
+                                               **as_numpy)])
+    assert paths[1].read_bytes() == paths[0].read_bytes()
 
 
 def test_csv_error_rows_are_exclusive():

@@ -83,6 +83,15 @@ def test_run_rejects_negative_seed(tmp_path, capsys, experiment, seed):
     assert not out.exists()
 
 
+def test_run_rejects_repeated_m(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    code = main(["run", "compare-lse", "--m-list", "60,60", "--trials", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "m_values repeats a value: (60, 60)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["accuracy-real", "bound-complex"])
 def test_run_rejects_more_than_1000_point_trials(tmp_path, capsys,
                                                   experiment):

@@ -11,8 +11,8 @@ import pytest
 import rbtlse.rb_core as rb
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            FactorizationFailed, NonFiniteInput)
-from rbtlse.lse_baseline import lse_solve_real, lse_solve_complex
-from rbtlse.tlse import TlseProblem, solve_real
+from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
+                         solve_real)
 
 
 def _rand_rb(rng, m, n):

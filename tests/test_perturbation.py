@@ -20,7 +20,7 @@ import pytest
 import oracles
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
-from rbtlse.bench import accuracy_sizes, gen_instance
+from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (BlockNotInvertible, ConditioningUndefined,
                            DimensionMismatch, NonFiniteInput)
 from rbtlse.perturbation import (PerturbationInstance, _gram,
@@ -99,7 +99,7 @@ def test_scaled_to_hits_target():
     prob = _real_problem(5)
     rng = np.random.default_rng(6)
     inst = _rand_instance(prob, rng)
-    for target in (1e-11, 1e-8, 1e-5):
+    for target in (0.0, 1e-11, 1e-8, 1e-5):
         assert epsilon_n(scaled_to(inst, target)) == pytest.approx(
             target, rel=1e-14)
 
@@ -112,6 +112,19 @@ def test_scaled_to_rejects_zero_direction():
         C=rb.RBMatrix.zeros(p, n), D=rb.RBMatrix.zeros(p, d)))
     with pytest.raises(ConditioningUndefined):
         scaled_to(zero, 1e-8)
+
+
+@pytest.mark.parametrize("target", [-1e-5, -np.inf, np.inf, np.nan])
+def test_scaled_to_rejects_a_bad_target(target):
+    """A negative target would give eps_n = |target|, and a nan or inf one
+    a non-finite delta; both are refused, directly and through the
+    harness's random_perturbation."""
+    prob = _real_problem(7)
+    inst = _rand_instance(prob, np.random.default_rng(7))
+    with pytest.raises(ConditioningUndefined, match="eps_target"):
+        scaled_to(inst, target)
+    with pytest.raises(ConditioningUndefined, match="eps_target"):
+        random_perturbation(prob, np.random.default_rng(7), target)
 
 
 def test_epsilon_n_of_an_all_zero_problem_is_undefined():

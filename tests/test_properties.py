@@ -19,9 +19,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 import rbtlse.rb_core as rb
 from rbtlse.errors import RbtlseError
-from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
 from rbtlse.perturbation import condition_complex, condition_real
-from rbtlse.tlse import TlseProblem, solve_complex, solve_real
+from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
+                         solve_complex, solve_real)
 
 # kind -> (stack rows per matrix row, solver, conditioning, least squares
 #          baseline)

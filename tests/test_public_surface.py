@@ -78,13 +78,13 @@ def test_component_storage_stays_in_rb_core():
 
 
 def test_representations_stay_in_the_solvers():
-    """Only tlse, which defines the representations _REAL and _COMPLEX,
-    and lse_baseline, which solves with them, name them; every other
+    """Only tlse, which defines the representations _REAL and _COMPLEX
+    and runs both constrained solves with them, names them; every other
     module reads what it needs from the problem or the solution."""
     names = {"_REAL", "_COMPLEX"}
     readers = []
     for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
-        if path.name in ("tlse.py", "lse_baseline.py"):
+        if path.name == "tlse.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             # a Name's id, an Attribute's attr or an import alias's name

@@ -434,6 +434,18 @@ def test_complex_scaling_scales_the_pair(z):
                               expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("text", ["2", "1+2j"])
+def test_text_is_not_a_factor(text):
+    """complex() parses text, but a string is no scaling factor: P * text
+    and text * P raise TypeError instead of scaling by the parsed
+    number."""
+    P = rb.RBMatrix(*_signed_zero_components()[:, :, :1])
+    with pytest.raises(TypeError):
+        P * text
+    with pytest.raises(TypeError):
+        text * P
+
+
 def test_hstack_vstack():
     rng = np.random.default_rng(10)
     a = _rand_rb(rng, 2, 3)

@@ -17,11 +17,11 @@ from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            DegenerateSpectrum, DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
-from rbtlse.lse_baseline import lse_solve_complex, lse_solve_real
 from rbtlse.perturbation import (PerturbationInstance, condition_complex,
                                  condition_real, epsilon_n)
-from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, solve_complex,
-                         solve_real, residuals_real)
+from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, lse_solve_complex,
+                         lse_solve_real, solve_complex, solve_real,
+                         residuals_real)
 
 ALGEBRAS = {"real": solve_real, "complex": solve_complex}
 CONDITION = {"real": condition_real, "complex": condition_complex}
