@@ -19,7 +19,6 @@ from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
 from .rb_core import (RBMatrix, mat_mul, frobenius_norm,
                       real_block_column, complex_block_column,
                       from_real_block_column, from_complex_block_column,
-                      from_complex_pair, to_complex_pair,
                       read_rbmat, write_rbmat)
 from .tlse import (TlseProblem, TlseSolution, solve_real, solve_complex,
                    residuals_real, residuals_complex,
@@ -41,7 +40,6 @@ __all__ = [
     "RBMatrix", "mat_mul",
     "frobenius_norm", "real_block_column", "complex_block_column",
     "from_real_block_column", "from_complex_block_column",
-    "from_complex_pair", "to_complex_pair",
     "read_rbmat", "write_rbmat",
     "TlseProblem", "TlseSolution", "solve_real", "solve_complex",
     "residuals_real", "residuals_complex",

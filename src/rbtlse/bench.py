@@ -227,7 +227,7 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         def replicate(h):
-            return rb.from_complex_pair(h, h)
+            return rb.from_complex_block_column(np.concatenate([h, h]))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     n, d, p = _CMP_N, _CMP_D, _CMP_P

@@ -31,7 +31,7 @@ are read straight off that array:
   three block columns being signed block permutations of the first;
 * a complex 2m-by-2n block matrix [[R1, R2], [R2, R1]] built from the
   complex pair, with leading block column [R1; R2]: components 0 and 2
-  as real parts, 1 and 3 as imaginary parts.
+  as real parts, 1 and 3 as imaginary parts, the one complex codec.
 
 The Frobenius norm of the matrix equals the norm of either leading block
 column, half the norm of the full real representation, and 1/sqrt(2) times
@@ -53,8 +53,6 @@ from .errors import DimensionMismatch, FileFormatError, NonFiniteInput
 __all__ = [
     "RBMatrix",
     "mat_mul",
-    "from_complex_pair",
-    "to_complex_pair",
     "real_block_column",
     "complex_block_column",
     "from_real_block_column",
@@ -80,7 +78,7 @@ class RBMatrix:
         parts = [np.asarray(c) for c in (p0, p1, p2, p3)]
         if any(np.iscomplexobj(c) for c in parts):
             raise TypeError("components must be real; build complex data "
-                            "with from_complex_pair")
+                            "with RBMatrix.from_complex")
         if parts[0].ndim != 2 or any(c.shape != parts[0].shape
                                      for c in parts):
             raise DimensionMismatch("components must be 2-D and of one "
@@ -129,8 +127,11 @@ class RBMatrix:
 
     @classmethod
     def from_complex(cls, z) -> "RBMatrix":
-        """Embed a plain complex matrix Z as Z + 0*j."""
-        return from_complex_pair(z, np.zeros(np.shape(z)))
+        """Embed a plain complex matrix Z as Z + 0*j, i.e. [Z; 0]."""
+        z = np.asarray(z, dtype=np.complex128)
+        if z.ndim != 2:
+            raise DimensionMismatch(f"need a 2-D matrix, got shape {z.shape}")
+        return from_complex_block_column(np.concatenate([z, np.zeros_like(z)]))
 
     def _same_shape(self, other: "RBMatrix") -> np.ndarray:
         """``other``'s components, once its shape is checked to match."""
@@ -154,15 +155,14 @@ class RBMatrix:
 
         A real factor scales the component array itself, so every entry
         is the float64 product, a signed zero included; a complex factor
-        scales both halves of the complex pair.  Any other operand, a
+        scales the complex block column [R1; R2].  Any other operand, a
         string included, is not a factor."""
         if isinstance(zeta, numbers.Real):
             return RBMatrix._wrap(self.components * float(zeta))
         if not isinstance(zeta, numbers.Complex):
             return NotImplemented
-        zeta = complex(zeta)
-        r1, r2 = to_complex_pair(self)
-        return from_complex_pair(r1 * zeta, r2 * zeta)
+        return from_complex_block_column(
+            complex_block_column(self) * complex(zeta))
 
     __rmul__ = __mul__
 
@@ -185,27 +185,6 @@ class RBMatrix:
 def _is_finite(P: RBMatrix) -> bool:
     """Whether every component entry of ``P`` is finite."""
     return bool(np.isfinite(P.components).all())
-
-
-def from_complex_pair(r1, r2) -> RBMatrix:
-    """Build from the complex pair P = R1 + R2*j."""
-    r1 = np.asarray(r1, dtype=np.complex128)
-    r2 = np.asarray(r2, dtype=np.complex128)
-    if r1.shape != r2.shape:
-        raise DimensionMismatch(
-            f"pair shapes disagree: {r1.shape} vs {r2.shape}")
-    if r1.ndim != 2:
-        raise DimensionMismatch(f"pair must be 2-D, got shape {r1.shape}")
-    return RBMatrix._wrap(np.stack([r1.real, r1.imag, r2.real, r2.imag]))
-
-
-def to_complex_pair(P: RBMatrix):
-    """Complex pair (R1, R2) with P = R1 + R2*j; lossless, a signed zero
-    included, as the components are copied into one complex array."""
-    pair = np.empty((2, *P.shape), dtype=np.complex128)
-    pair.real = P.components[0::2]
-    pair.imag = P.components[1::2]
-    return pair[0], pair[1]
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +247,31 @@ def from_real_block_column(Y: np.ndarray) -> RBMatrix:
 
 
 def from_complex_block_column(Y: np.ndarray) -> RBMatrix:
-    """Inverse of :func:`complex_block_column`."""
+    """Inverse of :func:`complex_block_column`, a signed zero included."""
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] % 2 != 0:
         raise DimensionMismatch(
             f"need 2-D with a row count divisible by 2, got shape {Y.shape}")
-    m = Y.shape[0] // 2
-    return from_complex_pair(Y[:m], Y[m:])
+    pair = Y.reshape(2, Y.shape[0] // 2, Y.shape[1])
+    # (R1.real, R1.imag, R2.real, R2.imag) are components 0..3
+    return RBMatrix._wrap(np.stack([pair.real, pair.imag], axis=1)
+                          .reshape(4, *pair.shape[1:]))
 
 
 def mat_mul(P: RBMatrix, T: RBMatrix) -> RBMatrix:
     """Product of reduced biquaternion matrices.
 
-    Computed in complex-pair form: with P = R1 + R2*j and T = S1 + S2*j,
-    P*T = (R1@S1 + R2@S2) + (R1@S2 + R2@S1)*j.  Equivalent to multiplying
-    the real representations and reading back the first block column.
+    Computed on the complex block columns [R1; R2] and [S1; S2] of
+    P = R1 + R2*j and T = S1 + S2*j: P*T = (R1@S1 + R2@S2) + (R1@S2 +
+    R2@S1)*j, the first block column of the product of the representations.
     """
     if P.cols != T.rows:
         raise DimensionMismatch(
             f"inner dimensions disagree: {P.shape} @ {T.shape}")
-    r1, r2 = to_complex_pair(P)
-    s1, s2 = to_complex_pair(T)
-    return from_complex_pair(r1 @ s1 + r2 @ s2, r1 @ s2 + r2 @ s1)
+    r1, r2 = complex_block_column(P).reshape(2, *P.shape)
+    s1, s2 = complex_block_column(T).reshape(2, *T.shape)
+    return from_complex_block_column(
+        np.concatenate([r1 @ s1 + r2 @ s2, r1 @ s2 + r2 @ s1]))
 
 
 def _norm(*arrays: np.ndarray) -> float:

@@ -167,7 +167,7 @@ def test_compare_instance_complex():
     assert rb.frobenius_norm(base.B - want_b) == 0.0
     # the complex shared product lands in both pair slots
     dA = pert.A - base.A
-    r1, r2 = rb.to_complex_pair(dA)
+    r1, r2 = rb.complex_block_column(dA).reshape(2, *dA.shape)
     assert np.allclose(r1, r2, atol=1e-12)
     base2, pert2, _ = gen_compare_instance(2, 60, 7, "complex")
     assert pert2.A == base2.A

@@ -103,3 +103,30 @@ def test_bench_has_one_error_row_path():
                 if isinstance(node, ast.ExceptHandler) and node.type
                 and "RbtlseError" in ast.unparse(node.type)]
     assert len(handlers) == 1, handlers
+
+
+def _strided(node) -> bool:
+    """Whether ``node`` is a subscript of ``.components`` with a step."""
+    if not (isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "components"):
+        return False
+    index = node.slice
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return any(isinstance(p, ast.Slice) and p.step is not None
+               for p in parts)
+
+
+def test_one_complex_encoder():
+    """complex_block_column is the one function that takes the complex
+    parts off the component array by striding it (components 0, 2 real,
+    1, 3 imaginary), so a second complex encoder with its own copy of
+    that order fails here."""
+    encoders = set()
+    for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+                    and any(map(_strided, ast.walk(func)))):
+                encoders.add(f"{path.name}:{getattr(func, 'name', 'lambda')}")
+    assert encoders == {"rb_core.py:complex_block_column"}

@@ -188,7 +188,7 @@ def test_complex_pair_keeps_signed_zero():
     """A negative zero component 0 beside a positive component 1 survives
     the complex-pair round trip and scaling by 1."""
     P = rb.RBMatrix([[-0.0]], [[2.0]], [[0.0]], [[0.0]])
-    for Q in (rb.from_complex_pair(*rb.to_complex_pair(P)), P * 1):
+    for Q in (rb.from_complex_block_column(rb.complex_block_column(P)), P * 1):
         assert np.signbit(Q.p0[0, 0])
         assert Q == P
 
@@ -307,8 +307,8 @@ def test_block_column_round_trip():
     P = _rand_rb(rng, 5, 3)
     assert rb.from_real_block_column(rb.real_block_column(P)) == P
     assert rb.from_complex_block_column(rb.complex_block_column(P)) == P
-    r1, r2 = rb.to_complex_pair(P)
-    assert rb.from_complex_pair(r1, r2) == P
+    r1, r2 = rb.complex_block_column(P).reshape(2, *P.shape)
+    assert rb.from_complex_block_column(np.concatenate([r1, r2])) == P
 
 
 @pytest.mark.parametrize("inverse", [rb.from_real_block_column,
@@ -385,15 +385,15 @@ def test_scalar_multiplication_rb():
     Z, I = np.zeros((2, 2)), np.eye(2)
     # multiplying by j (j times the identity) swaps the complex pair
     jp = P @ rb.RBMatrix(Z, Z, I, Z)
-    r1, r2 = rb.to_complex_pair(P)
-    s1, s2 = rb.to_complex_pair(jp)
+    r1, r2 = rb.complex_block_column(P).reshape(2, *P.shape)
+    s1, s2 = rb.complex_block_column(jp).reshape(2, *jp.shape)
     assert np.allclose(s1, r2, atol=1e-15)
     assert np.allclose(s2, r1, atol=1e-15)
     # __rmul__ with a plain float
     assert (2.0 * P) == (P * 2.0)
     # a complex factor scales both halves of the pair, as i*I does
     ip = P @ rb.RBMatrix(Z, I, Z, Z)
-    for c, d in zip(rb.to_complex_pair(P * 1j), rb.to_complex_pair(ip)):
+    for c, d in zip(*map(rb.complex_block_column, (P * 1j, ip))):
         assert np.allclose(c, d, atol=1e-15)
 
 
@@ -427,8 +427,8 @@ def test_complex_scaling_scales_the_pair(z):
     """A complex factor, one with zero imaginary part included, scales
     both halves of the complex pair."""
     P = rb.RBMatrix(*_signed_zero_components()[:, :, :1])
-    r1, r2 = rb.to_complex_pair(P)
-    expected = rb.from_complex_pair(r1 * z, r2 * z).components
+    column = rb.complex_block_column(P)
+    expected = rb.from_complex_block_column(column * z).components
     for Q in (P * z, z * P):
         assert np.array_equal(Q.components.view(np.uint64),
                               expected.view(np.uint64))
@@ -661,3 +661,10 @@ def test_rbmat_write_to_missing_directory(tmp_path):
     with pytest.raises(OSError):
         rb.write_rbmat(tmp_path / "nope" / "p.rbmat", rb.RBMatrix.eye(2))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("z", [1j, [1j, 2.0], np.ones((2, 2, 2))])
+def test_from_complex_needs_a_matrix(z):
+    """A scalar, a vector or a 3-D array is no complex matrix."""
+    with pytest.raises(DimensionMismatch):
+        rb.RBMatrix.from_complex(z)
