@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -108,6 +109,12 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
+        bad = [v for v in (*self.t_values, *self.m_values, self.seed,
+                           0 if self.trials is None else self.trials)
+               if not isinstance(v, numbers.Integral)]
+        if bad:
+            raise ValueError("t_values, m_values, seed and trials must be "
+                             f"integers, got {bad}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials is not None and self.trials < 1:

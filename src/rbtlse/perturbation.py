@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningUndefined, DimensionMismatch
-from .tlse import TlseProblem, TlseSolution, _rank
+from .tlse import TlseProblem, TlseSolution, _own_problem, _rank
 
 __all__ = [
     "PerturbationInstance",
@@ -258,13 +258,7 @@ def condition_real(problem: TlseProblem,
     matrix (where the operating system lets the allocation fail; Linux
     may kill the process instead).
     """
-    if problem.sizes != solution.problem.sizes:
-        raise DimensionMismatch(
-            f"problem sizes (m, n, p, d) = {problem.sizes} do not match "
-            f"the solution's {solution.problem.sizes}")
-    if problem is not solution.problem and problem != solution.problem:
-        raise ConditioningUndefined(
-            "problem data differ from the data the solution solves")
+    _own_problem(problem, solution)
     try:
         gram = _gram(solution)
         x_norm = float(np.linalg.norm(solution.X))

@@ -58,7 +58,8 @@ on the same stacks after the same step 1, with the same validation and
 LAPACK failure mapping, solved by the classical null-space reduction: a
 full QR of Cc^H yields a particular solution from the triangular system
 and an orthonormal basis of the admissible variations, and an ordinary
-least squares solve fixes the null-space coefficient.
+least squares solve fixes the null-space coefficient, which must be
+unique: Ac Q2 needs full column rank n - r by the same rank rule.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ import numpy as np
 
 from . import rb_core as rb
 from .errors import (AssumptionViolated, BlockNotInvertible,
-                     DegenerateSpectrum, DimensionMismatch,
-                     FactorizationFailed, GapConditionFailed,
-                     NonFiniteInput)
+                     ConditioningUndefined, DegenerateSpectrum,
+                     DimensionMismatch, FactorizationFailed,
+                     GapConditionFailed, NonFiniteInput)
 
 __all__ = [
     "TlseProblem",
@@ -339,11 +340,24 @@ def solve_complex(problem: TlseProblem) -> TlseSolution:
     return _solve(problem, _COMPLEX)
 
 
+def _own_problem(problem: TlseProblem, solution: TlseSolution) -> None:
+    """Refuse a ``problem`` that is not the one ``solution`` solves: other
+    sizes, or other data unless it is that very object."""
+    if problem.sizes != solution.problem.sizes:
+        raise DimensionMismatch(
+            f"problem sizes (m, n, p, d) = {problem.sizes} do not match "
+            f"the solution's {solution.problem.sizes}")
+    if problem is not solution.problem and problem != solution.problem:
+        raise ConditioningUndefined(
+            "problem data differ from the data the solution solves")
+
+
 def residuals_real(problem: TlseProblem,
                    solution: TlseSolution) -> tuple[float, float]:
-    """Accuracy metrics ||(A+E)X - (B+F)||_F and ||C X - D||_F, for a
-    real or a complex X (a real X embeds exactly as RBMatrix.from_real
-    would embed it)."""
+    """Accuracy metrics ||(A+E)X - (B+F)||_F and ||C X - D||_F of the
+    problem ``solution`` solves (another is refused, as by condition_*),
+    for a real or a complex X (a real X embeds as from_real embeds it)."""
+    _own_problem(problem, solution)
     XR = rb.RBMatrix.from_complex(solution.X)
     eps1 = rb.frobenius_norm(
         rb.mat_mul(problem.A + solution.E_bar, XR)
@@ -376,7 +390,14 @@ def _lse(problem: TlseProblem, rep: _Representation) -> LseSolution:
     # Cc = [R^H 0] Q^H, so Cc X = Dc becomes R^H (Q1^H X) = Dc; with
     # r = 0, Q2 is the identity and X0 is zero
     X0 = Q1 @ np.linalg.solve(R[:r].conj().T, Dc)
-    Z, *_ = np.linalg.lstsq(Ac @ Q2, Bc - Ac @ X0, rcond=None)
+    M = Ac @ Q2
+    Z, _, _, sv = np.linalg.lstsq(M, Bc - Ac @ X0, rcond=None)
+    # lstsq's cut-off, eps * max(M.shape) * sigma_1, is the rank rule's
+    rank = _rank(sv, M.shape)
+    if rank < n - r:
+        raise AssumptionViolated(
+            f"Ac Q2 ({M.shape[0]} x {n - r}) has numerical rank {rank} < "
+            f"{n - r}; the least squares solution is not unique")
     X = X0 + Q2 @ Z
     return LseSolution(X=X, residual=rb._norm(Ac @ X - Bc),
                        constraint_residual=rb._norm(Cc @ X - Dc))

@@ -67,6 +67,23 @@ def test_config_refuses_repeated_scales(repeat):
             ExperimentConfig(experiment=experiment, **repeat)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(t_values=(1.5,)), dict(t_values=(1, 2.0)), dict(m_values=(60.0,)),
+    dict(trials=1.5), dict(trials=60.0), dict(seed=0.5)],
+    ids=["t", "t-whole-float", "m", "trials", "trials-whole-float", "seed"])
+def test_config_refuses_non_integers(bad):
+    """A non-integer scale, trial count or seed is refused when the
+    config is built, not later by the seeding or the trial loop; numpy
+    integers are integers."""
+    for experiment in ("accuracy-real", "compare-lse"):
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(experiment=experiment, **bad)
+    config = ExperimentConfig(experiment="accuracy-real",
+                              t_values=(np.int64(1),), seed=np.int64(3),
+                              trials=np.int64(2))
+    assert config.effective_trials == 2
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -167,3 +167,27 @@ def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve):
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(FactorizationFailed, match="did not converge"):
         solve(A, B, C, D)
+
+
+def _repeated_column(rng):
+    A = _rand_rb(rng, 20, 8).components.copy()
+    A[:, :, 1] = A[:, :, 0]
+    return rb.RBMatrix(*A)
+
+
+@pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
+@pytest.mark.parametrize("make_a", [lambda rng: _rand_rb(rng, 1, 10),
+                                    _repeated_column],
+                         ids=["short", "repeated-column"])
+def test_non_unique_least_squares_rejected(solve, make_a):
+    """A reduced block Ac Q2 without full column rank leaves the least
+    squares X free along its null space: a 1x10 A, whose 4 (real) or 2
+    (complex) stacked rows are fewer than the 10 unknowns, or a tall A
+    with a repeated column.  The baseline refuses both, naming the rank,
+    instead of returning the minimum-norm X."""
+    rng = np.random.default_rng(8)
+    A = make_a(rng)
+    m, n = A.shape
+    with pytest.raises(AssumptionViolated, match="rank .* not unique"):
+        solve(A, _rand_rb(rng, m, 2), rb.RBMatrix.zeros(0, n),
+              rb.RBMatrix.zeros(0, 2))

@@ -14,7 +14,8 @@ import oracles
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
-                           DegenerateSpectrum, DimensionMismatch,
+                           ConditioningUndefined, DegenerateSpectrum,
+                           DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
 from rbtlse.perturbation import (PerturbationInstance, condition_complex,
@@ -512,3 +513,20 @@ def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve,
     monkeypatch.setattr(np.linalg, routine, _fail_linalg)
     with pytest.raises(FactorizationFailed, match="did not converge"):
         solve(problem)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_residuals_refuse_another_problem(kind):
+    """The residuals read the problem beside the solution's X and
+    correction, so a problem of other sizes or other data is refused, as
+    conditioning refuses it; a copy of the solved data is accepted."""
+    sizes = accuracy_sizes(kind, 1)
+    prob = gen_instance(kind, sizes, 0)
+    sol = ALGEBRAS[kind](prob)
+    taller = gen_instance(kind, (sizes[0] + 1, *sizes[1:]), 0)
+    with pytest.raises(DimensionMismatch, match="do not match"):
+        residuals_real(taller, sol)
+    with pytest.raises(ConditioningUndefined, match="differ"):
+        residuals_real(gen_instance(kind, sizes, 1), sol)
+    copy = TlseProblem(A=prob.A, B=prob.B, C=prob.C, D=prob.D)
+    assert residuals_real(copy, sol) == residuals_real(prob, sol)
