@@ -234,13 +234,10 @@ class TlseSolution:
     @functools.cached_property
     def _correction(self) -> tuple[rb.RBMatrix, rb.RBMatrix]:
         n, d = self.X.shape
-        k = self.V_check.shape[1] - d
-        V12 = self.V_check[:n, k:]
-        V22 = self.V_check[n:, k:]
-        W2 = self.P @ self.V_check[:, k:]
-        E_stack = -W2 @ V12.conj().T
-        F_stack = -W2 @ V22.conj().T
-        return self._from_column(E_stack), self._from_column(F_stack)
+        V2 = self.V_check[:, -d:]
+        W2 = self.P @ V2
+        return (self._from_column(-W2 @ V2[:n].conj().T),
+                self._from_column(-W2 @ V2[n:].conj().T))
 
     @property
     def E_bar(self) -> rb.RBMatrix:
