@@ -125,8 +125,7 @@ def test_one_complex_encoder():
     encoders = set()
     for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda))
+            if (isinstance(func, (ast.FunctionDef, ast.Lambda))
                     and any(map(_strided, ast.walk(func)))):
                 encoders.add(f"{path.name}:{getattr(func, 'name', 'lambda')}")
     assert encoders == {"rb_core.py:complex_block_column"}
