@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 on success, 2 when a solver assumption is violated (rank,
 gap, invertibility, sizes, non-finite data), a LAPACK factorization
-fails or the condition number is undefined, 1 on I/O or file-format failures (an RBMAT file holding nan or inf
-is a format failure).
+fails or the condition number is undefined, 1 on I/O or file-format
+failures (an RBMAT file holding nan or inf is a format failure).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ TLS problem on (Ac, Bc, Cc, Dc) and perturbation norms agree:
   real representation, so its factorizations are half the size.
 
 The two differ only in that map and its row count q (4 or 2) per matrix
-row; the solve is one classical null-space reduction, written with
+row.  Each public entry point passes rb_core's map, real_block_column or
+complex_block_column (and, to the solve, its inverse), looked up when it
+is called; the solve is one classical null-space reduction, written with
 conjugate transposes (plain transposes on real stacks), with r = q*p
 the row count of S:
 
@@ -97,20 +99,6 @@ _GAP_REL = 1e-10
 # sigma_min (CS decomposition), so this one rule bounds the condition
 # numbers of both inverted blocks (V22 here, W1 in kappa) by _COND_MAX.
 _COND_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class _Representation:
-    """Leading-block-column map of one algebra of solutions and its
-    inverse."""
-
-    column: Callable[..., np.ndarray]
-    from_column: Callable[[np.ndarray], rb.RBMatrix]
-
-
-_REAL = _Representation(rb.real_block_column, rb.from_real_block_column)
-_COMPLEX = _Representation(rb.complex_block_column,
-                           rb.from_complex_block_column)
 
 
 def _rank(sv: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -228,7 +216,7 @@ class TlseSolution:
     Q1: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
     problem: TlseProblem = field(repr=False)
-    # the representation's inverse map, which reads the correction back
+    # the inverse block-column map, which reads the correction back
     _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(repr=False)
 
     @functools.cached_property
@@ -251,13 +239,13 @@ class TlseSolution:
 
 
 def _stacks(problem: TlseProblem,
-            rep: _Representation) -> tuple[np.ndarray, np.ndarray]:
+            column: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The stacks P = [Ac, Bc] and S = [Cc, Dc] of ``problem``, one call
-    of the map each, once Cc, the view S[:, :n], has passed the rank
-    rule: numerical full row rank, from its singular values alone.  A
-    failure is an error, never a silent regularization."""
-    P = rep.column(problem.A, problem.B)
-    S = rep.column(problem.C, problem.D)
+    of the block-column map ``column`` each, once Cc, the view S[:, :n],
+    has passed the rank rule: numerical full row rank, from its singular
+    values alone.  A failure is an error, never a silent regularization."""
+    P = column(problem.A, problem.B)
+    S = column(problem.C, problem.D)
     Cc = S[:, :problem.A.cols]
     r, n = Cc.shape
     rank = _rank(np.linalg.svd(Cc, compute_uv=False), Cc.shape)
@@ -269,9 +257,10 @@ def _stacks(problem: TlseProblem,
 
 
 @_lapack_failures
-def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
+def _solve(problem: TlseProblem, column: Callable,
+           from_column: Callable) -> TlseSolution:
     n, d = problem.A.cols, problem.B.cols
-    P, S = _stacks(problem, rep)
+    P, S = _stacks(problem, column)
     r = S.shape[0]
     # the reduced matrix P @ Q2 (n+d-r cols) must be tall for the
     # trailing singular subspace to have dimension d
@@ -317,7 +306,7 @@ def _solve(problem: TlseProblem, rep: _Representation) -> TlseSolution:
         X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
         residual_perturbation_norm=rb._norm(sigma[k:]),
         P=P, S=S, V_check=V_check, Q1=Q1, R=R, problem=problem,
-        _from_column=rep.from_column)
+        _from_column=from_column)
 
 
 def solve_real(problem: TlseProblem) -> TlseSolution:
@@ -328,13 +317,14 @@ def solve_real(problem: TlseProblem) -> TlseSolution:
     DegenerateSpectrum when the data leaves the theory's premises, and
     FactorizationFailed when a LAPACK call fails.
     """
-    return _solve(problem, _REAL)
+    return _solve(problem, rb.real_block_column, rb.from_real_block_column)
 
 
 def solve_complex(problem: TlseProblem) -> TlseSolution:
     """Solve for the unique complex X over the 2m-row complex stacks;
     errors as in :func:`solve_real`."""
-    return _solve(problem, _COMPLEX)
+    return _solve(problem, rb.complex_block_column,
+                  rb.from_complex_block_column)
 
 
 def _own_problem(problem: TlseProblem, solution: TlseSolution) -> None:
@@ -377,9 +367,9 @@ class LseSolution:
 
 
 @_lapack_failures
-def _lse(problem: TlseProblem, rep: _Representation) -> LseSolution:
+def _lse(problem: TlseProblem, column: Callable) -> LseSolution:
     n = problem.A.cols
-    P, S = _stacks(problem, rep)
+    P, S = _stacks(problem, column)
     Ac, Bc, Cc, Dc = P[:, :n], P[:, n:], S[:, :n], S[:, n:]
     r = S.shape[0]
     Q, R = np.linalg.qr(Cc.conj().T, mode="complete")
@@ -406,10 +396,10 @@ def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
     reduction is plain least squares.  The blocks are validated as a
     TlseProblem, errors are those of the total least squares solver, and
     the residual norms are scale-safe."""
-    return _lse(TlseProblem(A, B, C, D), _REAL)
+    return _lse(TlseProblem(A, B, C, D), rb.real_block_column)
 
 
 def lse_solve_complex(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
                       D: rb.RBMatrix) -> LseSolution:
     """Complex-solution variant over the complex-pair stacks."""
-    return _lse(TlseProblem(A, B, C, D), _COMPLEX)
+    return _lse(TlseProblem(A, B, C, D), rb.complex_block_column)

@@ -5,11 +5,13 @@ import csv
 import numpy as np
 import pytest
 
+import rbtlse.bench as bench
 import rbtlse.cli as cli
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
 from rbtlse.bench import CSV_COLUMNS, ExperimentConfig
 from rbtlse.cli import main
+from rbtlse.errors import FactorizationFailed
 
 
 def _rand_rb(rng, m, n):
@@ -101,6 +103,43 @@ def test_run_rejects_more_than_1000_point_trials(tmp_path, capsys,
     assert code == 2
     assert "at most 1000 trials, got 1001" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m_list, message", [
+    ("60,x", "bad --m-list"), (",", "--m-list is empty")])
+def test_run_rejects_a_bad_m_list(tmp_path, capsys, m_list, message):
+    out = tmp_path / "cmp.csv"
+    code = main(["run", "compare-lse", "--m-list", m_list, "--trials", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_bound_prints_one_line_per_magnitude(tmp_path, capsys):
+    out = tmp_path / "bound.csv"
+    code = main(["run", "bound-real", "--t-min", "1", "--t-max", "1",
+                 "--trials", "1", "--out", str(out)])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  t=1 trial=0: fwd=")]
+    assert len(lines) == 3
+    assert all(" bound=" in line for line in lines)
+
+
+def test_run_prints_error_rows(tmp_path, capsys, monkeypatch):
+    def fail(problem):
+        raise FactorizationFailed("SVD did not converge")
+
+    monkeypatch.setattr(bench, "solve_real", fail)
+    out = tmp_path / "acc.csv"
+    code = main(["run", "accuracy-real", "--t-min", "1", "--t-max", "1",
+                 "--out", str(out)])
+    assert code == 0
+    captured = capsys.readouterr().out
+    assert "0 rows written, 1 error rows" in captured
+    assert ("  t=1 trial=0: FactorizationFailed: SVD did not converge"
+            in captured.splitlines())
 
 
 def test_solve_real_stdout(tmp_path, capsys):

@@ -390,6 +390,63 @@ def test_condition_rejects_a_problem_of_other_data(kind):
     assert condition(copy, sol).kappa == condition(prob, sol).kappa
 
 
+def _prescribed_constraint(kind, factor, seed=0, m=10, n=6, p=1, d=3):
+    """Random A and B with C built in stack space: its block column Cc
+    (r = 4p or 2p rows) has singular values (1, ..., 1, s_r), s_r =
+    factor * max(r, n) * eps, and D = 0, so S = [Cc, 0] shares them."""
+    rng = np.random.default_rng(seed)
+    r = (4 if kind == "real" else 2) * p
+
+    def orthonormal(rows, cols):
+        M = rng.standard_normal((rows, cols))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(M)[0]
+
+    s = np.ones(r)
+    s[-1] = factor * max(r, n) * np.finfo(np.float64).eps
+    Cc = (orthonormal(r, r) * s) @ orthonormal(n, r).conj().T
+    from_column = (rb.from_real_block_column if kind == "real"
+                   else rb.from_complex_block_column)
+    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
+                       C=from_column(Cc), D=rb.RBMatrix.zeros(p, d))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kappa_applies_the_rank_rule_to_s(kind):
+    """The solve checks Cc against max(r, n) * eps * sigma_1 = 6 eps and
+    kappa checks S against max(r, n + d) * eps * sigma_1 = 9 eps.  A last
+    singular value of 7.2 eps passes the first and fails the second; one
+    of 12 eps passes both."""
+    solve = solve_real if kind == "real" else solve_complex
+    prob = _prescribed_constraint(kind, 1.2)
+    sol = solve(prob)
+    with pytest.raises(ConditioningUndefined, match="constraint stack rank"):
+        condition_real(prob, sol)
+    prob = _prescribed_constraint(kind, 2.0)
+    kappa = condition_real(prob, solve(prob)).kappa
+    assert np.isfinite(kappa) and kappa > 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kappa_undefined_at_zero_solution(kind):
+    """A = [I_3; 0] and B = 0.1 I_2 in rows 3-4 have orthogonal columns,
+    so the trailing right singular vectors of [A, B] are B's and X = 0
+    exactly, with gap 0.9; kappa, relative to ||X||_F, is undefined."""
+    A = np.zeros((6, 3))
+    A[:3] = np.eye(3)
+    B = np.zeros((6, 2))
+    B[3:5] = 0.1 * np.eye(2)
+    prob = TlseProblem(A=rb.RBMatrix.from_real(A), B=rb.RBMatrix.from_real(B),
+                       C=rb.RBMatrix.zeros(0, 3), D=rb.RBMatrix.zeros(0, 2))
+    solve = solve_real if kind == "real" else solve_complex
+    sol = solve(prob)
+    assert not np.any(sol.X)
+    assert sol.gap == pytest.approx(0.9, rel=1e-12)
+    with pytest.raises(ConditioningUndefined, match="X = 0"):
+        condition_real(prob, sol)
+
+
 def test_kappa_real_vs_complex_on_real_data():
     """Same consistent all-real data through both solution paths: the two
     condition numbers agree to within a small factor."""

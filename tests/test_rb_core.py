@@ -594,6 +594,7 @@ def test_rbmat_header_format(tmp_path):
     lambda lines: lines[:1] + ["1_0 0.0"] + lines[2:],  # Python numeral entry
     lambda lines: ["RBMAT 1000000000000 2"] + lines[1:],  # m beyond the file
     lambda lines: ["RBMAT 2 1000000000000"] + lines[1:],  # n beyond a row
+    lambda lines: ["RBMAT -1 2"] + lines[1:],           # negative dimension
 ])
 def test_rbmat_malformed(tmp_path, mutate):
     P = rb.RBMatrix.eye(2)

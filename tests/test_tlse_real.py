@@ -26,6 +26,7 @@ from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, lse_solve_complex,
 
 ALGEBRAS = {"real": solve_real, "complex": solve_complex}
 CONDITION = {"real": condition_real, "complex": condition_complex}
+LSE = {"real": lse_solve_real, "complex": lse_solve_complex}
 
 
 def _rand_rb(rng, m, n):
@@ -54,6 +55,9 @@ def test_problem_shape_validation():
     D2 = _rand_rb(rng, 1, 3)  # wrong column count
     with pytest.raises(DimensionMismatch):
         TlseProblem(A=A, B=B2, C=C, D=D2)
+    C2 = _rand_rb(rng, 1, 4)  # column count other than A's
+    with pytest.raises(DimensionMismatch, match="cols but C has"):
+        TlseProblem(A=A, B=B2, C=C2, D=D)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -513,6 +517,29 @@ def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve,
     monkeypatch.setattr(np.linalg, routine, _fail_linalg)
     with pytest.raises(FactorizationFailed, match="did not converge"):
         solve(problem)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("solve", ["solve", "lse_solve"])
+def test_entry_points_call_the_block_column_map(monkeypatch, kind, solve):
+    """Each entry point looks its algebra's map up in rb_core when it is
+    called and builds the stacks P and S with one call each, so a wrapper
+    put on rb_core's function sees both calls."""
+    name = f"{kind}_block_column"
+    column = getattr(rb, name)
+    calls = []
+
+    def counting(*blocks):
+        calls.append(len(blocks))
+        return column(*blocks)
+
+    problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    monkeypatch.setattr(rb, name, counting)
+    if solve == "solve":
+        ALGEBRAS[kind](problem)
+    else:
+        LSE[kind](problem.A, problem.B, problem.C, problem.D)
+    assert calls == [2, 2]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
