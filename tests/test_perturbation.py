@@ -390,11 +390,13 @@ def test_condition_rejects_a_problem_of_other_data(kind):
     assert condition(copy, sol).kappa == condition(prob, sol).kappa
 
 
-def _prescribed_constraint(kind, factor, seed=0, m=10, n=6, p=1, d=3):
-    """Random A and B with C built in stack space: its block column Cc
-    (r = 4p or 2p rows) has singular values (1, ..., 1, s_r), s_r =
-    factor * max(r, n) * eps, and D = 0, so S = [Cc, 0] shares them."""
-    rng = np.random.default_rng(seed)
+def _prescribed_constraint(kind, factor):
+    """Random A and B (m = 10, n = 6, d = 3) with C (p = 1) built in
+    stack space: its block column Cc (r = 4 or 2 rows) has singular
+    values (1, ..., 1, s_r), s_r = factor * max(r, n) * eps, and D = 0,
+    so S = [Cc, 0] shares them."""
+    rng = np.random.default_rng(0)
+    m, n, p, d = 10, 6, 1, 3
     r = (4 if kind == "real" else 2) * p
 
     def orthonormal(rows, cols):
