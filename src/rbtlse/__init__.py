@@ -10,44 +10,21 @@ for real and complex solutions X.  Alongside the solvers it computes the
 relative normwise condition number of the solution map, plus a
 constrained least squares baseline and a seeded experiment harness with a
 small CLI.
+
+Each module's ``__all__`` is its public list, and the one declaration of
+it: the package re-exports the lists of ``errors``, ``rb_core``, ``tlse``,
+``perturbation`` and ``bench``, and its ``__all__`` is theirs joined in
+that order, plus ``__version__``.
 """
 
-from .errors import (RbtlseError, DimensionMismatch, AssumptionViolated,
-                     GapConditionFailed, BlockNotInvertible,
-                     DegenerateSpectrum, ConditioningUndefined,
-                     FactorizationFailed, NonFiniteInput, FileFormatError)
-from .rb_core import (RBMatrix, mat_mul, frobenius_norm,
-                      real_block_column, complex_block_column,
-                      from_real_block_column, from_complex_block_column,
-                      read_rbmat, write_rbmat)
-from .tlse import (TlseProblem, TlseSolution, solve_real, solve_complex,
-                   residuals_real, residuals_complex,
-                   LseSolution, lse_solve_real, lse_solve_complex)
-from .perturbation import (PerturbationInstance, ConditionReport,
-                           epsilon_n, scaled_to,
-                           condition_real, condition_complex)
-from .bench import (EXPERIMENTS, ExperimentConfig, ExperimentRecord,
-                    accuracy_sizes, gen_instance, gen_compare_instance,
-                    random_perturbation, run_experiment, write_csv)
+from .errors import *  # noqa: F401,F403
+from .rb_core import *  # noqa: F401,F403
+from .tlse import *  # noqa: F401,F403
+from .perturbation import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
+from . import bench, errors, perturbation, rb_core, tlse
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RbtlseError", "DimensionMismatch", "AssumptionViolated",
-    "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
-    "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
-    "FileFormatError",
-    "RBMatrix", "mat_mul",
-    "frobenius_norm", "real_block_column", "complex_block_column",
-    "from_real_block_column", "from_complex_block_column",
-    "read_rbmat", "write_rbmat",
-    "TlseProblem", "TlseSolution", "solve_real", "solve_complex",
-    "residuals_real", "residuals_complex",
-    "PerturbationInstance", "ConditionReport",
-    "epsilon_n", "scaled_to", "condition_real", "condition_complex",
-    "LseSolution", "lse_solve_real", "lse_solve_complex",
-    "EXPERIMENTS", "ExperimentConfig", "ExperimentRecord", "accuracy_sizes",
-    "gen_instance", "gen_compare_instance", "random_perturbation",
-    "run_experiment", "write_csv",
-    "__version__",
-]
+__all__ = [name for module in (errors, rb_core, tlse, perturbation, bench)
+           for name in module.__all__] + ["__version__"]

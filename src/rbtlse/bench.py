@@ -25,8 +25,9 @@ SeedSequence; compare runs seed each trial as seed + trial (0-based).
 CSV rows carry the fixed column set
 experiment,t,m,seed,trial,eps1,eps2,delta_norm,fwd_err,bound,eps_T,eps_L,error
 with unused columns empty; a row has either all its metrics finite or a
-nonempty error column.  Files are written to a temp path and renamed, so
-a crashed run never leaves a half-written report.
+nonempty error column.  :func:`run_experiment` returns the rows and
+writes nothing; :func:`write_csv` writes them to a temp path and renames
+it, so a crashed run never leaves a half-written report.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentRecord",
-    "CSV_COLUMNS",
-    "MAGNITUDES",
     "accuracy_sizes",
     "gen_instance",
     "gen_compare_instance",
@@ -85,7 +84,8 @@ def accuracy_sizes(kind: str, t: int) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully determines one reproducible run."""
+    """Fully determines one reproducible run and its rows; where they are
+    written is the caller's choice (see :func:`write_csv`)."""
 
     experiment: str
     t_values: tuple[int, ...] = (1, 2, 3)
@@ -94,7 +94,6 @@ class ExperimentConfig:
     variant: str = "real"
     seed: int = 0
     trials: Optional[int] = None
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -179,7 +178,9 @@ def gen_instance(kind: str, sizes: Sequence[int], seed) -> TlseProblem:
 
     Real instances use standard normal components, complex instances
     uniform [0,1) for every component (i.e. uniform real and imaginary
-    parts of the complex pair).
+    parts of the complex pair).  ``seed`` is anything
+    ``np.random.default_rng`` takes; a Generator is used as is, so the
+    draws continue its stream.
     """
     m, n, p, d = sizes
     if kind == "real":
@@ -194,11 +195,10 @@ def gen_instance(kind: str, sizes: Sequence[int], seed) -> TlseProblem:
 
 
 def random_perturbation(problem, rng, eps_target: float) -> PerturbationInstance:
-    """Random direction with all components standard normal, rescaled so
-    the relative perturbation size equals ``eps_target``."""
-    m, n, p, d = problem.sizes
-    delta = TlseProblem(A=_rb_randn(rng, m, n), B=_rb_randn(rng, m, d),
-                        C=_rb_randn(rng, p, n), D=_rb_randn(rng, p, d))
+    """Random direction with all components standard normal (a real
+    instance of the problem's sizes drawn from the Generator ``rng``),
+    rescaled so the relative perturbation size equals ``eps_target``."""
+    delta = gen_instance("real", problem.sizes, rng)
     return scaled_to(PerturbationInstance(problem, delta), eps_target)
 
 
@@ -211,7 +211,7 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
     both the coefficient block (columns 1..50 of a shared m-by-85 product,
     replicated into all four components) and the right-hand side (columns
     51..85); Case 2 leaves the coefficients alone and perturbs only the
-    right-hand side.  Zero-mean factors matter: a positive-mean draw makes
+    right-hand side, with an m-by-35 product.  Zero-mean factors matter: a positive-mean draw makes
     the injected error nearly rank one with norm above the data's top
     singular values, which poisons the fitted subspace of the total
     solver and inverts the comparison this generator exists to support.
@@ -245,14 +245,11 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
     Xrb = rb.RBMatrix.from_complex(X)
     B = rb.mat_mul(A, Xrb)
     D = rb.mat_mul(C, Xrb)
-    if case == 1:
-        G = draw((n + d, n + d))
-        H = 0.01 * draw((m, n + d)) @ G
-        dA, dB = replicate(H[:, :n]), replicate(H[:, n:])
-    else:
-        G = draw((d, d))
-        H = 0.01 * draw((m, d)) @ G
-        dA, dB = rb.RBMatrix.zeros(m, n), replicate(H)
+    w = n + d if case == 1 else d
+    G = draw((w, w))
+    H = 0.01 * draw((m, w)) @ G
+    dB = replicate(H[:, -d:])
+    dA = replicate(H[:, :n]) if case == 1 else rb.RBMatrix.zeros(m, n)
     base = TlseProblem(A=A, B=B, C=C, D=D)
     pert = TlseProblem(A=A + dA, B=B + dB, C=C, D=D)
     return base, pert, X
@@ -362,16 +359,15 @@ def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Run the configured experiment; writes the CSV when config.out is
-    set.  Solver failures become error rows, I/O failures propagate."""
+    """The configured experiment's rows, sorted by t, m and trial; solver
+    failures become error rows.  It writes nothing: :func:`write_csv`
+    writes the rows as a CSV report."""
     if config.experiment == "compare-lse":
         records = _run_compare(config)
     else:
         records = _run_points(config)
     records.sort(key=lambda r: (r.t if r.t is not None else 0, r.m,
                                 r.trial if r.trial is not None else -1))
-    if config.out is not None:
-        write_csv(config.out, records)
     return records
 
 

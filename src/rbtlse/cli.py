@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rb_core as rb
-from .bench import EXPERIMENTS, ExperimentConfig, run_experiment
+from .bench import EXPERIMENTS, ExperimentConfig, run_experiment, write_csv
 from .errors import FileFormatError, RbtlseError
 # condition_real and residuals_real serve both algebras
 from .perturbation import condition_real
@@ -95,14 +95,15 @@ def _cmd_run(args) -> int:
         case=args.case,
         variant=args.variant,
         seed=args.seed,
-        trials=args.trials,
-        out=args.out if args.out is not None else f"{args.experiment}.csv")
+        trials=args.trials)
+    out = args.out if args.out is not None else f"{args.experiment}.csv"
     records = run_experiment(config)
+    write_csv(out, records)
     ok = sum(1 for r in records if not r.error)
     failed = len(records) - ok
     print(f"{config.experiment}: {ok} rows written"
           + (f", {failed} error rows" if failed else "")
-          + f" -> {config.out}")
+          + f" -> {out}")
     for rec in records:
         label = f"t={rec.t}" if rec.t is not None else f"m={rec.m}"
         if rec.error:

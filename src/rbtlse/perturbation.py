@@ -218,8 +218,8 @@ def _gram(solution: TlseSolution) -> np.ndarray:
     denom = sig1[:, None] ** 2 - sig2 ** 2
     if np.any(denom <= 0.0):
         raise ConditioningUndefined(
-            "diagonal resolvent in G is singular; gap condition "
-            "violated at conditioning time")
+            "diagonal resolvent in G is singular: gap condition violated, "
+            "or squared singular values underflow at this data scale")
 
     Wf = W[:, r:]
     WfD = Wf / denom.T[:, None, :]
@@ -254,13 +254,16 @@ def condition_real(problem: TlseProblem,
     comes from the largest eigenvalue of the Gram matrix, which eigvalsh
     reads from one triangle; it is returned finite and positive, else
     ConditioningUndefined is raised, as it is for X = 0, for a LAPACK
-    failure and for a MemoryError while forming or reading the Gram
-    matrix (where the operating system lets the allocation fail; Linux
-    may kill the process instead).
+    failure, for a floating-point overflow, division by zero or invalid
+    operation while forming the Gram matrix (data scaled far from 1,
+    where the solve still succeeds), and for a MemoryError while forming
+    or reading the Gram matrix (where the operating system lets the
+    allocation fail; Linux may kill the process instead).
     """
     _own_problem(problem, solution)
     try:
-        gram = _gram(solution)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gram = _gram(solution)
         x_norm = float(np.linalg.norm(solution.X))
         if x_norm == 0.0:
             raise ConditioningUndefined(
@@ -273,6 +276,10 @@ def condition_real(problem: TlseProblem,
     except np.linalg.LinAlgError as exc:
         raise ConditioningUndefined(
             f"linear algebra failure while conditioning: {exc}") from exc
+    except FloatingPointError as exc:
+        raise ConditioningUndefined(
+            "the Gram matrix is out of floating-point range at data scale "
+            f"||[J, K]||_F = {problem.data_norm:.3g}: {exc}") from exc
     except MemoryError as exc:
         raise ConditioningUndefined(
             f"out of memory while conditioning: {exc!r}") from exc

@@ -60,7 +60,6 @@ __all__ = [
     "frobenius_norm",
     "read_rbmat",
     "write_rbmat",
-    "atomic_open",
 ]
 
 

@@ -202,6 +202,16 @@ def test_compare_instance_rejects_unknown_case(case):
         gen_compare_instance(case, 60, 0, "real")
 
 
+@pytest.mark.parametrize("generate", [
+    lambda kind: accuracy_sizes(kind, 1),
+    lambda kind: gen_instance(kind, (10, 4, 1, 2), 0),
+    lambda kind: gen_compare_instance(1, 60, 0, kind),
+], ids=["accuracy_sizes", "gen_instance", "gen_compare_instance"])
+def test_generators_reject_unknown_kind(generate):
+    with pytest.raises(ValueError, match="unknown (kind|variant) 'quaternion'"):
+        generate("quaternion")
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 # ---------------------------------------------------------------------------
@@ -294,12 +304,12 @@ def test_records_sorted_by_scale():
 def test_run_determinism_and_csv_bytes(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    cfg1 = ExperimentConfig(experiment="bound-real", t_values=(1,), seed=7,
-                            out=str(out1))
-    cfg2 = ExperimentConfig(experiment="bound-real", t_values=(1,), seed=7,
-                            out=str(out2))
+    cfg1 = ExperimentConfig(experiment="bound-real", t_values=(1,), seed=7)
+    cfg2 = ExperimentConfig(experiment="bound-real", t_values=(1,), seed=7)
     rec1 = run_experiment(cfg1)
     rec2 = run_experiment(cfg2)
+    write_csv(str(out1), rec1)
+    write_csv(str(out2), rec2)
     assert rec1 == rec2
     assert out1.read_bytes() == out2.read_bytes()
 

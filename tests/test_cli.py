@@ -312,11 +312,12 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert not report.exists()
 
     configs = []
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "run_experiment",
                         lambda config: configs.append(config) or [])
     assert main(["run", "accuracy-real"]) == 0
     assert configs == [ExperimentConfig(
         experiment="accuracy-real", t_values=(1, 2, 3),
         m_values=(60, 80, 100, 120), case=1, variant="real", seed=0,
-        trials=None, out="accuracy-real.csv")]
+        trials=None)]
     assert cli._build_parser() is cli._build_parser()

@@ -342,6 +342,24 @@ def test_kappa_at_extreme_scale(kind, e):
         kappa, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("e", [-170, -160, 160, 170])
+def test_kappa_refuses_out_of_range_scale(kind, e):
+    """Scaled by 10**e, the t = 1 accuracy instance still solves, but its
+    Gram matrix overflows (+-160, +170) or its squared singular values
+    underflow to 0 (-170): kappa raises ConditioningUndefined, and no
+    floating-point warning escapes."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    z = 10.0 ** e
+    scaled = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
+                         D=prob.D * z)
+    solution = solve(scaled)
+    with pytest.raises(ConditioningUndefined, match="data scale"):
+        condition(scaled, solution)
+
+
 @pytest.mark.parametrize("solve", [solve_real, solve_complex],
                          ids=["real", "complex"])
 def test_tiny_v22_is_block_not_invertible(solve):

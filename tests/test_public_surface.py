@@ -40,6 +40,50 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
+# the package's 44 public names, written out, so that a name added to or
+# dropped from any module's list fails here until this set says so
+PUBLIC = {
+    "RbtlseError", "DimensionMismatch", "AssumptionViolated",
+    "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
+    "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
+    "FileFormatError",
+    "RBMatrix", "mat_mul", "real_block_column", "complex_block_column",
+    "from_real_block_column", "from_complex_block_column",
+    "frobenius_norm", "read_rbmat", "write_rbmat",
+    "TlseProblem", "TlseSolution", "solve_real", "solve_complex",
+    "residuals_real", "residuals_complex",
+    "LseSolution", "lse_solve_real", "lse_solve_complex",
+    "PerturbationInstance", "ConditionReport", "condition_real",
+    "condition_complex", "epsilon_n", "scaled_to",
+    "EXPERIMENTS", "ExperimentConfig", "ExperimentRecord",
+    "accuracy_sizes", "gen_instance", "gen_compare_instance",
+    "random_perturbation", "run_experiment", "write_csv",
+    "__version__",
+}
+REEXPORTED = ("errors", "rb_core", "tlse", "perturbation", "bench")
+
+
+def test_no_name_in_two_module_lists():
+    """A name in two modules' __all__ would be shadowed silently by the
+    package's star imports, the later module's winning."""
+    owners = {}
+    for module in MODULES[1:]:
+        for name in importlib.import_module(module).__all__:
+            owners.setdefault(name, []).append(module)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+
+def test_package_list_is_the_module_lists_joined():
+    """rbtlse.__all__ is the re-exported modules' lists joined, plus
+    __version__: the one declaration of each public name is its
+    module's list."""
+    joined = [name for module in REEXPORTED
+              for name in getattr(rbtlse, module).__all__] + ["__version__"]
+    assert rbtlse.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    assert set(joined) == PUBLIC
+
+
 def test_benchmark_names_resolve():
     tree = ast.parse(WORKLOADS.read_text())
     used = {path for node in ast.walk(tree)

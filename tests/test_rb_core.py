@@ -124,6 +124,13 @@ def test_equality_and_hash():
     assert a != "not a matrix"
 
 
+def test_repr_names_shape_and_norm():
+    z = np.zeros((2, 3))
+    a = rb.RBMatrix(np.array([[3.0, 0, 0], [0, 0, 0]]), z,
+                    np.array([[0, 0, 0], [0, 4.0, 0]]), z)
+    assert repr(a) == "RBMatrix(2x3, |.|_F=5)"
+
+
 def test_immutability():
     a = rb.RBMatrix.eye(2)
     with pytest.raises((ValueError, AttributeError)):
