@@ -358,12 +358,10 @@ residuals_complex = residuals_real
 
 @dataclass(frozen=True, eq=False)
 class LseSolution:
-    """Constrained least squares solution with its two residual norms;
-    compared and hashed by identity, as its X is an array."""
+    """Constrained least squares solution X; compared and hashed by
+    identity, as X is an array."""
 
     X: np.ndarray
-    residual: float
-    constraint_residual: float
 
 
 @_lapack_failures
@@ -385,17 +383,15 @@ def _lse(problem: TlseProblem, column: Callable) -> LseSolution:
         raise AssumptionViolated(
             f"Ac Q2 ({M.shape[0]} x {n - r}) has numerical rank {rank} < "
             f"{n - r}; the least squares solution is not unique")
-    X = X0 + Q2 @ Z
-    return LseSolution(X=X, residual=rb._norm(Ac @ X - Bc),
-                       constraint_residual=rb._norm(Cc @ X - Dc))
+    return LseSolution(X=X0 + Q2 @ Z)
 
 
 def lse_solve_real(A: rb.RBMatrix, B: rb.RBMatrix, C: rb.RBMatrix,
                    D: rb.RBMatrix) -> LseSolution:
     """Real-solution constrained least squares; with p = 0 the same
     reduction is plain least squares.  The blocks are validated as a
-    TlseProblem, errors are those of the total least squares solver, and
-    the residual norms are scale-safe."""
+    TlseProblem, and errors are those of the total least squares
+    solver."""
     return _lse(TlseProblem(A, B, C, D), rb.real_block_column)
 
 

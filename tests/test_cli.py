@@ -11,7 +11,7 @@ import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
 from rbtlse.bench import CSV_COLUMNS, ExperimentConfig
 from rbtlse.cli import main
-from rbtlse.errors import FactorizationFailed
+from rbtlse.errors import FactorizationFailed, FileFormatError, RbtlseError
 
 
 def _rand_rb(rng, m, n):
@@ -293,6 +293,34 @@ def test_solve_memory_error_in_kappa_is_solver_error(tmp_path, capsys,
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 2
     assert "ConditioningUndefined" in capsys.readouterr().err
+
+
+def _error_classes(base=RbtlseError):
+    """Every subclass of ``base``, at any depth."""
+    return [c for sub in base.__subclasses__()
+            for c in (sub, *_error_classes(sub))]
+
+
+@pytest.mark.parametrize("error", _error_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_reaches_the_shell_with_its_exit_code(
+        tmp_path, capsys, monkeypatch, error):
+    """A file error exits 1 and every other RbtlseError exits 2, each
+    with one ``error:`` line on stderr and no report written; a new
+    error class fails here until main maps it."""
+    paths = _write_consistent_system(tmp_path, seed=12)
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "solve_real", fail)
+    report = tmp_path / "report.txt"
+    code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
+                 "--c", paths["c"], "--d", paths["d"],
+                 "--report", str(report)])
+    assert code == (1 if issubclass(error, FileFormatError) else 2)
+    assert capsys.readouterr().err.startswith("error:")
+    assert not report.exists()
 
 
 def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):

@@ -30,8 +30,6 @@ def test_consistent_recovery_real():
     D = rb.mat_mul(C, Xrb)
     sol = lse_solve_real(A, B, C, D)
     assert np.linalg.norm(sol.X - Xs) <= 1e-9 * np.linalg.norm(Xs)
-    assert sol.residual <= 1e-9
-    assert sol.constraint_residual <= 1e-9
 
 
 def test_consistent_recovery_complex():
@@ -45,7 +43,6 @@ def test_consistent_recovery_complex():
     D = rb.mat_mul(C, Zrb)
     sol = lse_solve_complex(A, B, C, D)
     assert np.linalg.norm(sol.X - Zs) <= 1e-9 * np.linalg.norm(Zs)
-    assert sol.constraint_residual <= 1e-9
 
 
 def test_constraint_exactly_satisfied_on_noisy_data():
@@ -54,8 +51,10 @@ def test_constraint_exactly_satisfied_on_noisy_data():
     A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
     C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
     sol = lse_solve_real(A, B, C, D)
+    residual = np.linalg.norm(
+        rb.real_block_column(C) @ sol.X - rb.real_block_column(D))
     scale = rb.frobenius_norm(D) + 1
-    assert sol.constraint_residual <= 1e-10 * scale
+    assert residual <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

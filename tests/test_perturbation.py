@@ -237,6 +237,37 @@ def test_kappa_at_experiment_size(kind):
     assert 0.99 <= fwd / (kappa * eps) <= 1.01
 
 
+def _unit_matrix(unit, size):
+    """The size x size diagonal RB matrix of the unit j or k."""
+    eye, zero = np.eye(size), np.zeros((size, size))
+    return (rb.RBMatrix(zero, zero, eye, zero) if unit == "j"
+            else rb.RBMatrix(zero, zero, zero, eye))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("t", [10, 20])
+@pytest.mark.parametrize("unit", ["j", "k"])
+def test_rb_unit_leaves_x_and_kappa_at_experiment_size(kind, t, unit):
+    """Left-multiplying (A, B) and (C, D) by the diagonal RB matrix of j
+    or k maps each stack to a signed row permutation of itself (real) or
+    multiplies it by a unitary matrix (complex), so X, the correction
+    norm and kappa do not change."""
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
+    m, _, p, _ = prob.sizes
+    U, G = _unit_matrix(unit, m), _unit_matrix(unit, p)
+    moved = TlseProblem(A=U @ prob.A, B=U @ prob.B, C=G @ prob.C,
+                        D=G @ prob.D)
+    sol, sol2 = solve(prob), solve(moved)
+    assert (np.linalg.norm(sol2.X - sol.X)
+            <= 1e-10 * np.linalg.norm(sol.X))
+    assert sol2.residual_perturbation_norm == pytest.approx(
+        sol.residual_perturbation_norm, rel=1e-10)
+    assert condition(moved, sol2).kappa == pytest.approx(
+        condition(prob, sol).kappa, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # condition number: the dense Kronecker oracle
 # ---------------------------------------------------------------------------

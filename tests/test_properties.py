@@ -11,10 +11,16 @@ leaves X and kappa unchanged, and so does permuting the rows of A and B
 together (for X).  Two variational oracles check that each solver's X
 is a stationary minimum of its own objective along feasible directions,
 and kappa is checked against the brute-force Jacobian on small shapes.
+At the file surface, any finite RB matrix survives an RBMAT round trip
+bit for bit.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 import rbtlse.rb_core as rb
@@ -263,3 +269,24 @@ def test_kappa_matches_brute_force_jacobian(case):
     _, kappa = _base(kind, problem)
     brute, _, _ = oracles.brute_kappa(problem, KINDS[kind][1])
     assert abs(kappa - brute) <= 1e-6 * brute
+
+
+@st.composite
+def finite_rb_matrices(draw):
+    """Any RB matrix with m, n in [0, 6] and finite float64 entries."""
+    shape = (4, draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    return rb.RBMatrix(*draw(arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False))))
+
+
+@SETTINGS
+@given(finite_rb_matrices())
+@example(rb.RBMatrix(*np.array([-0.0, 5e-324, -2.5e-310, 1.0])
+                     .reshape(4, 1, 1)))        # -0.0 and subnormals
+def test_rbmat_round_trip_is_bit_exact(P):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.rbmat")
+        rb.write_rbmat(path, P)
+        back = rb.read_rbmat(path)
+    assert np.array_equal(back.components.view(np.uint64),
+                          P.components.view(np.uint64))
