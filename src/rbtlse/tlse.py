@@ -61,7 +61,10 @@ LAPACK failure mapping, solved by the classical null-space reduction: a
 full QR of Cc^H yields a particular solution from the triangular system
 and an orthonormal basis of the admissible variations, and an ordinary
 least squares solve fixes the null-space coefficient, which must be
-unique: Ac Q2 needs full column rank n - r by the same rank rule.
+unique: Ac Q2 needs full column rank n - r by the same rank rule, read
+off the singular values of the triangle of its reduced QR (Householder
+least squares, Golub and Van Loan, Matrix Computations, 5.3), and the
+coefficient is then the back substitution with that triangle.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ def _rank(sv: np.ndarray, shape: tuple[int, ...]) -> int:
 
 
 def _lapack_failures(body: Callable) -> Callable:
-    """Re-raise a LinAlgError from ``body`` (a QR, SVD, solve or least
-    squares call that failed) as FactorizationFailed."""
+    """Re-raise a LinAlgError from ``body`` (a QR, SVD or solve call that
+    failed) as FactorizationFailed."""
 
     @functools.wraps(body)
     def guarded(*args, **kwargs):
@@ -376,13 +379,16 @@ def _lse(problem: TlseProblem, column: Callable) -> LseSolution:
     # r = 0, Q2 is the identity and X0 is zero
     X0 = Q1 @ np.linalg.solve(R[:r].conj().T, Dc)
     M = Ac @ Q2
-    Z, _, _, sv = np.linalg.lstsq(M, Bc - Ac @ X0, rcond=None)
-    # lstsq's cut-off, eps * max(M.shape) * sigma_1, is the rank rule's
-    rank = _rank(sv, M.shape)
+    # M = Qm Rm shares its singular values with the small triangle Rm, so
+    # the rank rule reads those; an accepted Rm is a nonsingular upper
+    # triangle, and the solve with it is back substitution
+    Qm, Rm = np.linalg.qr(M)
+    rank = _rank(np.linalg.svd(Rm, compute_uv=False), M.shape)
     if rank < n - r:
         raise AssumptionViolated(
             f"Ac Q2 ({M.shape[0]} x {n - r}) has numerical rank {rank} < "
             f"{n - r}; the least squares solution is not unique")
+    Z = np.linalg.solve(Rm, Qm.conj().T @ (Bc - Ac @ X0))
     return LseSolution(X=X0 + Q2 @ Z)
 
 

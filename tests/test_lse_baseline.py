@@ -11,6 +11,7 @@ import pytest
 import rbtlse.rb_core as rb
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            FactorizationFailed, NonFiniteInput)
+from rbtlse.bench import gen_compare_instance
 from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
                          solve_real)
 
@@ -153,7 +154,7 @@ def test_invalid_data_rejected(solve):
         solve(rb.RBMatrix.zeros(20, 0), B, rb.RBMatrix.zeros(1, 0), D)
 
 
-@pytest.mark.parametrize("routine", ["svd", "qr"])
+@pytest.mark.parametrize("routine", ["svd", "qr", "solve"])
 @pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
 def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve):
     rng = np.random.default_rng(9)
@@ -190,3 +191,70 @@ def test_non_unique_least_squares_rejected(solve, make_a):
     with pytest.raises(AssumptionViolated, match="rank .* not unique"):
         solve(A, _rand_rb(rng, m, 2), rb.RBMatrix.zeros(0, n),
               rb.RBMatrix.zeros(0, 2))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_rank_rule_at_its_threshold(kind, factor):
+    """With p = 0, Q2 = I and Ac Q2 = Ac, built in stack space with
+    singular values (1, ..., 1, s_n), s_n = factor * max(rows, n) * eps,
+    rows = 4m or 2m: at half the rank rule's threshold the least squares
+    step is refused, at twice it is solved."""
+    rng = np.random.default_rng(10)
+    m, n, d = 10, 6, 2
+    solve, from_column, q = (
+        (lse_solve_real, rb.from_real_block_column, 4) if kind == "real"
+        else (lse_solve_complex, rb.from_complex_block_column, 2))
+    rows = q * m
+
+    def orthonormal(rows, cols):
+        M = rng.standard_normal((rows, cols))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(M)[0]
+
+    s = np.ones(n)
+    s[-1] = factor * max(rows, n) * np.finfo(np.float64).eps
+    A = from_column((orthonormal(rows, n) * s) @ orthonormal(n, n).conj().T)
+    B = _rand_rb(rng, m, d)
+    C, D = rb.RBMatrix.zeros(0, n), rb.RBMatrix.zeros(0, d)
+    if factor < 1.0:
+        with pytest.raises(AssumptionViolated, match="rank"):
+            solve(A, B, C, D)
+    else:
+        assert np.all(np.isfinite(solve(A, B, C, D).X))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_constraints_that_fix_x(kind):
+    """r = n (n = 4 real or 2 complex, p = 1): the constraint stack Cc is
+    square, Ac Q2 has no columns, and X is the solution of Cc X = Dc."""
+    rng = np.random.default_rng(11)
+    solve, column, n = ((lse_solve_real, rb.real_block_column, 4)
+                        if kind == "real" else
+                        (lse_solve_complex, rb.complex_block_column, 2))
+    m, p, d = 10, 1, 2
+    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
+    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    X = solve(A, B, C, D).X
+    want = np.linalg.solve(column(C), column(D))
+    assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("variant", ["real", "complex"])
+def test_left_unitary_invariance_at_compare_size(variant):
+    """(A, B) -> (U A, U B) and (C, D) -> (G C, G D), with U (60 x 60) and
+    G (10 x 10) complex unitary embedded by RBMatrix.from_complex, leave
+    the baseline's X unchanged on a compare-lse instance (m = 60)."""
+    _, pert, _ = gen_compare_instance(1, 60, 3, variant)
+    rng = np.random.default_rng(12)
+
+    def unitary(k):
+        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
+
+    solve = lse_solve_real if variant == "real" else lse_solve_complex
+    U, G = unitary(pert.A.rows), unitary(pert.C.rows)
+    X = solve(pert.A, pert.B, pert.C, pert.D).X
+    moved = solve(U @ pert.A, U @ pert.B, G @ pert.C, G @ pert.D).X
+    assert np.linalg.norm(moved - X) <= 1e-10 * np.linalg.norm(X)

@@ -140,6 +140,19 @@ def test_representations_stay_in_the_solvers():
     assert readers == []
 
 
+def test_no_svd_based_least_squares():
+    """No module calls ``lstsq``: its divide-and-conquer SVD does more
+    than a full-rank least squares solve needs, and the baseline takes
+    its rank verdict and solution from a reduced QR instead."""
+    callers = []
+    for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "lstsq" in {getattr(node, key, None)
+                           for key in ("id", "attr", "name")}:
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
 def test_bench_has_one_error_row_path():
     """The experiment harness turns an RbtlseError into an error row in
     one except handler, so the rows' error text, and anything added to
