@@ -21,8 +21,9 @@ import oracles
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
-from rbtlse.errors import (BlockNotInvertible, ConditioningUndefined,
-                           DimensionMismatch, NonFiniteInput)
+from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
+                           ConditioningUndefined, DimensionMismatch,
+                           NonFiniteInput)
 from rbtlse.perturbation import (PerturbationInstance, _gram,
                                  condition_real, condition_complex,
                                  epsilon_n, scaled_to)
@@ -268,6 +269,35 @@ def test_rb_unit_leaves_x_and_kappa_at_experiment_size(kind, t, unit):
         condition(prob, sol).kappa, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("t", [10, 20])
+def test_left_unitary_leaves_x_and_kappa_at_experiment_size(kind, t):
+    """(A, B) -> (U A, U B) and (C, D) -> (G C, G D), with U (m x m) and
+    G (p x p) complex unitary embedded by RBMatrix.from_complex, multiply
+    each stack by a unitary matrix (real orthogonal for the real stacks),
+    so X, the correction norm and kappa do not change."""
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
+    rng = np.random.default_rng(13)
+
+    def unitary(k):
+        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
+
+    m, _, p, _ = prob.sizes
+    U, G = unitary(m), unitary(p)
+    moved = TlseProblem(A=U @ prob.A, B=U @ prob.B, C=G @ prob.C,
+                        D=G @ prob.D)
+    sol, sol2 = solve(prob), solve(moved)
+    assert (np.linalg.norm(sol2.X - sol.X)
+            <= 1e-10 * np.linalg.norm(sol.X))
+    assert sol2.residual_perturbation_norm == pytest.approx(
+        sol.residual_perturbation_norm, rel=1e-10)
+    assert condition(moved, sol2).kappa == pytest.approx(
+        condition(prob, sol).kappa, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # condition number: the dense Kronecker oracle
 # ---------------------------------------------------------------------------
@@ -298,6 +328,8 @@ ORACLE_CASES = [
     ("complex", (30, 4, 0, 4)),
     ("real", (30, 5, 1, 6)),        # n < d
     ("complex", (30, 3, 1, 4)),
+    ("real", accuracy_sizes("real", 5)),        # n = 50
+    ("complex", accuracy_sizes("complex", 5)),
 ]
 
 
@@ -477,6 +509,16 @@ def test_kappa_applies_the_rank_rule_to_s(kind):
     prob = _prescribed_constraint(kind, 2.0)
     kappa = condition_real(prob, solve(prob)).kappa
     assert np.isfinite(kappa) and kappa > 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_solve_applies_the_rank_rule_to_cc(kind):
+    """A last singular value of Cc of 3 eps is below the solve's
+    threshold max(r, n) * eps * sigma_1 = 6 eps, so the solve refuses the
+    constraint; the factors 1.2 and 2.0 above solve."""
+    solve = solve_real if kind == "real" else solve_complex
+    with pytest.raises(AssumptionViolated, match="numerical rank"):
+        solve(_prescribed_constraint(kind, 0.5))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
