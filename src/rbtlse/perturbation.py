@@ -46,6 +46,10 @@ lower-left block of S T2, now -(P V1)^H P S^+, are the trailing d and
 have numerical rank r by the solver's rank rule, checked from its
 singular values alone; the solve checked only Cc, and although
 sigma_i(S) >= sigma_i(Cc), the threshold for S scales with sigma_1(S).
+The singular values are those of the r x r triangle R, as S = R^H Q1^H
+with Q1 orthonormal (unitary invariance; Golub and Van Loan, Matrix
+Computations, 2.5 and 5.2), so S itself is neither kept nor factored
+again.
 
 H is (V22^-T (x) W1^-H) times the commutation matrix, so the Gram
 matrix is assembled block by block, one n x n block per pair of
@@ -182,18 +186,20 @@ def _gram(solution: TlseSolution) -> np.ndarray:
     entry (a, b) of V E_j V^H, E_j = conj(S2^2 + Y^H Y) scaled on
     both sides by the d entries of D^-1 at unconstrained column j.
 
-    Raises ConditioningUndefined when S has numerical rank below r or
-    the resolvent is singular.
+    Raises ConditioningUndefined when S, whose singular values are read
+    off R, has numerical rank below r, or the resolvent is singular.
     """
-    P, S, sigma, V_check, X = (
-        solution.P, solution.S, solution.sigma, solution.V_check,
+    P, R, sigma, V_check, X = (
+        solution.P, solution.R, solution.sigma, solution.V_check,
         solution.X)
-    r = S.shape[0]
+    r = R.shape[0]
     n, d = X.shape
     k = n - r
     sig1, sig2 = sigma[:k], sigma[k:]
 
-    rank = _rank(np.linalg.svd(S, compute_uv=False), S.shape)
+    # S (r x (n+d)) shares its singular values with the triangle R of
+    # S^H = Q1 R
+    rank = _rank(np.linalg.svd(R, compute_uv=False), (r, n + d))
     if rank < r:
         raise ConditioningUndefined(
             f"constraint stack rank {rank} < {r}; its pseudoinverse "

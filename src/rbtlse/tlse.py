@@ -26,13 +26,14 @@ the row count of S:
    into one new array, and check that Cc, the view S[:, :n], has full
    numerical row rank: all r of its singular values (values only) lie
    above max(r, n) * eps * sigma_1, the one rank rule (_rank) of the
-   package, which the condition number applies to S as well.  This
-   step (_stacks) is shared with the baseline below; it refuses r > n,
-   as Cc then has at most n nonzero singular values;
+   package, which the condition number applies to S as well, reading
+   S's singular values off the triangle of step 2.  This step (_stacks)
+   is shared with the baseline below; it refuses r > n, as Cc then has
+   at most n nonzero singular values;
 2. full QR of S^H; the trailing n+d-r columns Q2 of Q span ker(S)
    (with p = 0, S^H has no columns and Q2 is the identity), and the
    leading r columns Q1 and the triangle R are kept for the condition
-   number;
+   number, which needs nothing else of S;
 3. singular values and right singular vectors of P @ Q2, taken from the
    SVD of its small R factor, so the tall left factor U is never formed;
    the d trailing right singular vectors, pushed back through Q2 into
@@ -190,15 +191,16 @@ class TlseSolution:
     their Frobenius norm, sqrt(sum(sigma[n-r:]**2)).  sigma holds all
     n-r+d singular values of the reduced matrix, gap the uniqueness margin
     sigma[n-r-1] - sigma[n-r], and v22_condition the 2-norm condition
-    number of the inverted trailing block.  The stacks P = [Ac, Bc] and
-    S = [Cc, Dc] (r = S.shape[0] rows) and the right singular vectors
-    V_check retain the data and the factorization for the conditioning
-    module, which reuses them instead of rebuilding or refactoring; the
-    left singular vectors are not kept (P @ V_check gives them scaled by
-    sigma).  Q1 ((n+d)-by-r) and the triangle R (r-by-r) are the leading
-    factors of the complete QR of S^H that gave the null space, S^H =
-    Q1 R, from which the conditioning module forms S^+ = Q1 R^-H.  P, S,
-    V_check, Q1 and R are read-only.  problem is the TlseProblem solved,
+    number of the inverted trailing block.  The stack P = [Ac, Bc] and
+    the right singular vectors V_check retain the data and the
+    factorization for the conditioning module, which reuses them instead
+    of rebuilding or refactoring; the left singular vectors are not kept
+    (P @ V_check gives them scaled by sigma).  Of the constraint stack
+    S = [Cc, Dc] (r rows) only the leading factors of the complete QR of
+    S^H that gave the null space are kept, Q1 ((n+d)-by-r) and the
+    triangle R (r-by-r), S^H = Q1 R: the conditioning module forms S^+ =
+    Q1 R^-H and reads the singular values of S off R.  P, V_check, Q1
+    and R are read-only.  problem is the TlseProblem solved,
     kept by reference, not copied, so the conditioning module reads its
     sizes from the solution.
 
@@ -214,7 +216,6 @@ class TlseSolution:
     v22_condition: float
     residual_perturbation_norm: float
     P: np.ndarray = field(repr=False)
-    S: np.ndarray = field(repr=False)
     V_check: np.ndarray = field(repr=False)
     Q1: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
@@ -303,12 +304,12 @@ def _solve(problem: TlseProblem, column: Callable,
 
     # the deferred correction and the conditioning read these after the
     # solve returns
-    for kept in (P, S, V_check, Q1, R):
+    for kept in (P, V_check, Q1, R):
         kept.setflags(write=False)
     return TlseSolution(
         X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
         residual_perturbation_norm=rb._norm(sigma[k:]),
-        P=P, S=S, V_check=V_check, Q1=Q1, R=R, problem=problem,
+        P=P, V_check=V_check, Q1=Q1, R=R, problem=problem,
         _from_column=from_column)
 
 

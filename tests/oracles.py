@@ -10,8 +10,11 @@ nothing from ``rbtlse``, so they never share code with what they check:
   stacked concatenations of two such matrices, component by component;
 * the Moore-Penrose pseudoinverse, the commutation matrix and column-major
   vec/unvec that the dense condition-number formula is written in;
-* that formula's factors H, G and Z, built densely from the stacks and
-  right singular vectors a solution keeps, with their own SVD of S;
+* the constraint stack S = [Cc, Dc] of a solution's problem, rebuilt
+  from the data with the representations above;
+* that formula's factors H, G and Z, built densely from the stack P and
+  right singular vectors a solution keeps and that rebuilt S, with their
+  own SVD of S;
 * the spectral norm, by a dense SVD or by matrix-free power iteration;
 * the brute-force condition number: the solution map's Jacobian built
   column by column with central finite differences, which calls the
@@ -113,21 +116,33 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # the condition number's dense factors
 # ---------------------------------------------------------------------------
 
+def constraint_stack(solution) -> np.ndarray:
+    """S = [Cc, Dc] of the problem ``solution`` solves, rebuilt from C
+    and D: the leading n+d columns of the representation of [C, D], the
+    real one for a real solve (``P`` real) and the complex one for a
+    complex solve."""
+    problem = solution.problem
+    represent = complex_repr if np.iscomplexobj(solution.P) else real_repr
+    CD = hstack(problem.C, problem.D)
+    return represent(CD)[:, :CD.cols]
+
+
 def dense_condition_factors(solution):
     """H, G, Z and the projection Q inside Z, as dense matrices, so that
     kappa = ||H G Z||_2 * ||[J, K]||_F / ||X||_F.
 
-    Reads only ``P``, ``S``, ``V_check``, ``sigma`` and ``X`` off the
-    solution and takes its own thin SVD S = Us Ss Vs^H and pseudoinverse
-    of S: H is the inverse-transpose Kronecker block of W1 = [Vs, V1] (top
+    Reads only ``P``, ``V_check``, ``sigma``, ``X`` and ``problem`` off
+    the solution, rebuilds S from the problem (:func:`constraint_stack`)
+    and takes its own thin SVD S = Us Ss Vs^H and pseudoinverse of S: H
+    is the inverse-transpose Kronecker block of W1 = [Vs, V1] (top
     n rows) and V22 times the commutation matrix, G the diagonal resolvent
     times two diagonal Kronecker blocks, and Z the block diagonal of
     diag(mask) (x) conj(U2^H Q^H), Q = [-(P S^+)^H; I], and T2 (x) I_d,
     T2 = [I, 0; -U1^H (P S^+) Us, I].  U = P V_check / sigma; the cases
     used are noisy, so no sigma is near zero.
     """
-    P, S, V_check, sigma = (solution.P, solution.S, solution.V_check,
-                            solution.sigma)
+    P, V_check, sigma = solution.P, solution.V_check, solution.sigma
+    S = constraint_stack(solution)
     n, d = solution.X.shape
     r = S.shape[0]
     k = n - r

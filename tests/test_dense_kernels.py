@@ -46,15 +46,16 @@ def test_numerical_rank_matches_svd_skinny(shape):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_svd_right_matches_thin_svd(shape, dtype):
     """The solve takes sigma and V from the SVD of the R factor of
-    P Q2; they must match the thin SVD of P Q2 itself (Q2 rebuilt from
-    the constraint stack the solution keeps), each right singular vector
+    P Q2; they must match the thin SVD of P Q2 itself (Q2 from the
+    constraint stack rebuilt from the problem), each right singular vector
     up to a unimodular factor.  P V = U diag(sigma) shows in the norms
     of P V's columns.  p = 0 (Q2 the identity) and p > 0, both algebras."""
     kind, solve = (("real", tlse.solve_real) if dtype is float
                    else ("complex", tlse.solve_complex))
     sol = solve(gen_instance(kind, shape, 7))
-    r = sol.S.shape[0]
-    Q2 = np.linalg.qr(sol.S.conj().T, mode="complete")[0][:, r:]
+    S = oracles.constraint_stack(sol)
+    r = S.shape[0]
+    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
     _, s, Vh = np.linalg.svd(sol.P @ Q2, full_matrices=False)
     V = Q2 @ Vh.conj().T
     assert sol.V_check.shape == V.shape

@@ -8,10 +8,11 @@ result against a dense reference product, invariances, and the bound's
 empirical validity.
 
 The dense reference (``oracles.dense_condition_factors``) builds H, G and
-Z with Kronecker products and the commutation matrix from the stacks and
-singular vectors a solution keeps, with its own SVD and pseudoinverse of
-S, and takes the SVD of their product; the library must reproduce its
-norm from the nd x nd Gram matrix.
+Z with Kronecker products and the commutation matrix from the stack P and
+singular vectors a solution keeps and the constraint stack S rebuilt from
+the problem, with its own SVD and pseudoinverse of S, and takes the SVD of
+their product; the library must reproduce its norm from the nd x nd Gram
+matrix.
 """
 
 import numpy as np
@@ -306,7 +307,8 @@ def _oracle_op(solution):
     """The dense product H G Z from the solution alone, and the factor
     ||[J, K]||_F / ||X||_F that scales its 2-norm to kappa."""
     H, G, Z, _ = oracles.dense_condition_factors(solution)
-    scale = (np.linalg.norm(np.vstack([solution.P, solution.S]))
+    scale = (np.linalg.norm(np.vstack(
+        [solution.P, oracles.constraint_stack(solution)]))
              / np.linalg.norm(solution.X))
     return H @ G @ Z, scale
 
@@ -346,7 +348,7 @@ def test_kappa_matches_dense_oracle(kind, sizes):
     assert np.allclose(_gram(sol), gram, rtol=0,
                        atol=1e-12 * np.abs(gram).max())
     # the kept factors of the QR S^H = Q1 R give S^+ = Q1 R^-H
-    S_pinv = np.linalg.pinv(sol.S)
+    S_pinv = np.linalg.pinv(oracles.constraint_stack(sol))
     assert (np.linalg.norm(sol.Q1 @ np.linalg.inv(sol.R).conj().T - S_pinv)
             <= 1e-12 * np.linalg.norm(S_pinv))
 

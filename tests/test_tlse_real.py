@@ -7,6 +7,8 @@ correction/solution pairs around the solver's own answer and verifying
 none beats the reported minimum.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            NonFiniteInput, RbtlseError)
 from rbtlse.perturbation import (PerturbationInstance, condition_complex,
                                  condition_real, epsilon_n)
-from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, lse_solve_complex,
-                         lse_solve_real, solve_complex, solve_real,
-                         residuals_real)
+from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, TlseSolution,
+                         lse_solve_complex, lse_solve_real, solve_complex,
+                         solve_real, residuals_real)
 
 ALGEBRAS = {"real": solve_real, "complex": solve_complex}
 CONDITION = {"real": condition_real, "complex": condition_complex}
@@ -167,11 +169,19 @@ def test_correction_read_after_conditioning_is_unchanged(kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("name", ["P", "S", "V_check", "Q1", "R"])
+@pytest.mark.parametrize("name", ["P", "V_check", "Q1", "R"])
 def test_kept_factors_are_read_only(kind, name):
     sol = ALGEBRAS[kind](gen_instance(kind, accuracy_sizes(kind, 1), 0))
     with pytest.raises(ValueError):
         getattr(sol, name)[0, 0] = 0.0
+
+
+def test_solution_fields():
+    """A solution keeps what the correction and kappa read and nothing
+    more: of the constraint stack S only Q1 and R of the QR of S^H."""
+    assert [f.name for f in dataclasses.fields(TlseSolution)] == [
+        "X", "sigma", "gap", "v22_condition", "residual_perturbation_norm",
+        "P", "V_check", "Q1", "R", "problem", "_from_column"]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -205,7 +215,7 @@ def test_gap_and_v22_condition(kind, sizes):
     the 2-norm condition number of V22 = V_check[n:, k:]."""
     sol = ALGEBRAS[kind](gen_instance(kind, sizes, 0))
     n, _ = sol.X.shape
-    k = n - sol.S.shape[0]
+    k = n - sol.R.shape[0]
     assert sol.gap == (np.inf if k == 0 else sol.sigma[k - 1] - sol.sigma[k])
     assert sol.v22_condition == pytest.approx(
         np.linalg.cond(sol.V_check[n:, k:]), rel=1e-12)
@@ -378,7 +388,8 @@ def test_data_norm_is_norm_of_the_stacks(kind):
     problem, _ = _consistent(np.random.default_rng(12), 12, 4, 1, 2)
     sol = ALGEBRAS[kind](problem)
     assert problem.data_norm == pytest.approx(
-        np.linalg.norm(np.vstack([sol.S, sol.P])), rel=1e-14)
+        np.linalg.norm(np.vstack([oracles.constraint_stack(sol), sol.P])),
+        rel=1e-14)
 
 
 def test_data_norm_sums_in_stacked_order():
