@@ -9,18 +9,21 @@ import pytest
 import golden
 from rbtlse.bench import run_experiment
 
-GOLDEN = golden.load()
+
+@pytest.fixture(scope="module")
+def gold():
+    return golden.load()
 
 
 @pytest.mark.parametrize("name", list(golden.RUNS))
-def test_seeded_run_matches_golden(name):
+def test_seeded_run_matches_golden(name, gold):
     rows = golden.run_cells(run_experiment(golden.RUNS[name]))
-    bad = golden.compare_run(rows, GOLDEN["runs"][name])
+    bad = golden.compare_run(rows, gold["runs"][name])
     assert not bad, "\n".join(bad)
 
 
 @pytest.mark.parametrize("kind,t", golden.REPORTS)
-def test_solve_report_matches_golden(kind, t, tmp_path):
+def test_solve_report_matches_golden(kind, t, tmp_path, gold):
     report = golden.parse_report(golden.report_text(kind, t, tmp_path))
-    bad = golden.compare_report(report, GOLDEN["reports"][f"{kind}-{t}"])
+    bad = golden.compare_report(report, gold["reports"][f"{kind}-{t}"])
     assert not bad, "\n".join(bad)

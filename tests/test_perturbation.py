@@ -239,8 +239,15 @@ def test_kappa_at_experiment_size(kind):
     assert 0.99 <= fwd / (kappa * eps) <= 1.01
 
 
-def _unit_matrix(unit, size):
-    """The size x size diagonal RB matrix of the unit j or k."""
+def _left_factor(unit, size):
+    """The size x size RB matrix that left-multiplies the data: the
+    diagonal matrix of the unit j or k, or for "unitary" a random complex
+    unitary matrix embedded by RBMatrix.from_complex."""
+    if unit == "unitary":
+        rng = np.random.default_rng(size)
+        M = (rng.standard_normal((size, size))
+             + 1j * rng.standard_normal((size, size)))
+        return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
     eye, zero = np.eye(size), np.zeros((size, size))
     return (rb.RBMatrix(zero, zero, eye, zero) if unit == "j"
             else rb.RBMatrix(zero, zero, zero, eye))
@@ -248,46 +255,18 @@ def _unit_matrix(unit, size):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("t", [10, 20])
-@pytest.mark.parametrize("unit", ["j", "k"])
+@pytest.mark.parametrize("unit", ["j", "k", "unitary"])
 def test_rb_unit_leaves_x_and_kappa_at_experiment_size(kind, t, unit):
     """Left-multiplying (A, B) and (C, D) by the diagonal RB matrix of j
-    or k maps each stack to a signed row permutation of itself (real) or
-    multiplies it by a unitary matrix (complex), so X, the correction
-    norm and kappa do not change."""
+    or k, or by a complex unitary matrix, multiplies each stack by a
+    unitary matrix (real orthogonal for the real stacks; a signed row
+    permutation for j and k), so X, the correction norm and kappa do not
+    change."""
     solve, condition = ((solve_real, condition_real) if kind == "real"
                         else (solve_complex, condition_complex))
     prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
     m, _, p, _ = prob.sizes
-    U, G = _unit_matrix(unit, m), _unit_matrix(unit, p)
-    moved = TlseProblem(A=U @ prob.A, B=U @ prob.B, C=G @ prob.C,
-                        D=G @ prob.D)
-    sol, sol2 = solve(prob), solve(moved)
-    assert (np.linalg.norm(sol2.X - sol.X)
-            <= 1e-10 * np.linalg.norm(sol.X))
-    assert sol2.residual_perturbation_norm == pytest.approx(
-        sol.residual_perturbation_norm, rel=1e-10)
-    assert condition(moved, sol2).kappa == pytest.approx(
-        condition(prob, sol).kappa, rel=1e-10)
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("t", [10, 20])
-def test_left_unitary_leaves_x_and_kappa_at_experiment_size(kind, t):
-    """(A, B) -> (U A, U B) and (C, D) -> (G C, G D), with U (m x m) and
-    G (p x p) complex unitary embedded by RBMatrix.from_complex, multiply
-    each stack by a unitary matrix (real orthogonal for the real stacks),
-    so X, the correction norm and kappa do not change."""
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
-    prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
-    rng = np.random.default_rng(13)
-
-    def unitary(k):
-        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
-
-    m, _, p, _ = prob.sizes
-    U, G = unitary(m), unitary(p)
+    U, G = _left_factor(unit, m), _left_factor(unit, p)
     moved = TlseProblem(A=U @ prob.A, B=U @ prob.B, C=G @ prob.C,
                         D=G @ prob.D)
     sol, sol2 = solve(prob), solve(moved)
