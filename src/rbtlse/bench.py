@@ -183,11 +183,8 @@ def gen_instance(kind: str, sizes: Sequence[int], seed) -> TlseProblem:
     draws continue its stream.
     """
     m, n, p, d = sizes
-    if kind == "real":
-        draw = _rb_randn
-    elif kind == "complex":
-        draw = _rb_rand
-    else:
+    draw = {"real": _rb_randn, "complex": _rb_rand}.get(kind)
+    if draw is None:
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)
     return TlseProblem(A=draw(rng, m, n), B=draw(rng, m, d),
@@ -331,11 +328,14 @@ def _run_points(config: ExperimentConfig) -> list[ExperimentRecord]:
     return rows
 
 
-def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
+def _run_compare(config: ExperimentConfig) -> tuple[list, dict]:
+    """The rows of a compare-lse run and, per m, the lists of per-trial
+    errors of the total and the constrained least squares solutions that
+    its means average."""
     solve, lse_solve = ((solve_real, lse_solve_real)
                         if config.variant == "real"
                         else (solve_complex, lse_solve_complex))
-    rows = []
+    rows, trials = [], {}
     for m in config.m_values:
         # two lists, not one N x 2 array: np.mean over an axis sums in
         # another order and moves the last bits of the means
@@ -355,20 +355,27 @@ def _run_compare(config: ExperimentConfig) -> list[ExperimentRecord]:
             rows.append(ExperimentRecord(
                 config.experiment, None, m, config.seed, None,
                 eps_T=float(np.mean(errs_t)), eps_L=float(np.mean(errs_l))))
-    return rows
+            trials[m] = (errs_t, errs_l)
+    return rows, trials
+
+
+def _run(config: ExperimentConfig) -> tuple[list, dict]:
+    """:func:`run_experiment`'s rows and, for compare-lse, the per-trial
+    errors behind each m's means (empty for the other experiments)."""
+    if config.experiment == "compare-lse":
+        records, trials = _run_compare(config)
+    else:
+        records, trials = _run_points(config), {}
+    records.sort(key=lambda r: (r.t if r.t is not None else 0, r.m,
+                                r.trial if r.trial is not None else -1))
+    return records, trials
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """The configured experiment's rows, sorted by t, m and trial; solver
     failures become error rows.  It writes nothing: :func:`write_csv`
     writes the rows as a CSV report."""
-    if config.experiment == "compare-lse":
-        records = _run_compare(config)
-    else:
-        records = _run_points(config)
-    records.sort(key=lambda r: (r.t if r.t is not None else 0, r.m,
-                                r.trial if r.trial is not None else -1))
-    return records
+    return _run(config)[0]
 
 
 def _cell(value) -> str:

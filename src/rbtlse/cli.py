@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rb_core as rb
-from .bench import EXPERIMENTS, ExperimentConfig, run_experiment, write_csv
+from .bench import EXPERIMENTS, ExperimentConfig, _run, write_csv
 from .errors import FileFormatError, RbtlseError
 # condition_real and residuals_real serve both algebras
 from .perturbation import condition_real
@@ -74,10 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in (("solve-real", "solve one real system"),
                            ("solve-complex", "solve one complex system")):
         solve = sub.add_parser(name, help=helptext)
-        solve.add_argument("--a", required=True, help="RBMAT file for A")
-        solve.add_argument("--b", required=True, help="RBMAT file for B")
-        solve.add_argument("--c", required=True, help="RBMAT file for C")
-        solve.add_argument("--d", required=True, help="RBMAT file for D")
+        for key in "abcd":
+            solve.add_argument(f"--{key}", required=True,
+                               help=f"RBMAT file for {key.upper()}")
         solve.add_argument("--report", type=str, default=None,
                            help="write the report here instead of stdout")
         solve.set_defaults(func=_cmd_solve,
@@ -91,13 +90,10 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig(
         experiment=args.experiment,
         t_values=tuple(range(args.t_min, args.t_max + 1)),
-        m_values=_parse_m_list(args.m_list),
-        case=args.case,
-        variant=args.variant,
-        seed=args.seed,
-        trials=args.trials)
+        m_values=_parse_m_list(args.m_list), case=args.case,
+        variant=args.variant, seed=args.seed, trials=args.trials)
     out = args.out if args.out is not None else f"{args.experiment}.csv"
-    records = run_experiment(config)
+    records, trials = _run(config)
     write_csv(out, records)
     ok = sum(1 for r in records if not r.error)
     failed = len(records) - ok
@@ -115,19 +111,24 @@ def _cmd_run(args) -> int:
                   f"bound={rec.bound:.4e}")
         elif rec.eps_T is not None:
             print(f"  {label}: eps_T={rec.eps_T:.4e} eps_L={rec.eps_L:.4e}")
+            print(_paired_line(*trials[rec.m]))
     return 0
 
 
-def _format_matrix(x: np.ndarray) -> str:
-    return np.array2string(x, precision=8, suppress_small=False,
-                           max_line_width=120, separator=", ")
+def _paired_line(errs_t: list[float], errs_l: list[float]) -> str:
+    """The paired mean of eps_T - eps_L over one m's trials, its standard
+    error (nan for one trial) and the share of trials the total solver
+    wins, so a difference of means reads as signal or noise."""
+    diff = np.subtract(errs_t, errs_l)
+    se = diff.std(ddof=1) / np.sqrt(diff.size) if diff.size > 1 else np.nan
+    return (f"    paired eps_T-eps_L = {diff.mean():+.4f} +/- {se:.4f} "
+            f"(standard error); total solver wins {np.sum(diff < 0)}/"
+            f"{diff.size}")
 
 
 def _cmd_solve(args) -> int:
-    blocks = {key: rb.read_rbmat(getattr(args, key)) for key in "abcd"}
-    lines = []
-    problem = TlseProblem(A=blocks["a"], B=blocks["b"],
-                          C=blocks["c"], D=blocks["d"])
+    problem = TlseProblem(*(rb.read_rbmat(getattr(args, key))
+                            for key in "abcd"))
     solve = solve_real if args.flavor == "real" else solve_complex
     solution = solve(problem)
     e1, e2 = residuals_real(problem, solution)
@@ -136,18 +137,19 @@ def _cmd_solve(args) -> int:
     # relative size of the fitted correction (C and D are not corrected),
     # reused as the perturbation level in the printed first-order bound
     eps_fit = solution.residual_perturbation_norm / problem.data_norm
-    lines.append(f"solver: {args.flavor}")
-    lines.append(f"sizes: m={m} n={n} p={p} d={d}")
-    lines.append(f"X ({n} x {d}):")
-    lines.append(_format_matrix(solution.X))
-    lines.append(f"eps1 (corrected-system residual) = {e1:.6e}")
-    lines.append(f"eps2 (constraint residual)       = {e2:.6e}")
-    lines.append("correction norm ||[E,F]||_F       = "
-                 f"{solution.residual_perturbation_norm:.6e}")
-    lines.append(f"kappa (relative condition)        = {report.kappa:.6e}")
-    lines.append(f"eps_n of fitted correction        = {eps_fit:.6e}")
-    lines.append("U = kappa * eps_n                 = "
-                 f"{report.kappa * eps_fit:.6e}")
+    lines = [
+        f"solver: {args.flavor}",
+        f"sizes: m={m} n={n} p={p} d={d}",
+        f"X ({n} x {d}):",
+        np.array2string(solution.X, precision=8, suppress_small=False,
+                        max_line_width=120, separator=", "),
+        f"eps1 (corrected-system residual) = {e1:.6e}",
+        f"eps2 (constraint residual)       = {e2:.6e}",
+        "correction norm ||[E,F]||_F       = "
+        f"{solution.residual_perturbation_norm:.6e}",
+        f"kappa (relative condition)        = {report.kappa:.6e}",
+        f"eps_n of fitted correction        = {eps_fit:.6e}",
+        f"U = kappa * eps_n                 = {report.kappa * eps_fit:.6e}"]
     text = "\n".join(lines) + "\n"
     if args.report is not None:
         with rb.atomic_open(args.report) as fh:

@@ -77,7 +77,7 @@ at finite eps_n <= 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,9 +149,8 @@ def scaled_to(instance: PerturbationInstance,
         raise ConditioningUndefined("cannot rescale an all-zero perturbation")
     f = eps_target / current
     dl = instance.delta
-    return PerturbationInstance(
-        instance.problem, TlseProblem(A=dl.A * f, B=dl.B * f,
-                                      C=dl.C * f, D=dl.D * f))
+    return PerturbationInstance(instance.problem, TlseProblem(
+        dl.A * f, dl.B * f, dl.C * f, dl.D * f))
 
 
 @dataclass(frozen=True)
@@ -258,24 +257,34 @@ def condition_real(problem: TlseProblem,
     ``solution.problem`` (else DimensionMismatch), and so must its data,
     unless it is that very object (else ConditioningUndefined).  kappa
     comes from the largest eigenvalue of the Gram matrix, which eigvalsh
-    reads from one triangle; it is returned finite and positive, else
-    ConditioningUndefined is raised, as it is for X = 0, for a LAPACK
-    failure, for a floating-point overflow, division by zero or invalid
-    operation while forming the Gram matrix (data scaled far from 1,
-    where the solve still succeeds), and for a MemoryError while forming
+    reads from one triangle, formed from P, R and sigma scaled by the
+    power of two that brings sigma_1 into [1/2, 1), so the data's own
+    scale never overflows it.  kappa is returned finite and positive,
+    else ConditioningUndefined is raised, as it is for X = 0, for a
+    LAPACK failure, for a floating-point overflow, division by zero or
+    invalid operation while forming the Gram matrix (blocks scaled far
+    apart, or kappa itself near the floating-point range, where the
+    solve still succeeds), and for a MemoryError while forming
     or reading the Gram matrix (where the operating system lets the
     allocation fail; Linux may kill the process instead).
     """
     _own_problem(problem, solution)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            gram = _gram(solution)
+            # kappa is unchanged by a joint scaling of the data; of what
+            # the solution keeps, P, R and sigma scale with it, and the
+            # power of two f = 2^-e, sigma_1 = g * 2^e with 1/2 <= g < 1,
+            # scales them exactly unless an entry becomes subnormal
+            f = np.ldexp(1.0, -np.frexp(solution.sigma[0])[1])
+            gram = _gram(replace(solution, P=f * solution.P, R=f * solution.R,
+                                 sigma=f * solution.sigma))
         x_norm = float(np.linalg.norm(solution.X))
         if x_norm == 0.0:
             raise ConditioningUndefined(
                 "relative condition number undefined for X = 0")
         lam = np.linalg.eigvalsh(gram)[-1]
-        kappa = float(np.sqrt(max(lam, 0.0))) * problem.data_norm / x_norm
+        kappa = (float(np.sqrt(max(lam, 0.0))) * (f * problem.data_norm)
+                 / x_norm)
         if not (np.isfinite(kappa) and kappa > 0.0):
             raise ConditioningUndefined(
                 f"condition number {kappa!r} is not finite and positive")

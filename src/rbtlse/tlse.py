@@ -17,10 +17,11 @@ TLS problem on (Ac, Bc, Cc, Dc) and perturbation norms agree:
 
 The two differ only in that map and its row count q (4 or 2) per matrix
 row.  Each public entry point passes rb_core's map, real_block_column or
-complex_block_column (and, to the solve, its inverse), looked up when it
-is called; the solve is one classical null-space reduction, written with
-conjugate transposes (plain transposes on real stacks), with r = q*p
-the row count of S:
+complex_block_column, looked up when it is called; the map returns
+float64 or complex128 stacks for any data, so the stacks' dtype names
+the algebra from then on.  The solve is one classical null-space
+reduction, written with conjugate transposes (plain transposes on real
+stacks), with r = q*p the row count of S:
 
 1. write P = [Ac, Bc] and S = [Cc, Dc], each in one call of the map
    into one new array, and check that Cc, the view S[:, :n], has full
@@ -43,7 +44,9 @@ the row count of S:
    underflows.  The perturbation itself is formed only when it is first
    read from the solution: with W2 = P @ V_check[:, n-r:], which equals
    U2 S2, its stacks are -W2 V12^H and -W2 V22^H, read back through the
-   inverse map.  Callers that read only X never pay for it.
+   inverse map of P's dtype (from_complex_block_column for complex
+   stacks, from_real_block_column otherwise).  Callers that read only X
+   never pay for it.
 
 Uniqueness needs a strict gap between singular values n-r and n-r+1 of
 P @ Q2, strictly positive singular values and an invertible V22; each is
@@ -204,10 +207,12 @@ class TlseSolution:
     kept by reference, not copied, so the conditioning module reads its
     sizes from the solution.
 
-    E_bar and F_bar are formed on first read, from P and V_check, and
-    then kept; a caller that reads only X, sigma or the conditioning
-    never forms them.  A solution is compared and hashed by identity, as
-    its fields are arrays.
+    E_bar and F_bar are formed on first read, from P and V_check, read
+    back through the inverse block-column map that P's dtype selects,
+    and then kept; a caller that reads only X, sigma or the conditioning
+    never forms them.  A solution holds arrays, floats and its problem
+    only, and is compared and hashed by identity, as its fields are
+    arrays.
     """
 
     X: np.ndarray
@@ -220,16 +225,17 @@ class TlseSolution:
     Q1: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
     problem: TlseProblem = field(repr=False)
-    # the inverse block-column map, which reads the correction back
-    _from_column: Callable[[np.ndarray], rb.RBMatrix] = field(repr=False)
 
     @functools.cached_property
     def _correction(self) -> tuple[rb.RBMatrix, rb.RBMatrix]:
         n, d = self.X.shape
         V2 = self.V_check[:, -d:]
         W2 = self.P @ V2
-        return (self._from_column(-W2 @ V2[:n].conj().T),
-                self._from_column(-W2 @ V2[n:].conj().T))
+        from_column = (rb.from_complex_block_column
+                       if np.iscomplexobj(self.P)
+                       else rb.from_real_block_column)
+        return (from_column(-W2 @ V2[:n].conj().T),
+                from_column(-W2 @ V2[n:].conj().T))
 
     @property
     def E_bar(self) -> rb.RBMatrix:
@@ -261,8 +267,7 @@ def _stacks(problem: TlseProblem,
 
 
 @_lapack_failures
-def _solve(problem: TlseProblem, column: Callable,
-           from_column: Callable) -> TlseSolution:
+def _solve(problem: TlseProblem, column: Callable) -> TlseSolution:
     n, d = problem.A.cols, problem.B.cols
     P, S = _stacks(problem, column)
     r = S.shape[0]
@@ -291,8 +296,7 @@ def _solve(problem: TlseProblem, column: Callable,
             f"singular value gap {gap:.3e} at position {k} is not above "
             f"{_GAP_REL:.0e} * sigma_1; the solution is not unique")
 
-    V12 = V_check[:n, k:]
-    V22 = V_check[n:, k:]
+    V12, V22 = V_check[:n, k:], V_check[n:, k:]
     sv = np.linalg.svd(V22, compute_uv=False)
     v22_cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if not sv[-1] * _COND_MAX > 1.0:
@@ -309,8 +313,7 @@ def _solve(problem: TlseProblem, column: Callable,
     return TlseSolution(
         X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
         residual_perturbation_norm=rb._norm(sigma[k:]),
-        P=P, V_check=V_check, Q1=Q1, R=R, problem=problem,
-        _from_column=from_column)
+        P=P, V_check=V_check, Q1=Q1, R=R, problem=problem)
 
 
 def solve_real(problem: TlseProblem) -> TlseSolution:
@@ -321,14 +324,13 @@ def solve_real(problem: TlseProblem) -> TlseSolution:
     DegenerateSpectrum when the data leaves the theory's premises, and
     FactorizationFailed when a LAPACK call fails.
     """
-    return _solve(problem, rb.real_block_column, rb.from_real_block_column)
+    return _solve(problem, rb.real_block_column)
 
 
 def solve_complex(problem: TlseProblem) -> TlseSolution:
     """Solve for the unique complex X over the 2m-row complex stacks;
     errors as in :func:`solve_real`."""
-    return _solve(problem, rb.complex_block_column,
-                  rb.from_complex_block_column)
+    return _solve(problem, rb.complex_block_column)
 
 
 def _own_problem(problem: TlseProblem, solution: TlseSolution) -> None:

@@ -4,7 +4,8 @@ compare a fresh run with them.
 ``golden.json`` beside this file holds every cell of the eight runs
 acceptance criteria 1-5 make (``RUNS``) and every number of six
 ``solve-*`` reports on RBMAT inputs drawn by ``gen_instance``
-(``REPORTS``).  ``test_golden.py`` reruns each and compares at
+(``REPORTS``).  ``test_golden.py`` reruns each (a run through
+:func:`run`, which the acceptance criteria share) and compares at
 tolerances set by the rounding floor, so a change that only reorders
 the arithmetic passes and one that moves a result does not:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import pathlib
@@ -37,8 +39,8 @@ import tempfile
 
 from rbtlse import cli
 from rbtlse import rb_core as rb
-from rbtlse.bench import (CSV_COLUMNS, MAGNITUDES, ExperimentConfig,
-                          accuracy_sizes, gen_instance, run_experiment)
+from rbtlse.bench import (CSV_COLUMNS, MAGNITUDES, ExperimentConfig, _run,
+                          accuracy_sizes, gen_instance)
 
 PATH = pathlib.Path(__file__).with_name("golden.json")
 
@@ -64,6 +66,16 @@ _RESIDUALS = ("eps1", "eps2")
 _REPORT_RESIDUALS = ("eps1 (corrected-system residual)",
                      "eps2 (constraint residual)")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@functools.cache
+def run(config: ExperimentConfig) -> tuple:
+    """The rows ``run_experiment`` gives for ``config``, as a tuple, and
+    the per-trial compare-lse errors behind them, from one call of
+    ``bench._run`` per process: the acceptance criteria, the golden tests
+    and the CLI's paired-statistic test share the seeded runs."""
+    records, trials = _run(config)
+    return tuple(records), trials
 
 
 def run_cells(records) -> list[dict]:
@@ -191,7 +203,7 @@ def load() -> dict:
 
 
 def _generate() -> dict:
-    runs = {name: run_cells(run_experiment(config))
+    runs = {name: run_cells(run(config)[0])
             for name, config in RUNS.items()}
     with tempfile.TemporaryDirectory() as workdir:
         reports = {f"{kind}-{t}": parse_report(report_text(kind, t, workdir))

@@ -14,7 +14,9 @@ nothing from ``rbtlse``, so they never share code with what they check:
   from the data with the representations above;
 * that formula's factors H, G and Z, built densely from the stack P and
   right singular vectors a solution keeps and that rebuilt S, with their
-  own SVD of S;
+  own SVD of S, and the matrix-free product with (H G Z)^H from the same
+  pieces, with the map of its result back to a perturbation of the
+  stacks;
 * the spectral norm, by a dense SVD or by matrix-free power iteration;
 * the brute-force condition number: the solution map's Jacobian built
   column by column with central finite differences, which calls the
@@ -170,6 +172,60 @@ def dense_condition_factors(solution):
     Z[:n * d, :Zb1.shape[1]] = Zb1
     Z[n * d:, Zb1.shape[1]:] = Zb2
     return H, G, Z, Q
+
+
+def condition_adjoint(solution):
+    """(adjoint, to_data): adjoint(u) = (H G Z)^H u for u of length nd,
+    without forming H, G, Z or Q, and to_data(v) the perturbation
+    (dS, dP) of the stacks S and P that v, a vector of the input space
+    of H G Z, stands for.
+
+    Built from what the solution keeps and the rebuilt S, with the same
+    SVD of S as :func:`dense_condition_factors`.  The input space holds
+    vec(conj([dS; dP] Wn)) and vec((Ub^H [dS; dP] V2)^T), with Wn = [Vs,
+    V1], V2 the trailing right singular vectors and Ub the block diagonal
+    of Us and U1; this map of the stacks has orthonormal rows, so
+    to_data, its adjoint, keeps norms and the direction
+    to_data(adjoint(u)) with u the top eigenvector of the Gram matrix
+    moves X by kappa to first order.
+    """
+    P, V_check, sigma = solution.P, solution.V_check, solution.sigma
+    S = constraint_stack(solution)
+    n, d = solution.X.shape
+    r, q = S.shape[0], P.shape[0]
+    k = n - r
+    Us, Ss, Vsh = np.linalg.svd(S, full_matrices=False)
+    PS = P @ (Vsh.conj().T / Ss) @ Us.conj().T
+    U = P @ V_check / sigma
+    U1, U2 = U[:, :k], U[:, k:]
+    Wn = np.hstack([Vsh.conj().T, V_check[:, :k]])
+    W1, V2, V22 = Wn[:n], V_check[:, k:], V_check[n:, k:]
+    S_diag = np.concatenate([Ss, sigma[:k]])
+    sig2 = sigma[k:]
+    mask = np.concatenate([np.zeros(r), np.ones(k)])
+    # the (i, j) entry of D at right-hand side i, column j
+    denom = S_diag ** 2 - mask * sig2[:, None] ** 2
+    T2 = np.eye(n, dtype=U.dtype)
+    T2[r:, :r] = -U1.conj().T @ PS @ Us
+
+    def adjoint(u):
+        # H^H: the two inverses, then the commutation back to d x n
+        Y = np.linalg.solve(W1, unvec(u, (n, d)))
+        Wd = np.linalg.solve(V22, Y.conj().T).conj() / denom
+        # G^H, then Z^H, with conj(Q) = [-(P S^+)^T; I]
+        w = U2.conj() @ (sig2[:, None] * Wd * mask)
+        B1 = np.vstack([-PS.T @ w, w])
+        B2 = (Wd * S_diag) @ T2.conj()
+        return np.concatenate([vec(B1), vec(B2)])
+
+    def to_data(v):
+        M1 = unvec(v[:n * (r + q)], (r + q, n))
+        Y2 = unvec(v[n * (r + q):], (d, n)).T
+        UbY = np.vstack([Us @ Y2[:r], U1 @ Y2[r:]])
+        stacks = M1.conj() @ Wn.conj().T + UbY @ V2.conj().T
+        return stacks[:r], stacks[r:]
+
+    return adjoint, to_data
 
 
 # ---------------------------------------------------------------------------

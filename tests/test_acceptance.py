@@ -2,15 +2,18 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to watch the
 verdict lines stream).  Tolerances are stated inline; every criterion is
-independent of the others.
+independent of the others.  Criteria 1-5 take their seeded runs from
+``golden.run``, which computes each configuration once per session and
+shares it with ``test_golden.py``.
 """
 
 import numpy as np
 import pytest
 
+import golden
 import oracles
 import rbtlse.rb_core as rb
-from rbtlse.bench import ExperimentConfig, run_experiment
+from rbtlse.bench import ExperimentConfig
 from rbtlse.perturbation import (PerturbationInstance, condition_real,
                                  condition_complex, scaled_to)
 from rbtlse.tlse import TlseProblem, solve_complex, solve_real
@@ -33,7 +36,7 @@ def _rand_rb(rng, m, n, uniform=False):
 def test_criterion_1_accuracy_real():
     config = ExperimentConfig(experiment="accuracy-real", t_values=(1, 3, 5),
                               seed=0)
-    records = run_experiment(config)
+    records = golden.run(config)[0]
     ok = (len(records) == 3
           and all(not r.error for r in records)
           and all(r.eps1 < 1e-10 and r.eps2 < 1e-10 for r in records))
@@ -44,7 +47,7 @@ def test_criterion_1_accuracy_real():
 def test_criterion_2_accuracy_complex():
     config = ExperimentConfig(experiment="accuracy-complex",
                               t_values=(1, 3, 5), seed=0)
-    records = run_experiment(config)
+    records = golden.run(config)[0]
     ok = (len(records) == 3
           and all(not r.error for r in records)
           and all(r.eps1 < 1e-10 and r.eps2 < 1e-10 for r in records))
@@ -59,7 +62,7 @@ def test_criterion_2_accuracy_complex():
 def _bound_criterion(experiment: str) -> bool:
     config = ExperimentConfig(experiment=experiment, t_values=(1, 3, 5),
                               trials=7, seed=1)
-    records = run_experiment(config)
+    records = golden.run(config)[0]
     kept = [r for r in records if not r.error]
     if len(kept) < 60:
         return False
@@ -89,7 +92,7 @@ def test_criterion_5_compare_ordering():
             config = ExperimentConfig(
                 experiment="compare-lse", m_values=(60, 80, 100, 120),
                 case=case, variant=variant, trials=20, seed=2)
-            records = run_experiment(config)
+            records = golden.run(config)[0]
             if any(r.error for r in records) or len(records) != 4:
                 bad.append(f"{variant} case {case}: run errors")
                 continue

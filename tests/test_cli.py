@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import golden
 import rbtlse.bench as bench
 import rbtlse.cli as cli
 import rbtlse.perturbation as perturbation
@@ -58,6 +59,29 @@ def test_run_compare_lse(tmp_path):
     assert len(rows) == 2
     rec = dict(zip(CSV_COLUMNS, rows[1]))
     assert float(rec["eps_T"]) > 0 and float(rec["eps_L"]) > 0
+
+
+def test_run_compare_lse_prints_paired_statistic(tmp_path, capsys,
+                                                monkeypatch):
+    """Under each m's means, compare-lse prints the paired mean of
+    eps_T - eps_L, its standard error and the trials the total solver
+    wins.  At acceptance criterion 5's complex case-1 configuration the
+    m = 60 cell, where the baseline's mean is lower, is signal: 2 of 20
+    wins.  The run is the criterion's, shared through golden.run."""
+    monkeypatch.setattr(cli, "_run", golden.run)
+    out = tmp_path / "cmp.csv"
+    code = main(["run", "compare-lse", "--variant", "complex", "--case", "1",
+                 "--seed", "2", "--trials", "20", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for m, paired in (
+            (60, "+0.0365 +/- 0.0089 (standard error); "
+                 "total solver wins 2/20"),
+            (80, "-0.0206 +/- 0.0102 (standard error); "
+                 "total solver wins 14/20")):
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(f"  m={m}:"))
+        assert lines[at + 1] == f"    paired eps_T-eps_L = {paired}"
 
 
 def test_run_rejects_bad_t_range(capsys):
@@ -341,8 +365,8 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
 
     configs = []
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_experiment",
-                        lambda config: configs.append(config) or [])
+    monkeypatch.setattr(cli, "_run",
+                        lambda config: configs.append(config) or ([], {}))
     assert main(["run", "accuracy-real"]) == 0
     assert configs == [ExperimentConfig(
         experiment="accuracy-real", t_values=(1, 2, 3),

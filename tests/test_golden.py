@@ -7,7 +7,6 @@ shows here even where it stays under a threshold."""
 import pytest
 
 import golden
-from rbtlse.bench import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +16,7 @@ def gold():
 
 @pytest.mark.parametrize("name", list(golden.RUNS))
 def test_seeded_run_matches_golden(name, gold):
-    rows = golden.run_cells(run_experiment(golden.RUNS[name]))
+    rows = golden.run_cells(golden.run(golden.RUNS[name])[0])
     bad = golden.compare_run(rows, gold["runs"][name])
     assert not bad, "\n".join(bad)
 

@@ -332,6 +332,54 @@ def test_kappa_matches_dense_oracle(kind, sizes):
             <= 1e-12 * np.linalg.norm(S_pinv))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_adjoint_matches_dense_oracle(kind):
+    """The matrix-free (H G Z)^H of oracles.condition_adjoint satisfies
+    <M x, y> = <x, M^H y> with M the dense oracle's H G Z, at the t = 1
+    accuracy size, for random x and y (complex for complex data)."""
+    solve = solve_real if kind == "real" else solve_complex
+    sol = solve(gen_instance(kind, accuracy_sizes(kind, 1), 0))
+    H, G, Z, _ = oracles.dense_condition_factors(sol)
+    M = H @ G @ Z
+    adjoint, _ = oracles.condition_adjoint(sol)
+    rng = np.random.default_rng(8)
+    x, y = (rng.standard_normal(size) for size in M.shape[::-1])
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(x.size)
+        y = y + 1j * rng.standard_normal(y.size)
+    Mx = M @ x
+    assert (abs(np.vdot(y, Mx) - np.vdot(adjoint(y), x))
+            <= 1e-12 * np.linalg.norm(Mx) * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("t", [2, 5, 10, 20])
+def test_kappa_is_attained_at_experiment_size(kind, t):
+    """kappa is tight at every accuracy size, not only where the dense
+    oracle and the Jacobian reach: with u the top eigenvector of the
+    library's Gram matrix, (H G Z)^H u read back to four RB deltas is the
+    data direction that attains kappa, and a perturbation along it of
+    relative size 1e-8 moves X by kappa * eps_n to within 1% (second
+    order terms are about kappa * eps_n)."""
+    solve, from_column = (
+        (solve_real, rb.from_real_block_column) if kind == "real"
+        else (solve_complex, rb.from_complex_block_column))
+    prob = gen_instance(kind, accuracy_sizes(kind, t), 0)
+    sol = solve(prob)
+    kappa = condition_real(prob, sol).kappa
+    u = np.linalg.eigh(_gram(sol))[1][:, -1]
+    adjoint, to_data = oracles.condition_adjoint(sol)
+    dS, dP = to_data(adjoint(u))
+    n = prob.A.cols
+    delta = TlseProblem(*(from_column(Y) for Y in (
+        dP[:, :n], dP[:, n:], dS[:, :n], dS[:, n:])))
+    eps = 1e-8
+    inst = scaled_to(PerturbationInstance(prob, delta), eps)
+    fwd = (np.linalg.norm(solve(inst.perturbed()).X - sol.X)
+           / np.linalg.norm(sol.X))
+    assert 0.99 <= fwd / (kappa * eps) <= 1.01
+
+
 # ---------------------------------------------------------------------------
 # condition number: paths and invariances
 # ---------------------------------------------------------------------------
@@ -387,18 +435,37 @@ def test_kappa_at_extreme_scale(kind, e):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("e", [-170, -160, 160, 170])
+@pytest.mark.parametrize("e", [-300, -200, -170, -160, 160, 170, 200, 300])
 def test_kappa_refuses_out_of_range_scale(kind, e):
-    """Scaled by 10**e, the t = 1 accuracy instance still solves, but its
-    Gram matrix overflows (+-160, +170) or its squared singular values
-    underflow to 0 (-170): kappa raises ConditioningUndefined, and no
-    floating-point warning escapes."""
+    """Scaled by 10**e, the t = 1 accuracy instance still solves, and
+    kappa still answers, equal to the unit-scale kappa, although a Gram
+    matrix of the unscaled factors would overflow (+-160 and beyond) or
+    its squared singular values underflow to 0 (-170 and beyond): kappa
+    forms it from P, R and sigma scaled by the power of two that brings
+    sigma_1 into [1/2, 1), and no floating-point warning escapes."""
     prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
     solve, condition = ((solve_real, condition_real) if kind == "real"
                         else (solve_complex, condition_complex))
+    kappa = condition(prob, solve(prob)).kappa
     z = 10.0 ** e
     scaled = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
                          D=prob.D * z)
+    assert condition(scaled, solve(scaled)).kappa == pytest.approx(
+        kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kappa_refuses_when_it_overflows(kind):
+    """With C and D scaled by 1e-160, a data perturbation of relative
+    size 1e-160 is as large as C and D, and kappa itself is about 1e160:
+    its Gram matrix overflows at any normalisation, so kappa raises
+    ConditioningUndefined naming the data scale, and no floating-point
+    warning escapes."""
+    prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    scaled = TlseProblem(A=prob.A, B=prob.B, C=prob.C * 1e-160,
+                         D=prob.D * 1e-160)
     solution = solve(scaled)
     with pytest.raises(ConditioningUndefined, match="data scale"):
         condition(scaled, solution)

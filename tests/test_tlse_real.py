@@ -178,10 +178,11 @@ def test_kept_factors_are_read_only(kind, name):
 
 def test_solution_fields():
     """A solution keeps what the correction and kappa read and nothing
-    more: of the constraint stack S only Q1 and R of the QR of S^H."""
+    more: of the constraint stack S only Q1 and R of the QR of S^H, and
+    no inverse map, which the dtype of P selects."""
     assert [f.name for f in dataclasses.fields(TlseSolution)] == [
         "X", "sigma", "gap", "v22_condition", "residual_perturbation_norm",
-        "P", "V_check", "Q1", "R", "problem", "_from_column"]
+        "P", "V_check", "Q1", "R", "problem"]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
