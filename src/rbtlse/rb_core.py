@@ -44,7 +44,6 @@ import contextlib
 import numbers
 import os
 import secrets
-from itertools import chain
 
 import numpy as np
 
@@ -309,8 +308,9 @@ def frobenius_norm(P: RBMatrix) -> float:
 #
 # Line 1 is "RBMAT <m> <n>", then components 0..3 as four blocks of m lines
 # (blank when n = 0), one blank line between blocks.  A row is its n floats
-# as Python's repr, one space apart.  A block is written and parsed whole;
-# only a block that fails to parse is scanned row by row for the error.
+# as Python's repr, one space apart.  The reader splits, checks and parses
+# each row as it reads it, into one float buffer per block, and names the
+# first bad row; nothing is sized by the header before its rows are seen.
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -348,22 +348,6 @@ def write_rbmat(path, P: RBMatrix) -> None:
         fh.write(f"RBMAT {m} {n}\n{body}\n")
 
 
-def _bad_row(block: int, rows: list, m: int, n: int) -> FileFormatError:
-    """Error naming the first bad row of ``block``, from its split ``rows``."""
-    for r, raw in enumerate(rows):
-        at = f"block {block} row {r}"
-        if not raw and n > 0:
-            return FileFormatError(f"{at} is blank (ragged block)")
-        if len(raw) != n:
-            return FileFormatError(f"{at} has {len(raw)} fields, expected {n}")
-        try:
-            list(map(float, raw))
-        except ValueError:
-            return FileFormatError(f"{at}: non-numeric field")
-    return FileFormatError(
-        f"block {block} truncated at row {len(rows)} (expected {m} rows)")
-
-
 def read_rbmat(path) -> RBMatrix:
     """Read an RBMAT v1 file; malformed layout raises FileFormatError."""
     with open(path, "r", encoding="ascii") as fh:
@@ -392,14 +376,25 @@ def read_rbmat(path) -> RBMatrix:
         if block > 0 and (len(lines) < start or lines[start - 1].strip()):
             raise FileFormatError(
                 f"expected blank separator before block {block}")
-        rows = [line.split() for line in lines[start:start + m]]
-        # nothing is sized by the header before the file shows m rows of n
-        if len(rows) < m or list(map(len, rows)) != [n] * m:
-            raise _bad_row(block, rows, m, n)
-        try:
-            comps.append(np.fromiter(map(float, chain(*rows)), float, m * n))
-        except ValueError:
-            raise _bad_row(block, rows, m, n) from None
+        rows = lines[start:start + m]
+        values = []
+        for r, line in enumerate(rows):
+            fields = line.split()
+            if len(fields) != n:
+                raise FileFormatError(
+                    f"block {block} row {r} is blank (ragged block)"
+                    if not fields else
+                    f"block {block} row {r} has {len(fields)} fields, "
+                    f"expected {n}")
+            try:
+                values += map(float, fields)
+            except ValueError:
+                raise FileFormatError(
+                    f"block {block} row {r}: non-numeric field") from None
+        if len(rows) < m:
+            raise FileFormatError(f"block {block} truncated at row "
+                                  f"{len(rows)} (expected {m} rows)")
+        comps.append(np.array(values))
         if not np.isfinite(comps[-1]).all():
             raise FileFormatError(f"block {block}: nan or inf entry")
     if any(line.strip() for line in lines[4 * (m + 1):]):

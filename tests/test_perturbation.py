@@ -239,15 +239,25 @@ def test_kappa_at_experiment_size(kind):
     assert 0.99 <= fwd / (kappa * eps) <= 1.01
 
 
+def _unitary(kind, size):
+    """A size x size real orthogonal matrix (complex unitary for the
+    complex kind) drawn from a generator seeded by ``size``, and its RB
+    embedding."""
+    rng = np.random.default_rng(size)
+    M = rng.standard_normal((size, size))
+    if kind == "real":
+        T = np.linalg.qr(M)[0]
+        return T, rb.RBMatrix.from_real(T)
+    T = np.linalg.qr(M + 1j * rng.standard_normal((size, size)))[0]
+    return T, rb.RBMatrix.from_complex(T)
+
+
 def _left_factor(unit, size):
     """The size x size RB matrix that left-multiplies the data: the
     diagonal matrix of the unit j or k, or for "unitary" a random complex
     unitary matrix embedded by RBMatrix.from_complex."""
     if unit == "unitary":
-        rng = np.random.default_rng(size)
-        M = (rng.standard_normal((size, size))
-             + 1j * rng.standard_normal((size, size)))
-        return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
+        return _unitary("complex", size)[1]
     eye, zero = np.eye(size), np.zeros((size, size))
     return (rb.RBMatrix(zero, zero, eye, zero) if unit == "j"
             else rb.RBMatrix(zero, zero, zero, eye))
@@ -276,6 +286,37 @@ def test_rb_unit_leaves_x_and_kappa_at_experiment_size(kind, t, unit):
         sol.residual_perturbation_norm, rel=1e-10)
     assert condition(moved, sol2).kappa == pytest.approx(
         condition(prob, sol).kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("t", [10, 20])
+def test_right_factors_move_x_at_experiment_size(kind, t):
+    """A and C times an n x n orthogonal T (unitary for the complex
+    solve), B and D times a d x d T_d: X becomes T^H X T_d, and the
+    correction norm and kappa do not change."""
+    solve, condition = ((solve_real, condition_real) if kind == "real"
+                        else (solve_complex, condition_complex))
+    prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
+    _, n, _, d = prob.sizes
+    (T, T_rb), (Td, Td_rb) = _unitary(kind, n), _unitary(kind, d)
+    moved = TlseProblem(A=prob.A @ T_rb, B=prob.B @ Td_rb, C=prob.C @ T_rb,
+                        D=prob.D @ Td_rb)
+    sol, sol2 = solve(prob), solve(moved)
+    X = T.conj().T @ sol.X @ Td
+    assert np.linalg.norm(sol2.X - X) <= 1e-10 * np.linalg.norm(X)
+    assert sol2.residual_perturbation_norm == pytest.approx(
+        sol.residual_perturbation_norm, rel=1e-10)
+    assert condition(moved, sol2).kappa == pytest.approx(
+        condition(prob, sol).kappa, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [10, 20])
+def test_complex_correction_is_at_most_real_at_experiment_size(t):
+    """On a real accuracy instance, the real solve's X and correction are
+    feasible for the complex solve, so its correction norm is no larger."""
+    prob = gen_instance("real", accuracy_sizes("real", t), 3)
+    assert (solve_complex(prob).residual_perturbation_norm
+            <= solve_real(prob).residual_perturbation_norm)
 
 
 # ---------------------------------------------------------------------------

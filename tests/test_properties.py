@@ -5,17 +5,24 @@ from that seed.  Both algebras and the least squares baseline run through
 the same strategies, which include an empty constraint (p = 0), a fully
 constrained solution (k = n - r = 0) and several right-hand sides.
 Examples are derandomized so the suite is reproducible.  Besides the
-exact-recovery and error-taxonomy oracles, two invariances of the
+exact-recovery and error-taxonomy oracles, three invariances of the
 problem check the solve on noisy data: jointly scaling (A, B, C, D)
-leaves X and kappa unchanged, and so does permuting the rows of A and B
-together (for X).  Two variational oracles check that each solver's X
-is a stationary minimum of its own objective along feasible directions,
-and kappa is checked against the brute-force Jacobian on small shapes.
-At the file surface, any finite RB matrix survives an RBMAT round trip
-bit for bit.
+leaves X and kappa unchanged, so does permuting the rows of A and B
+together (for X), and orthogonal (complex: unitary) right factors move
+X by the same factors and leave the correction norm and kappa; on data
+both algebras accept, the complex correction is at most the real one.
+Two variational oracles check that each solver's X is a stationary
+minimum of its own objective along feasible directions, and kappa is
+checked against the brute-force Jacobian on small shapes.  At the file
+surface, any finite RB matrix survives an RBMAT round trip bit for bit,
+one edit of a valid file reads back or is refused with FileFormatError,
+and ``solve-*`` on an edited file exits 0, 1 or 2 without raising.
 """
 
+import contextlib
+import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -24,7 +31,9 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import rbtlse.rb_core as rb
-from rbtlse.errors import RbtlseError
+from rbtlse import cli
+from rbtlse.bench import accuracy_sizes, gen_instance
+from rbtlse.errors import FileFormatError, RbtlseError
 from rbtlse.perturbation import condition_complex, condition_real
 from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
                          solve_complex, solve_real)
@@ -171,6 +180,71 @@ def test_row_permutation_leaves_x(case):
     assert _close(X, X2, kappa)
 
 
+def _orthogonal(kind, rng, size):
+    """A random size x size real orthogonal matrix (complex unitary for
+    the complex kind) and its RB embedding."""
+    M = rng.standard_normal((size, size))
+    if kind == "real":
+        T = np.linalg.qr(M)[0]
+        return T, rb.RBMatrix.from_real(T)
+    T = np.linalg.qr(M + 1j * rng.standard_normal((size, size)))[0]
+    return T, rb.RBMatrix.from_complex(T)
+
+
+@SETTINGS
+@given(well_posed())
+def test_right_factors_move_x_and_leave_correction_and_kappa(case):
+    """A and C times an orthogonal T (unitary for the complex solve), B
+    and D times T_d: X becomes T^H X T_d, and the correction norm and
+    kappa do not change (the former to Weyl's bound on the data)."""
+    kind, sizes, seed = case
+    problem, rng = _noisy(kind, sizes, seed)
+    _, solve, condition, _ = KINDS[kind]
+    try:
+        solution = solve(problem)
+        kappa = condition(problem, solution).kappa
+    except RbtlseError:
+        assume(False)
+    (T, T_rb), (Td, Td_rb) = (_orthogonal(kind, rng, k)
+                              for k in (sizes[1], sizes[3]))
+    moved = TlseProblem(A=problem.A @ T_rb, B=problem.B @ Td_rb,
+                        C=problem.C @ T_rb, D=problem.D @ Td_rb)
+    solution2 = solve(moved)
+    assert _close(T.conj().T @ solution.X @ Td, solution2.X, kappa)
+    assert (abs(solution2.residual_perturbation_norm
+                - solution.residual_perturbation_norm)
+            <= 1e-12 * problem.data_norm)
+    assert (abs(condition(moved, solution2).kappa - kappa)
+            <= 1e-10 * kappa)
+
+
+@st.composite
+def shared_data(draw):
+    """(m, n, p, d) that both the real (4p <= n) and the complex
+    (2m >= n + d - 2p) solve accept, and a seed."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(0, n // 4))
+    d = draw(st.integers(1, 3))
+    m_min = -(-(n + d - 2 * p) // 2)
+    return (draw(st.integers(m_min, m_min + 4)), n, p, d), draw(SEEDS)
+
+
+@SETTINGS
+@given(shared_data())
+def test_complex_correction_is_at_most_real(case):
+    """The real solve's X and correction are feasible for the complex
+    solve of the same data, so the complex correction norm is at most
+    the real one."""
+    sizes, seed = case
+    problem, _ = _noisy("real", sizes, seed)
+    try:
+        real, complex_ = solve_real(problem), solve_complex(problem)
+    except RbtlseError:
+        assume(False)
+    assert (complex_.residual_perturbation_norm
+            <= real.residual_perturbation_norm + 1e-12 * problem.data_norm)
+
+
 # ---------------------------------------------------------------------------
 # variational oracles: each X is a stationary minimum of its objective
 # ---------------------------------------------------------------------------
@@ -290,3 +364,100 @@ def test_rbmat_round_trip_is_bit_exact(P):
         back = rb.read_rbmat(path)
     assert np.array_equal(back.components.view(np.uint64),
                           P.components.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the file and CLI surfaces: one edit of a valid RBMAT file
+# ---------------------------------------------------------------------------
+
+DIMS = st.one_of(st.integers(0, 8), st.integers(0, 10 ** 12))
+# what a line or token edit puts in: a number, ASCII text or any text
+TEXT = st.one_of(st.floats().map(repr),
+                 st.text(st.characters(max_codepoint=127), max_size=12),
+                 st.text(max_size=12)).map(str.encode)
+# (edit, position, payload): the position is taken modulo what the edit
+# can reach; the payload is what it puts in
+EDITS = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate", "truncate"]),
+              st.integers(0, 2 ** 16), st.just(b"")),
+    st.tuples(st.sampled_from(["line", "token"]), st.integers(0, 2 ** 16),
+              TEXT),
+    st.tuples(st.just("bytes"), st.integers(0, 2 ** 16),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("header"), st.just(0),
+              st.tuples(DIMS, DIMS).map(lambda mn: b"RBMAT %d %d" % mn)))
+
+
+def _edited(path, edit) -> None:
+    """Apply one edit to the file at ``path``: delete or duplicate a
+    line, put a line before it, replace a token by any text, put bytes
+    in or cut the file at a byte, or replace the header line."""
+    kind, at, payload = edit
+    with open(path, "rb") as fh:
+        text = fh.read()
+    lines = text.split(b"\n")
+    i = at % len(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "line":
+        lines.insert(i, payload)
+    elif kind == "header":
+        lines[0] = payload
+    elif kind == "token":
+        spans = [t.span() for t in re.finditer(rb"\S+", text)]
+        start, stop = spans[at % len(spans)]
+        lines = [text[:start] + payload + text[stop:]]
+    else:
+        j = at % (len(text) + 1)
+        lines = [text[:j] + (payload if kind == "bytes" else b"")]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+
+
+@SETTINGS
+@given(finite_rb_matrices(), EDITS)
+@example(rb.RBMatrix.zeros(2, 0), ("header", 0, b"RBMAT 0 1000000000000"))
+@example(rb.RBMatrix.eye(2), ("header", 0, b"RBMAT 1000000000000 2"))
+@example(rb.RBMatrix.eye(2), ("header", 0, b"RBMAT 2 1000000000000"))
+@example(rb.RBMatrix.eye(2), ("token", 3, b"+1e-5"))     # still valid
+@example(rb.RBMatrix.eye(2), ("bytes", 13, b"\r"))      # CR before LF
+def test_an_edited_rbmat_file_reads_or_is_refused(P, edit):
+    """After one edit a file either reads to a matrix that round-trips
+    bit for bit or is refused with FileFormatError; no other error, a
+    MemoryError from a header's dimensions included, gets out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.rbmat")
+        rb.write_rbmat(path, P)
+        _edited(path, edit)
+        try:
+            Q = rb.read_rbmat(path)
+        except FileFormatError:
+            return
+        rb.write_rbmat(path, Q)
+        back = rb.read_rbmat(path)
+    assert np.array_equal(back.components.view(np.uint64),
+                          Q.components.view(np.uint64))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(KINDS)), st.sampled_from("abcd"), EDITS)
+def test_solve_on_an_edited_file_exits_cleanly(kind, key, edit):
+    """``solve-<kind>`` on the four files of a t = 1 instance, one of
+    them edited, returns 0, 1 or 2 and never raises, and the report
+    exists only after 0."""
+    problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [f"solve-{kind}"]
+        for k in "abcd":
+            path = os.path.join(tmp, f"{k}.rbmat")
+            rb.write_rbmat(path, getattr(problem, k.upper()))
+            argv += [f"--{k}", path]
+        _edited(os.path.join(tmp, f"{key}.rbmat"), edit)
+        report = os.path.join(tmp, "report.txt")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main(argv + ["--report", report])
+        assert status in (0, 1, 2)
+        assert os.path.exists(report) == (status == 0)
