@@ -2,8 +2,8 @@
 compare a fresh run with them.
 
 ``golden.json`` beside this file holds every cell of the eight runs
-acceptance criteria 1-5 make and of the two bound runs at t = 10
-(``RUNS``), and every number of six
+acceptance criteria 1-5 make and of the four bound runs at t = 10 and
+t = 20 (``RUNS``), and every number of six
 ``solve-*`` reports on RBMAT inputs drawn by ``gen_instance``
 (``REPORTS``).  ``test_golden.py`` reruns each (a run through
 :func:`run`, which the acceptance criteria share) and compares at
@@ -52,10 +52,10 @@ RUNS = {
     **{f"bound-{kind}": ExperimentConfig(
         experiment=f"bound-{kind}", t_values=(1, 3, 5), trials=7, seed=1)
        for kind in ("real", "complex")},
-    # kappa's value at a size the dense oracle cannot reach
-    **{f"bound-{kind}-t10": ExperimentConfig(
-        experiment=f"bound-{kind}", t_values=(10,), trials=7, seed=1)
-       for kind in ("real", "complex")},
+    # kappa's value at sizes the dense oracle cannot reach
+    **{f"bound-{kind}-t{t}": ExperimentConfig(
+        experiment=f"bound-{kind}", t_values=(t,), trials=7, seed=1)
+       for t in (10, 20) for kind in ("real", "complex")},
     **{f"compare-lse-{variant}-case{case}": ExperimentConfig(
         experiment="compare-lse", m_values=(60, 80, 100, 120), case=case,
         variant=variant, trials=20, seed=2)

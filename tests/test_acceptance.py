@@ -2,21 +2,23 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to watch the
 verdict lines stream).  Tolerances are stated inline; every criterion is
-independent of the others.  Criteria 1-5 take their seeded runs from
+independent of the others.  Criteria 1-5 read their seeded
+configurations from ``golden.RUNS`` by name and their runs from
 ``golden.run``, which computes each configuration once per session and
-shares it with ``test_golden.py``.
+shares it with ``test_golden.py``, so the gate and the golden values
+check the same runs.  Criteria 6-8 draw their data through
+``tests/instances.py`` and ``gen_instance``.
 """
 
 import numpy as np
-import pytest
 
 import golden
 import oracles
 import rbtlse.rb_core as rb
-from rbtlse.bench import ExperimentConfig
-from rbtlse.perturbation import (PerturbationInstance, condition_real,
-                                 condition_complex, scaled_to)
-from rbtlse.tlse import TlseProblem, solve_complex, solve_real
+from instances import ALGEBRAS, consistent, rand_rb, solved_by
+from rbtlse.bench import gen_instance
+from rbtlse.perturbation import PerturbationInstance, scaled_to
+from rbtlse.tlse import solve_complex, solve_real
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -24,19 +26,12 @@ def _verdict(ok: bool, label: str) -> None:
     assert ok, label
 
 
-def _rand_rb(rng, m, n, uniform=False):
-    draw = rng.random if uniform else rng.standard_normal
-    return rb.RBMatrix(*(draw((m, n)) for _ in range(4)))
-
-
 # ---------------------------------------------------------------------------
 # 1 + 2: residual accuracy of both solvers at growing scale
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_accuracy_real():
-    config = ExperimentConfig(experiment="accuracy-real", t_values=(1, 3, 5),
-                              seed=0)
-    records = golden.run(config)[0]
+    records = golden.run(golden.RUNS["accuracy-real"])[0]
     ok = (len(records) == 3
           and all(not r.error for r in records)
           and all(r.eps1 < 1e-10 and r.eps2 < 1e-10 for r in records))
@@ -45,9 +40,7 @@ def test_criterion_1_accuracy_real():
 
 
 def test_criterion_2_accuracy_complex():
-    config = ExperimentConfig(experiment="accuracy-complex",
-                              t_values=(1, 3, 5), seed=0)
-    records = golden.run(config)[0]
+    records = golden.run(golden.RUNS["accuracy-complex"])[0]
     ok = (len(records) == 3
           and all(not r.error for r in records)
           and all(r.eps1 < 1e-10 and r.eps2 < 1e-10 for r in records))
@@ -60,9 +53,7 @@ def test_criterion_2_accuracy_complex():
 # ---------------------------------------------------------------------------
 
 def _bound_criterion(experiment: str) -> bool:
-    config = ExperimentConfig(experiment=experiment, t_values=(1, 3, 5),
-                              trials=7, seed=1)
-    records = golden.run(config)[0]
+    records = golden.run(golden.RUNS[experiment])[0]
     kept = [r for r in records if not r.error]
     if len(kept) < 60:
         return False
@@ -89,10 +80,8 @@ def test_criterion_5_compare_ordering():
     bad = []
     for variant in ("real", "complex"):
         for case in (1, 2):
-            config = ExperimentConfig(
-                experiment="compare-lse", m_values=(60, 80, 100, 120),
-                case=case, variant=variant, trials=20, seed=2)
-            records = golden.run(config)[0]
+            records = golden.run(
+                golden.RUNS[f"compare-lse-{variant}-case{case}"])[0]
             if any(r.error for r in records) or len(records) != 4:
                 bad.append(f"{variant} case {case}: run errors")
                 continue
@@ -118,8 +107,8 @@ def test_criterion_6_algebra_invariants():
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         q = int(rng.integers(1, 5))
-        P = _rand_rb(rng, m, n)
-        Q = _rand_rb(rng, n, q)
+        P = rand_rb(rng, m, n)
+        Q = rand_rb(rng, n, q)
         prod = rb.mat_mul(P, Q)
         rr = oracles.real_repr(P) @ oracles.real_repr(Q)
         scale = max(1.0, float(np.abs(rr).max()))
@@ -156,14 +145,9 @@ def test_criterion_7_consistent_recovery():
         p = int(rng.integers(0, 2))
         d = int(rng.integers(1, 3))
         m = int(rng.integers(3 * n, 4 * n))
-        A = _rand_rb(rng, m, n)
-        C = _rand_rb(rng, p, n) if p else rb.RBMatrix.zeros(0, n)
-        Xs = rng.standard_normal((n, d))
-        Xrb = rb.RBMatrix.from_real(Xs)
-        B = rb.mat_mul(A, Xrb)
-        D = rb.mat_mul(C, Xrb) if p else rb.RBMatrix.zeros(0, d)
-        sol = solve_real(TlseProblem(A=A, B=B, C=C, D=D))
-        scale = rb.frobenius_norm(oracles.hstack(A, B))
+        prob, Xs = consistent("real", rng, m, n, p, d)
+        sol = solve_real(prob)
+        scale = rb.frobenius_norm(oracles.hstack(prob.A, prob.B))
         if np.linalg.norm(sol.X - Xs) > 1e-8 * np.linalg.norm(Xs):
             ok = False
             break
@@ -172,11 +156,9 @@ def test_criterion_7_consistent_recovery():
             break
         # complex twin on the same shapes
         Zs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        Zrb = rb.RBMatrix.from_complex(Zs)
-        Bc = rb.mat_mul(A, Zrb)
-        Dc = rb.mat_mul(C, Zrb) if p else rb.RBMatrix.zeros(0, d)
-        csol = solve_complex(TlseProblem(A=A, B=Bc, C=C, D=Dc))
-        cscale = rb.frobenius_norm(oracles.hstack(A, Bc))
+        cprob = solved_by(prob.A, prob.C, Zs)
+        csol = solve_complex(cprob)
+        cscale = rb.frobenius_norm(oracles.hstack(cprob.A, cprob.B))
         if np.linalg.norm(csol.X - Zs) > 1e-8 * np.linalg.norm(Zs):
             ok = False
             break
@@ -192,24 +174,18 @@ def test_criterion_7_consistent_recovery():
 # ---------------------------------------------------------------------------
 
 def _sampling_criterion(kind: str) -> bool:
-    solve = solve_real if kind == "real" else solve_complex
-    condition = condition_real if kind == "real" else condition_complex
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     eps = 1e-8
     rng = np.random.default_rng(5)
+    sizes = (20, 8, 1, 2)
     for instance_idx in range(10):
-        gen = np.random.default_rng(100 + instance_idx)
-        m, n, p, d = (20, 8, 1, 2)
-        prob = TlseProblem(A=_rand_rb(gen, m, n, kind == "complex"),
-                           B=_rand_rb(gen, m, d, kind == "complex"),
-                           C=_rand_rb(gen, p, n, kind == "complex"),
-                           D=_rand_rb(gen, p, d, kind == "complex"))
+        prob = gen_instance(kind, sizes, 100 + instance_idx)
         sol = solve(prob)
         kappa = condition(prob, sol).kappa
         xn = np.linalg.norm(sol.X)
         for _ in range(5):
-            inst = scaled_to(PerturbationInstance(prob, TlseProblem(
-                A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))), eps)
+            inst = scaled_to(PerturbationInstance(
+                prob, gen_instance("real", sizes, rng)), eps)
             fwd = np.linalg.norm(solve(inst.perturbed()).X - sol.X) / xn
             if fwd > kappa * eps * 1.001:
                 return False

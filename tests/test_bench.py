@@ -56,7 +56,22 @@ def test_config_validation():
                             trials=7).effective_trials == 7
 
 
-@pytest.mark.parametrize("repeat", [dict(t_values=(2, 2)),
+def test_config_seed_defaults_to_zero():
+    """A config built without a seed runs the rows of seed=0."""
+    default = ExperimentConfig(experiment="accuracy-real", t_values=(1,))
+    zero = ExperimentConfig(experiment="accuracy-real", t_values=(1,), seed=0)
+    assert run_experiment(default) == run_experiment(zero)
+
+
+def test_compare_config_refuses_m_at_n():
+    """compare-lse's unknowns number n = 50, so m = 50 is refused when the
+    config is built, not mid-run, and m = 51 builds."""
+    with pytest.raises(ValueError, match="needs m > 50, got \\[50\\]"):
+        ExperimentConfig("compare-lse", m_values=(50,))
+    assert ExperimentConfig("compare-lse", m_values=(51,)).m_values == (51,)
+
+
+@pytest.mark.parametrize("repeat",[dict(t_values=(2, 2)),
                                     dict(t_values=(1, 3, 1)),
                                     dict(m_values=(60, 60))])
 def test_config_refuses_repeated_scales(repeat):

@@ -10,27 +10,22 @@ import rbtlse.bench as bench
 import rbtlse.cli as cli
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
+from instances import consistent, rand_rb
 from rbtlse.bench import CSV_COLUMNS, ExperimentConfig
 from rbtlse.cli import main
 from rbtlse.errors import FactorizationFailed, FileFormatError, RbtlseError
+from rbtlse.tlse import solve_real
 
 
-def _rand_rb(rng, m, n):
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
-
-
-def _write_consistent_system(tmp_path, seed=0, m=12, n=5, p=1, d=1):
-    rng = np.random.default_rng(seed)
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
+def _write_consistent_system(tmp_path, seed=0, m=12, n=5, p=1, d=1,
+                             kind="real"):
+    """RBMAT files a.rbmat .. d.rbmat of a consistent system, and their
+    paths by letter."""
+    problem, _ = consistent(kind, np.random.default_rng(seed), m, n, p, d)
     paths = {}
-    for name, mat in (("a", A), ("b", B), ("c", C), ("d", D)):
+    for name in "abcd":
         path = tmp_path / f"{name}.rbmat"
-        rb.write_rbmat(path, mat)
+        rb.write_rbmat(path, getattr(problem, name.upper()))
         paths[name] = str(path)
     return paths
 
@@ -166,6 +161,26 @@ def test_run_prints_error_rows(tmp_path, capsys, monkeypatch):
             in captured.splitlines())
 
 
+def test_run_counts_ok_and_error_rows(tmp_path, capsys, monkeypatch):
+    """The summary line counts the rows with metrics and the error rows
+    of a run that has both: three accuracy trials, the second failing."""
+    calls = []
+
+    def fail_second(problem):
+        calls.append(problem)
+        if len(calls) == 2:
+            raise FactorizationFailed("SVD did not converge")
+        return solve_real(problem)
+
+    monkeypatch.setattr(bench, "solve_real", fail_second)
+    out = tmp_path / "acc.csv"
+    code = main(["run", "accuracy-real", "--t-min", "1", "--t-max", "1",
+                 "--trials", "3", "--out", str(out)])
+    assert code == 0
+    assert (f"accuracy-real: 2 rows written, 1 error rows -> {out}"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_solve_real_stdout(tmp_path, capsys):
     paths = _write_consistent_system(tmp_path)
     code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
@@ -191,19 +206,7 @@ def test_solve_real_report_file(tmp_path, capsys):
 
 
 def test_solve_complex(tmp_path, capsys):
-    rng = np.random.default_rng(2)
-    m, n, p, d = 12, 4, 1, 1
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Zs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    Zrb = rb.RBMatrix.from_complex(Zs)
-    B = rb.mat_mul(A, Zrb)
-    D = rb.mat_mul(C, Zrb)
-    paths = {}
-    for name, mat in (("a", A), ("b", B), ("c", C), ("d", D)):
-        path = tmp_path / f"{name}.rbmat"
-        rb.write_rbmat(path, mat)
-        paths[name] = str(path)
+    paths = _write_consistent_system(tmp_path, seed=2, n=4, kind="complex")
     code = main(["solve-complex", "--a", paths["a"], "--b", paths["b"],
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 0
@@ -231,7 +234,7 @@ def test_solve_dimension_mismatch_is_solver_error(tmp_path, capsys):
     paths = _write_consistent_system(tmp_path, seed=5)
     rng = np.random.default_rng(6)
     wrong = tmp_path / "wrong.rbmat"
-    rb.write_rbmat(wrong, _rand_rb(rng, 3, 2))   # incompatible with A
+    rb.write_rbmat(wrong, rand_rb(rng, 3, 2))   # incompatible with A
     code = main(["solve-real", "--a", paths["a"], "--b", wrong.as_posix(),
                  "--c", paths["c"], "--d", paths["d"]])
     assert code == 2
@@ -243,9 +246,9 @@ def test_solve_assumption_violation_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(7)
     paths = _write_consistent_system(tmp_path, seed=8, m=12, n=5, p=1, d=1)
     c2 = tmp_path / "c2.rbmat"
-    rb.write_rbmat(c2, _rand_rb(rng, 2, 5))
+    rb.write_rbmat(c2, rand_rb(rng, 2, 5))
     d2 = tmp_path / "d2.rbmat"
-    rb.write_rbmat(d2, _rand_rb(rng, 2, 1))
+    rb.write_rbmat(d2, rand_rb(rng, 2, 1))
     code = main(["solve-real", "--a", paths["a"], "--b", paths["b"],
                  "--c", c2.as_posix(), "--d", d2.as_posix()])
     assert code == 2

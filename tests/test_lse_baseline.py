@@ -9,48 +9,30 @@ import numpy as np
 import pytest
 
 import rbtlse.rb_core as rb
+from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            FactorizationFailed, NonFiniteInput)
 from rbtlse.bench import gen_compare_instance
-from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
-                         solve_real)
-
-
-def _rand_rb(rng, m, n):
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
+from rbtlse.tlse import lse_solve_complex, lse_solve_real, solve_real
 
 
 def test_consistent_recovery_real():
-    rng = np.random.default_rng(0)
-    m, n, p, d = 30, 10, 2, 2
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
-    sol = lse_solve_real(A, B, C, D)
+    prob, Xs = consistent("real", np.random.default_rng(0), 30, 10, 2, 2)
+    sol = lse_solve_real(prob.A, prob.B, prob.C, prob.D)
     assert np.linalg.norm(sol.X - Xs) <= 1e-9 * np.linalg.norm(Xs)
 
 
 def test_consistent_recovery_complex():
-    rng = np.random.default_rng(1)
-    m, n, p, d = 30, 8, 2, 2
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Zs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    Zrb = rb.RBMatrix.from_complex(Zs)
-    B = rb.mat_mul(A, Zrb)
-    D = rb.mat_mul(C, Zrb)
-    sol = lse_solve_complex(A, B, C, D)
+    prob, Zs = consistent("complex", np.random.default_rng(1), 30, 8, 2, 2)
+    sol = lse_solve_complex(prob.A, prob.B, prob.C, prob.D)
     assert np.linalg.norm(sol.X - Zs) <= 1e-9 * np.linalg.norm(Zs)
 
 
 def test_constraint_exactly_satisfied_on_noisy_data():
     rng = np.random.default_rng(2)
     m, n, p, d = 30, 10, 2, 2
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
-    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
+    C, D = rand_rb(rng, p, n), rand_rb(rng, p, d)
     sol = lse_solve_real(A, B, C, D)
     residual = np.linalg.norm(
         rb.real_block_column(C) @ sol.X - rb.real_block_column(D))
@@ -63,13 +45,12 @@ def test_kkt_stationarity(kind):
     """The least squares gradient must vanish on the constraint null
     space: Q2^H Ac^H (Ac X - Bc) = 0, with conjugate transposes on the
     complex stacks (a plain transpose there fails the check)."""
-    solve, column, q = ((lse_solve_real, rb.real_block_column, 4)
-                        if kind == "real" else
-                        (lse_solve_complex, rb.complex_block_column, 2))
+    solve, column, q = (ALGEBRAS[kind].lse, ALGEBRAS[kind].column,
+                        ALGEBRAS[kind].q)
     rng = np.random.default_rng(3)
     m, n, p, d = 30, 10, 2, 2
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
-    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
+    C, D = rand_rb(rng, p, n), rand_rb(rng, p, d)
     sol = solve(A, B, C, D)
     Ac, Bc, Cc = (column(M) for M in (A, B, C))
     Q2 = np.linalg.qr(Cc.conj().T, mode="complete")[0][:, q * p:]
@@ -81,7 +62,7 @@ def test_kkt_stationarity(kind):
 def test_unconstrained_path_is_least_squares():
     rng = np.random.default_rng(4)
     m, n, d = 20, 6, 2
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
     C = rb.RBMatrix.zeros(0, n)
     D = rb.RBMatrix.zeros(0, d)
     sol = lse_solve_real(A, B, C, D)
@@ -98,8 +79,8 @@ def test_grid_search_minimality_1d():
     parabola and compare with the solver."""
     rng = np.random.default_rng(5)
     m, n, p, d = 12, 5, 1, 1
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
-    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
+    C, D = rand_rb(rng, p, n), rand_rb(rng, p, d)
     sol = lse_solve_real(A, B, C, D)
     Ar = rb.real_block_column(A)
     Br = rb.real_block_column(B)
@@ -116,22 +97,15 @@ def test_grid_search_minimality_1d():
 
 
 def test_agrees_with_tlse_on_consistent_data():
-    rng = np.random.default_rng(6)
-    m, n, p, d = 30, 10, 2, 2
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
-    x_lse = lse_solve_real(A, B, C, D).X
-    x_tlse = solve_real(TlseProblem(A=A, B=B, C=C, D=D)).X
+    prob, Xs = consistent("real", np.random.default_rng(6), 30, 10, 2, 2)
+    x_lse = lse_solve_real(prob.A, prob.B, prob.C, prob.D).X
+    x_tlse = solve_real(prob).X
     assert np.linalg.norm(x_lse - x_tlse) <= 1e-8 * np.linalg.norm(Xs)
 
 
 def test_rank_deficient_constraint_rejected():
     rng = np.random.default_rng(7)
-    A, B = _rand_rb(rng, 20, 8), _rand_rb(rng, 20, 2)
+    A, B = rand_rb(rng, 20, 8), rand_rb(rng, 20, 2)
     with pytest.raises(AssumptionViolated):
         lse_solve_real(A, B, rb.RBMatrix.zeros(1, 8), rb.RBMatrix.zeros(1, 2))
 
@@ -142,8 +116,8 @@ def test_invalid_data_rejected(solve):
     NonFiniteInput (not a LAPACK failure), empty n or d DimensionMismatch
     (not an empty X)."""
     rng = np.random.default_rng(8)
-    A, B = _rand_rb(rng, 20, 6), _rand_rb(rng, 20, 2)
-    C, D = _rand_rb(rng, 1, 6), _rand_rb(rng, 1, 2)
+    A, B = rand_rb(rng, 20, 6), rand_rb(rng, 20, 2)
+    C, D = rand_rb(rng, 1, 6), rand_rb(rng, 1, 2)
     p0 = A.p0.copy()
     p0[2, 3] = np.nan
     with pytest.raises(NonFiniteInput):
@@ -158,8 +132,8 @@ def test_invalid_data_rejected(solve):
 @pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
 def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve):
     rng = np.random.default_rng(9)
-    A, B = _rand_rb(rng, 20, 6), _rand_rb(rng, 20, 2)
-    C, D = _rand_rb(rng, 1, 6), _rand_rb(rng, 1, 2)
+    A, B = rand_rb(rng, 20, 6), rand_rb(rng, 20, 2)
+    C, D = rand_rb(rng, 1, 6), rand_rb(rng, 1, 2)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -170,13 +144,13 @@ def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve):
 
 
 def _repeated_column(rng):
-    A = _rand_rb(rng, 20, 8).components.copy()
+    A = rand_rb(rng, 20, 8).components.copy()
     A[:, :, 1] = A[:, :, 0]
     return rb.RBMatrix(*A)
 
 
 @pytest.mark.parametrize("solve", [lse_solve_real, lse_solve_complex])
-@pytest.mark.parametrize("make_a", [lambda rng: _rand_rb(rng, 1, 10),
+@pytest.mark.parametrize("make_a", [lambda rng: rand_rb(rng, 1, 10),
                                     _repeated_column],
                          ids=["short", "repeated-column"])
 def test_non_unique_least_squares_rejected(solve, make_a):
@@ -189,7 +163,7 @@ def test_non_unique_least_squares_rejected(solve, make_a):
     A = make_a(rng)
     m, n = A.shape
     with pytest.raises(AssumptionViolated, match="rank .* not unique"):
-        solve(A, _rand_rb(rng, m, 2), rb.RBMatrix.zeros(0, n),
+        solve(A, rand_rb(rng, m, 2), rb.RBMatrix.zeros(0, n),
               rb.RBMatrix.zeros(0, 2))
 
 
@@ -202,10 +176,8 @@ def test_rank_rule_at_its_threshold(kind, factor):
     step is refused, at twice it is solved."""
     rng = np.random.default_rng(10)
     m, n, d = 10, 6, 2
-    solve, from_column, q = (
-        (lse_solve_real, rb.from_real_block_column, 4) if kind == "real"
-        else (lse_solve_complex, rb.from_complex_block_column, 2))
-    rows = q * m
+    solve, from_column = ALGEBRAS[kind].lse, ALGEBRAS[kind].from_column
+    rows = ALGEBRAS[kind].q * m
 
     def orthonormal(rows, cols):
         M = rng.standard_normal((rows, cols))
@@ -216,7 +188,7 @@ def test_rank_rule_at_its_threshold(kind, factor):
     s = np.ones(n)
     s[-1] = factor * max(rows, n) * np.finfo(np.float64).eps
     A = from_column((orthonormal(rows, n) * s) @ orthonormal(n, n).conj().T)
-    B = _rand_rb(rng, m, d)
+    B = rand_rb(rng, m, d)
     C, D = rb.RBMatrix.zeros(0, n), rb.RBMatrix.zeros(0, d)
     if factor < 1.0:
         with pytest.raises(AssumptionViolated, match="rank"):
@@ -230,12 +202,11 @@ def test_constraints_that_fix_x(kind):
     """r = n (n = 4 real or 2 complex, p = 1): the constraint stack Cc is
     square, Ac Q2 has no columns, and X is the solution of Cc X = Dc."""
     rng = np.random.default_rng(11)
-    solve, column, n = ((lse_solve_real, rb.real_block_column, 4)
-                        if kind == "real" else
-                        (lse_solve_complex, rb.complex_block_column, 2))
+    solve, column, n = (ALGEBRAS[kind].lse, ALGEBRAS[kind].column,
+                        ALGEBRAS[kind].q)
     m, p, d = 10, 1, 2
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
-    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
+    C, D = rand_rb(rng, p, n), rand_rb(rng, p, d)
     X = solve(A, B, C, D).X
     want = np.linalg.solve(column(C), column(D))
     assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)

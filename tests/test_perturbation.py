@@ -21,6 +21,7 @@ import pytest
 import oracles
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
+from instances import ALGEBRAS, consistent, rand_rb, solved_by
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            ConditioningUndefined, DimensionMismatch,
@@ -31,29 +32,9 @@ from rbtlse.perturbation import (PerturbationInstance, _gram,
 from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
 
-def _rand_rb(rng, m, n, uniform=False):
-    draw = rng.random if uniform else rng.standard_normal
-    return rb.RBMatrix(*(draw((m, n)) for _ in range(4)))
-
-
-def _real_problem(seed, m=30, n=10, p=2, d=2):
-    rng = np.random.default_rng(seed)
-    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
-
-
-def _complex_problem(seed, m=30, n=6, p=2, d=3):
-    rng = np.random.default_rng(seed)
-    return TlseProblem(
-        A=_rand_rb(rng, m, n, True), B=_rand_rb(rng, m, d, True),
-        C=_rand_rb(rng, p, n, True), D=_rand_rb(rng, p, d, True))
-
-
 def _rand_instance(problem, rng):
-    m, n, p, d = problem.sizes
-    return PerturbationInstance(problem, TlseProblem(
-        A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-        C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)))
+    return PerturbationInstance(problem,
+                                gen_instance("real", problem.sizes, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +42,7 @@ def _rand_instance(problem, rng):
 # ---------------------------------------------------------------------------
 
 def test_epsilon_n_zero_and_one():
-    prob = _real_problem(0)
+    prob = gen_instance("real", (30, 10, 2, 2), 0)
     m, n, p, d = prob.sizes
     zero = PerturbationInstance(prob, TlseProblem(
         A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
@@ -72,7 +53,7 @@ def test_epsilon_n_zero_and_one():
 
 
 def test_epsilon_n_matches_representation_route():
-    prob = _real_problem(1)
+    prob = gen_instance("real", (30, 10, 2, 2), 1)
     rng = np.random.default_rng(2)
     inst = _rand_instance(prob, rng)
     # independent route: stacked leading block columns
@@ -87,7 +68,7 @@ def test_epsilon_n_matches_representation_route():
 
 
 def test_epsilon_n_homogeneity():
-    prob = _real_problem(3)
+    prob = gen_instance("real", (30, 10, 2, 2), 3)
     rng = np.random.default_rng(4)
     inst = _rand_instance(prob, rng)
     e = epsilon_n(inst)
@@ -98,7 +79,7 @@ def test_epsilon_n_homogeneity():
 
 
 def test_scaled_to_hits_target():
-    prob = _real_problem(5)
+    prob = gen_instance("real", (30, 10, 2, 2), 5)
     rng = np.random.default_rng(6)
     inst = _rand_instance(prob, rng)
     for target in (0.0, 1e-11, 1e-8, 1e-5):
@@ -107,7 +88,7 @@ def test_scaled_to_hits_target():
 
 
 def test_scaled_to_rejects_zero_direction():
-    prob = _real_problem(7)
+    prob = gen_instance("real", (30, 10, 2, 2), 7)
     m, n, p, d = prob.sizes
     zero = PerturbationInstance(prob, TlseProblem(
         A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
@@ -121,7 +102,7 @@ def test_scaled_to_rejects_a_bad_target(target):
     """A negative target would give eps_n = |target|, and a nan or inf one
     a non-finite delta; both are refused, directly and through the
     harness's random_perturbation."""
-    prob = _real_problem(7)
+    prob = gen_instance("real", (30, 10, 2, 2), 7)
     inst = _rand_instance(prob, np.random.default_rng(7))
     with pytest.raises(ConditioningUndefined, match="eps_target"):
         scaled_to(inst, target)
@@ -131,7 +112,7 @@ def test_scaled_to_rejects_a_bad_target(target):
 
 def test_epsilon_n_of_an_all_zero_problem_is_undefined():
     """eps_n is relative to ||[J, K]||_F, which is 0 for all-zero data."""
-    prob = _real_problem(7)
+    prob = gen_instance("real", (30, 10, 2, 2), 7)
     m, n, p, d = prob.sizes
     zero = TlseProblem(
         A=rb.RBMatrix.zeros(m, n), B=rb.RBMatrix.zeros(m, d),
@@ -142,9 +123,9 @@ def test_epsilon_n_of_an_all_zero_problem_is_undefined():
 
 @pytest.mark.parametrize("grown", range(4), ids=["m", "n", "p", "d"])
 def test_instance_rejects_a_delta_of_other_sizes(grown):
-    prob = _real_problem(10)
-    other = _real_problem(
-        10, *[s + (i == grown) for i, s in enumerate(prob.sizes)])
+    prob = gen_instance("real", (30, 10, 2, 2), 10)
+    other = gen_instance(
+        "real", [s + (i == grown) for i, s in enumerate(prob.sizes)], 10)
     with pytest.raises(DimensionMismatch, match="delta sizes"):
         PerturbationInstance(prob, other)
 
@@ -153,7 +134,7 @@ def test_instance_rejects_a_delta_of_other_sizes(grown):
 def test_instance_rejects_a_non_finite_delta(block):
     """A nan in a delta is refused when the instance is built, not at
     epsilon_n or perturbed()."""
-    prob = _real_problem(11)
+    prob = gen_instance("real", (30, 10, 2, 2), 11)
     components = getattr(prob, block).components.copy()
     components[0, 0, 0] = np.nan
     blocks = {name: getattr(prob, name) for name in "ABCD"}
@@ -163,7 +144,7 @@ def test_instance_rejects_a_non_finite_delta(block):
 
 
 def test_perturbed_problem_adds_all_blocks():
-    prob = _real_problem(8)
+    prob = gen_instance("real", (30, 10, 2, 2), 8)
     rng = np.random.default_rng(9)
     inst = _rand_instance(prob, rng)
     pp = inst.perturbed()
@@ -175,7 +156,7 @@ def test_perturbed_problem_adds_all_blocks():
 # condition number: exactness against a brute-force Jacobian
 # ---------------------------------------------------------------------------
 
-def _consistent(problem, solve, seed):
+def _consistent_twin(problem, solve, seed):
     """The same A and C with B = A X and D = C X for a random X of the
     algebra ``solve`` solves in: the trailing singular values drop to
     ~1e-15."""
@@ -184,26 +165,24 @@ def _consistent(problem, solve, seed):
     X = rng.standard_normal((n, d))
     if solve is solve_complex:
         X = X + 1j * rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_complex(X)
-    return TlseProblem(A=problem.A, B=rb.mat_mul(problem.A, Xrb),
-                       C=problem.C, D=rb.mat_mul(problem.C, Xrb))
+    return solved_by(problem.A, problem.C, X)
 
 
 def test_kappa_equals_brute_force_jacobian_real():
-    noisy = _real_problem(10, m=8, n=4, p=1, d=2)
-    for prob in (noisy, _consistent(noisy, solve_real, 26),
-                 _real_problem(0, m=12, n=9, p=2, d=2),
-                 _real_problem(0, m=8, n=5, p=1, d=5)):
+    noisy = gen_instance("real", (8, 4, 1, 2), 10)
+    for prob in (noisy, _consistent_twin(noisy, solve_real, 26),
+                 gen_instance("real", (12, 9, 2, 2), 0),
+                 gen_instance("real", (8, 5, 1, 5), 0)):
         brute, sol, _ = oracles.brute_kappa(prob, solve_real)
         kappa = condition_real(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
 
 
 def test_kappa_equals_brute_force_jacobian_complex():
-    noisy = _complex_problem(11, m=8, n=4, p=1, d=2)
-    for prob in (noisy, _consistent(noisy, solve_complex, 27),
-                 _complex_problem(0, m=12, n=5, p=2, d=2),
-                 _complex_problem(0, m=8, n=3, p=1, d=3)):
+    noisy = gen_instance("complex", (8, 4, 1, 2), 11)
+    for prob in (noisy, _consistent_twin(noisy, solve_complex, 27),
+                 gen_instance("complex", (12, 5, 2, 2), 0),
+                 gen_instance("complex", (8, 3, 1, 3), 0)):
         brute, sol, _ = oracles.brute_kappa(prob, solve_complex)
         kappa = condition_complex(prob, sol).kappa
         assert brute == pytest.approx(kappa, rel=1e-6)
@@ -216,8 +195,7 @@ def test_kappa_at_experiment_size(kind):
     top right singular vector moves X by kappa * eps_n to first order, so
     a kappa that is too large fails as well as one that is too small."""
     sizes = accuracy_sizes(kind, 1)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     prob = gen_instance(kind, sizes, 0)
     brute, sol, J = oracles.brute_kappa(prob, solve)
     kappa = condition(prob, sol).kappa
@@ -272,8 +250,7 @@ def test_rb_unit_leaves_x_and_kappa_at_experiment_size(kind, t, unit):
     unitary matrix (real orthogonal for the real stacks; a signed row
     permutation for j and k), so X, the correction norm and kappa do not
     change."""
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
     m, _, p, _ = prob.sizes
     U, G = _left_factor(unit, m), _left_factor(unit, p)
@@ -294,8 +271,7 @@ def test_right_factors_move_x_at_experiment_size(kind, t):
     """A and C times an n x n orthogonal T (unitary for the complex
     solve), B and D times a d x d T_d: X becomes T^H X T_d, and the
     correction norm and kappa do not change."""
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
     _, n, _, d = prob.sizes
     (T, T_rb), (Td, Td_rb) = _unitary(kind, n), _unitary(kind, d)
@@ -358,8 +334,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("kind,sizes", ORACLE_CASES)
 def test_kappa_matches_dense_oracle(kind, sizes):
     prob = gen_instance(kind, sizes, 42)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     sol = solve(prob)
     op, scale = _oracle_op(sol)
     dense = oracles.spectral_norm(op) * scale
@@ -378,7 +353,7 @@ def test_adjoint_matches_dense_oracle(kind):
     """The matrix-free (H G Z)^H of oracles.condition_adjoint satisfies
     <M x, y> = <x, M^H y> with M the dense oracle's H G Z, at the t = 1
     accuracy size, for random x and y (complex for complex data)."""
-    solve = solve_real if kind == "real" else solve_complex
+    solve = ALGEBRAS[kind].solve
     sol = solve(gen_instance(kind, accuracy_sizes(kind, 1), 0))
     H, G, Z, _ = oracles.dense_condition_factors(sol)
     M = H @ G @ Z
@@ -402,9 +377,7 @@ def test_kappa_is_attained_at_experiment_size(kind, t):
     data direction that attains kappa, and a perturbation along it of
     relative size 1e-8 moves X by kappa * eps_n to within 1% (second
     order terms are about kappa * eps_n)."""
-    solve, from_column = (
-        (solve_real, rb.from_real_block_column) if kind == "real"
-        else (solve_complex, rb.from_complex_block_column))
+    solve, from_column = ALGEBRAS[kind].solve, ALGEBRAS[kind].from_column
     prob = gen_instance(kind, accuracy_sizes(kind, t), 0)
     sol = solve(prob)
     kappa = condition_real(prob, sol).kappa
@@ -436,19 +409,19 @@ def _check_paths_agree(prob, sol, kappa):
 
 
 def test_kappa_finite_and_paths_agree_real():
-    prob = _real_problem(12)
+    prob = gen_instance("real", (30, 10, 2, 2), 12)
     sol = solve_real(prob)
     _check_paths_agree(prob, sol, condition_real(prob, sol).kappa)
 
 
 def test_kappa_finite_and_paths_agree_complex():
-    prob = _complex_problem(13)
+    prob = gen_instance("complex", (30, 6, 2, 3), 13)
     sol = solve_complex(prob)
     _check_paths_agree(prob, sol, condition_complex(prob, sol).kappa)
 
 
 def test_kappa_scale_invariance():
-    prob = _real_problem(14)
+    prob = gen_instance("real", (30, 10, 2, 2), 14)
     sol = solve_real(prob)
     kappa = condition_real(prob, sol).kappa
     zeta = 12.5
@@ -465,8 +438,7 @@ def test_kappa_at_extreme_scale(kind, e):
     """Scaling all data by 10**e leaves kappa unchanged far beyond the
     range where the products of squared singular values stay finite."""
     prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     kappa = condition(prob, solve(prob)).kappa
     z = 10.0 ** e
     scaled = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
@@ -485,8 +457,7 @@ def test_kappa_refuses_out_of_range_scale(kind, e):
     forms it from P, R and sigma scaled by the power of two that brings
     sigma_1 into [1/2, 1), and no floating-point warning escapes."""
     prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     kappa = condition(prob, solve(prob)).kappa
     z = 10.0 ** e
     scaled = TlseProblem(A=prob.A * z, B=prob.B * z, C=prob.C * z,
@@ -503,8 +474,7 @@ def test_kappa_refuses_when_it_overflows(kind):
     ConditioningUndefined naming the data scale, and no floating-point
     warning escapes."""
     prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     scaled = TlseProblem(A=prob.A, B=prob.B, C=prob.C * 1e-160,
                          D=prob.D * 1e-160)
     solution = solve(scaled)
@@ -519,10 +489,10 @@ def test_tiny_v22_is_block_not_invertible(solve):
     tiny, and W1, which shares its smallest singular value, nearly
     singular: the solve refuses the data, so kappa never sees it."""
     rng = np.random.default_rng(11)
-    A = _rand_rb(rng, 8, 3)
+    A = rand_rb(rng, 8, 3)
     A = rb.RBMatrix(*(np.hstack([c[:, :1] * 1e-13, c[:, 1:]])
                       for c in (A.p0, A.p1, A.p2, A.p3)))
-    problem = TlseProblem(A=A, B=_rand_rb(rng, 8, 1),
+    problem = TlseProblem(A=A, B=rand_rb(rng, 8, 1),
                           C=rb.RBMatrix.zeros(0, 3),
                           D=rb.RBMatrix.zeros(0, 1))
     with pytest.raises(BlockNotInvertible, match="smallest singular value"):
@@ -535,8 +505,7 @@ def test_condition_rejects_a_problem_of_other_sizes(kind, grown):
     """kappa is relative to the problem's ||[J, K]||_F, so a problem
     whose sizes are not the solution's is refused, not read."""
     sizes = accuracy_sizes(kind, 1)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     sol = solve(gen_instance(kind, sizes, 0))
     other = gen_instance(
         kind, [s + (i == grown) for i, s in enumerate(sizes)], 0)
@@ -550,8 +519,7 @@ def test_condition_rejects_a_problem_of_other_data(kind):
     read: its ||[J, K]||_F would scale kappa without error.  A copy of
     the solved data is accepted and gives the same kappa."""
     sizes = accuracy_sizes(kind, 1)
-    solve, condition = ((solve_real, condition_real) if kind == "real"
-                        else (solve_complex, condition_complex))
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     prob = gen_instance(kind, sizes, 0)
     sol = solve(prob)
     with pytest.raises(ConditioningUndefined, match="differ"):
@@ -567,7 +535,7 @@ def _prescribed_constraint(kind, factor):
     so S = [Cc, 0] shares them."""
     rng = np.random.default_rng(0)
     m, n, p, d = 10, 6, 1, 3
-    r = (4 if kind == "real" else 2) * p
+    r = ALGEBRAS[kind].q * p
 
     def orthonormal(rows, cols):
         M = rng.standard_normal((rows, cols))
@@ -578,10 +546,9 @@ def _prescribed_constraint(kind, factor):
     s = np.ones(r)
     s[-1] = factor * max(r, n) * np.finfo(np.float64).eps
     Cc = (orthonormal(r, r) * s) @ orthonormal(n, r).conj().T
-    from_column = (rb.from_real_block_column if kind == "real"
-                   else rb.from_complex_block_column)
-    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=from_column(Cc), D=rb.RBMatrix.zeros(p, d))
+    return TlseProblem(A=rand_rb(rng, m, n), B=rand_rb(rng, m, d),
+                       C=ALGEBRAS[kind].from_column(Cc),
+                       D=rb.RBMatrix.zeros(p, d))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -590,7 +557,7 @@ def test_kappa_applies_the_rank_rule_to_s(kind):
     kappa checks S against max(r, n + d) * eps * sigma_1 = 9 eps.  A last
     singular value of 7.2 eps passes the first and fails the second; one
     of 12 eps passes both."""
-    solve = solve_real if kind == "real" else solve_complex
+    solve = ALGEBRAS[kind].solve
     prob = _prescribed_constraint(kind, 1.2)
     sol = solve(prob)
     with pytest.raises(ConditioningUndefined, match="constraint stack rank"):
@@ -605,7 +572,7 @@ def test_solve_applies_the_rank_rule_to_cc(kind):
     """A last singular value of Cc of 3 eps is below the solve's
     threshold max(r, n) * eps * sigma_1 = 6 eps, so the solve refuses the
     constraint; the factors 1.2 and 2.0 above solve."""
-    solve = solve_real if kind == "real" else solve_complex
+    solve = ALGEBRAS[kind].solve
     with pytest.raises(AssumptionViolated, match="numerical rank"):
         solve(_prescribed_constraint(kind, 0.5))
 
@@ -621,7 +588,7 @@ def test_kappa_undefined_at_zero_solution(kind):
     B[3:5] = 0.1 * np.eye(2)
     prob = TlseProblem(A=rb.RBMatrix.from_real(A), B=rb.RBMatrix.from_real(B),
                        C=rb.RBMatrix.zeros(0, 3), D=rb.RBMatrix.zeros(0, 2))
-    solve = solve_real if kind == "real" else solve_complex
+    solve = ALGEBRAS[kind].solve
     sol = solve(prob)
     assert not np.any(sol.X)
     assert sol.gap == pytest.approx(0.9, rel=1e-12)
@@ -632,22 +599,14 @@ def test_kappa_undefined_at_zero_solution(kind):
 def test_kappa_real_vs_complex_on_real_data():
     """Same consistent all-real data through both solution paths: the two
     condition numbers agree to within a small factor."""
-    rng = np.random.default_rng(15)
-    m, n, p, d = 24, 8, 1, 2
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
-    prob = TlseProblem(A=A, B=B, C=C, D=D)
+    prob, _ = consistent("real", np.random.default_rng(15), 24, 8, 1, 2)
     kr = condition_real(prob, solve_real(prob)).kappa
     kc = condition_complex(prob, solve_complex(prob)).kappa
     assert kr / 4 <= kc <= kr * 4
 
 
 def test_factor_shapes():
-    prob = _real_problem(16)
+    prob = gen_instance("real", (30, 10, 2, 2), 16)
     m, n, p, d = prob.sizes
     sol = solve_real(prob)
     H, G, Z, Q = oracles.dense_condition_factors(sol)
@@ -673,7 +632,7 @@ def test_factor_shapes():
 def test_linalg_failure_is_conditioning_undefined(monkeypatch, name):
     """A LAPACK failure in any factorization kappa runs surfaces as
     ConditioningUndefined; the solve runs before the patch."""
-    prob = _real_problem(17)
+    prob = gen_instance("real", (30, 10, 2, 2), 17)
     sol = solve_real(prob)
 
     def fail(*args, **kwargs):
@@ -691,7 +650,7 @@ def test_memory_error_is_conditioning_undefined(monkeypatch, kind, target):
     forming or reading the Gram matrix surfaces as ConditioningUndefined,
     and the solve runs before the patch."""
     prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    solve = solve_real if kind == "real" else solve_complex
+    solve = ALGEBRAS[kind].solve
     sol = solve(prob)
 
     def fail(*args, **kwargs):
@@ -706,7 +665,7 @@ def test_memory_error_is_conditioning_undefined(monkeypatch, kind, target):
 @pytest.mark.parametrize("lam", [0.0, np.inf, np.nan])
 def test_kappa_not_finite_and_positive_is_undefined(monkeypatch, lam):
     """kappa is never returned as 0, inf or nan."""
-    prob = _real_problem(17)
+    prob = gen_instance("real", (30, 10, 2, 2), 17)
     sol = solve_real(prob)
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda M: np.full(M.shape[0], lam))
@@ -719,7 +678,7 @@ def test_kappa_not_finite_and_positive_is_undefined(monkeypatch, lam):
 # ---------------------------------------------------------------------------
 
 def test_directional_sampling_respects_kappa_real():
-    prob = _real_problem(20)
+    prob = gen_instance("real", (30, 10, 2, 2), 20)
     sol = solve_real(prob)
     kappa = condition_real(prob, sol).kappa
     xn = np.linalg.norm(sol.X)
@@ -736,7 +695,7 @@ def test_directional_sampling_respects_kappa_real():
 
 
 def test_directional_sampling_respects_kappa_complex():
-    prob = _complex_problem(22)
+    prob = gen_instance("complex", (30, 6, 2, 3), 22)
     sol = solve_complex(prob)
     kappa = condition_complex(prob, sol).kappa
     xn = np.linalg.norm(sol.X)
@@ -756,7 +715,7 @@ def test_bound_holds_across_magnitudes_real(eps):
     rng = np.random.default_rng(24)
     held = 0
     for trial in range(20):
-        prob = _real_problem(1000 + trial, m=15, n=6, p=1, d=2)
+        prob = gen_instance("real", (15, 6, 1, 2), 1000 + trial)
         sol = solve_real(prob)
         report = condition_real(prob, sol)
         inst = scaled_to(_rand_instance(prob, rng), eps)
@@ -771,7 +730,7 @@ def test_bound_holds_across_magnitudes_real(eps):
 def test_bound_holds_across_magnitudes_complex(eps):
     rng = np.random.default_rng(25)
     for trial in range(20):
-        prob = _complex_problem(2000 + trial, m=15, n=6, p=1, d=2)
+        prob = gen_instance("complex", (15, 6, 1, 2), 2000 + trial)
         sol = solve_complex(prob)
         report = condition_complex(prob, sol)
         inst = scaled_to(_rand_instance(prob, rng), eps)

@@ -1,16 +1,19 @@
 """Property-based tests over the one solver core.
 
 Hypothesis draws the algebra, the shape and a seed; numpy draws the data
-from that seed.  Both algebras and the least squares baseline run through
-the same strategies, which include an empty constraint (p = 0), a fully
+from that seed, through ``gen_instance`` or ``tests/instances.py``.
+Both algebras and the least squares baseline run through the same
+strategies, which include an empty constraint (p = 0), a fully
 constrained solution (k = n - r = 0) and several right-hand sides.
 Examples are derandomized so the suite is reproducible.  Besides the
-exact-recovery and error-taxonomy oracles, three invariances of the
+exact-recovery and error-taxonomy oracles, five invariances of the
 problem check the solve on noisy data: jointly scaling (A, B, C, D)
 leaves X and kappa unchanged, so does permuting the rows of A and B
-together (for X), and orthogonal (complex: unitary) right factors move
-X by the same factors and leave the correction norm and kappa; on data
-both algebras accept, the complex correction is at most the real one.
+together (for X), orthogonal (complex: unitary) right factors move X by
+the same factors and leave the correction norm and kappa, and complex
+unitary left factors and the diagonal matrices of the RB units j and k
+leave X and kappa; on data both algebras accept, the complex correction
+is at most the real one.
 Two variational oracles check that each solver's X is a stationary
 minimum of its own objective along feasible directions, and kappa is
 checked against the brute-force Jacobian on small shapes.  At the file
@@ -31,32 +34,21 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import rbtlse.rb_core as rb
+from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse import cli
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import FileFormatError, RbtlseError
-from rbtlse.perturbation import condition_complex, condition_real
-from rbtlse.tlse import (TlseProblem, lse_solve_complex, lse_solve_real,
-                         solve_complex, solve_real)
+from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
-# kind -> (stack rows per matrix row, solver, conditioning, least squares
-#          baseline)
-KINDS = {
-    "real": (4, solve_real, condition_real, lse_solve_real),
-    "complex": (2, solve_complex, condition_complex, lse_solve_complex),
-}
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-def _rand_rb(rng, m, n):
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
 
 
 @st.composite
 def well_posed(draw, max_n=8):
     """(kind, (m, n, p, d), seed) with r = q*p <= n and q*m >= n + d - r."""
-    kind = draw(st.sampled_from(sorted(KINDS)))
-    q = KINDS[kind][0]
+    kind = draw(st.sampled_from(sorted(ALGEBRAS)))
+    q = ALGEBRAS[kind].q
     n = draw(st.integers(1, max_n))
     p = draw(st.integers(0, n // q))
     d = draw(st.integers(1, 3))
@@ -73,24 +65,19 @@ def well_posed(draw, max_n=8):
 @example(("complex", (9, 5, 0, 1), 3))   # p = 0, d = 1
 def test_consistent_systems_recover_x(case):
     kind, (m, n, p, d), seed = case
-    _, solve, _, lse_solve = KINDS[kind]
-    rng = np.random.default_rng(seed)
-    A, C = _rand_rb(rng, m, n), _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    if kind == "complex":
-        Xs = Xs + 1j * rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_complex(Xs)
-    B, D = rb.mat_mul(A, Xrb), rb.mat_mul(C, Xrb)
+    algebra = ALGEBRAS[kind]
+    problem, Xs = consistent(kind, np.random.default_rng(seed), m, n, p, d)
     tol = 1e-8 * np.linalg.norm(Xs)
-    X = solve(TlseProblem(A=A, B=B, C=C, D=D)).X
+    X = algebra.solve(problem).X
     assert np.linalg.norm(X - Xs) <= tol
-    assert np.linalg.norm(lse_solve(A, B, C, D).X - Xs) <= tol
+    X = algebra.lse(problem.A, problem.B, problem.C, problem.D).X
+    assert np.linalg.norm(X - Xs) <= tol
 
 
 @st.composite
 def any_case(draw):
     """Any shape, valid or not, optionally with one nan or inf entry."""
-    kind = draw(st.sampled_from(sorted(KINDS)))
+    kind = draw(st.sampled_from(sorted(ALGEBRAS)))
     sizes = tuple(draw(st.integers(0, 6)) for _ in range(4))
     poison = draw(st.sampled_from([None, np.nan, np.inf]))
     return kind, sizes, poison, draw(SEEDS)
@@ -100,10 +87,10 @@ def any_case(draw):
 @given(any_case())
 def test_every_failure_is_an_rbtlse_error(case):
     kind, (m, n, p, d), poison, seed = case
-    _, solve, condition, lse_solve = KINDS[kind]
+    algebra = ALGEBRAS[kind]
     rng = np.random.default_rng(seed)
-    A, B = _rand_rb(rng, m, n), _rand_rb(rng, m, d)
-    C, D = _rand_rb(rng, p, n), _rand_rb(rng, p, d)
+    A, B = rand_rb(rng, m, n), rand_rb(rng, m, d)
+    C, D = rand_rb(rng, p, n), rand_rb(rng, p, d)
     if poison is not None and A.p0.size:
         p0 = A.p0.copy()
         p0.flat[rng.integers(p0.size)] = poison
@@ -111,28 +98,19 @@ def test_every_failure_is_an_rbtlse_error(case):
 
     def total():
         problem = TlseProblem(A=A, B=B, C=C, D=D)
-        condition(problem, solve(problem))
+        algebra.condition(problem, algebra.solve(problem))
 
-    for call in (total, lambda: lse_solve(A, B, C, D)):
+    for call in (total, lambda: algebra.lse(A, B, C, D)):
         try:
             call()
         except RbtlseError:
             pass
 
 
-def _noisy(kind, sizes, seed):
-    """A random problem of the drawn kind and sizes, and the generator
-    that drew it."""
-    m, n, p, d = sizes
-    rng = np.random.default_rng(seed)
-    return TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d)), rng
-
-
 def _solve_and_condition(kind, problem):
-    _, solve, condition, _ = KINDS[kind]
-    solution = solve(problem)
-    return solution.X, condition(problem, solution).kappa
+    algebra = ALGEBRAS[kind]
+    solution = algebra.solve(problem)
+    return solution.X, algebra.condition(problem, solution).kappa
 
 
 def _base(kind, problem):
@@ -154,7 +132,7 @@ def _close(X, Y, kappa):
 @given(well_posed(), st.floats(1e-3, 1e3))
 def test_joint_scaling_leaves_x_and_kappa(case, zeta):
     kind, sizes, seed = case
-    problem, _ = _noisy(kind, sizes, seed)
+    problem = gen_instance("real", sizes, seed)
     X, kappa = _base(kind, problem)
     scaled = TlseProblem(A=problem.A * zeta, B=problem.B * zeta,
                          C=problem.C * zeta, D=problem.D * zeta)
@@ -171,7 +149,8 @@ def _rows(M, order):
 @given(well_posed())
 def test_row_permutation_leaves_x(case):
     kind, sizes, seed = case
-    problem, rng = _noisy(kind, sizes, seed)
+    rng = np.random.default_rng(seed)
+    problem = gen_instance("real", sizes, rng)
     X, kappa = _base(kind, problem)
     order = rng.permutation(sizes[0])
     permuted = TlseProblem(A=_rows(problem.A, order),
@@ -198,8 +177,9 @@ def test_right_factors_move_x_and_leave_correction_and_kappa(case):
     and D times T_d: X becomes T^H X T_d, and the correction norm and
     kappa do not change (the former to Weyl's bound on the data)."""
     kind, sizes, seed = case
-    problem, rng = _noisy(kind, sizes, seed)
-    _, solve, condition, _ = KINDS[kind]
+    rng = np.random.default_rng(seed)
+    problem = gen_instance("real", sizes, rng)
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     try:
         solution = solve(problem)
         kappa = condition(problem, solution).kappa
@@ -216,6 +196,48 @@ def test_right_factors_move_x_and_leave_correction_and_kappa(case):
             <= 1e-12 * problem.data_norm)
     assert (abs(condition(moved, solution2).kappa - kappa)
             <= 1e-10 * kappa)
+
+
+def _assert_left_factors_leave_x_and_kappa(kind, problem, U, G):
+    """Solving (U A, U B, G C, G D) gives the X and kappa of (A, B, C, D)
+    to 1e-10 relative."""
+    X, kappa = _base(kind, problem)
+    moved = TlseProblem(A=U @ problem.A, B=U @ problem.B, C=G @ problem.C,
+                        D=G @ problem.D)
+    X2, kappa2 = _solve_and_condition(kind, moved)
+    assert np.linalg.norm(X2 - X) <= 1e-10 * np.linalg.norm(X)
+    assert abs(kappa2 - kappa) <= 1e-10 * kappa
+
+
+@SETTINGS
+@given(well_posed())
+def test_left_unitary_factors_leave_x_and_kappa(case):
+    """U (m x m) and G (p x p) complex unitary, embedded by
+    RBMatrix.from_complex, multiply each stack by a unitary matrix (real
+    orthogonal for the real stacks), so X and kappa do not change."""
+    kind, sizes, seed = case
+    rng = np.random.default_rng(seed)
+    problem = gen_instance(kind, sizes, rng)
+    U, G = (_orthogonal("complex", rng, k)[1] for k in (sizes[0], sizes[2]))
+    _assert_left_factors_leave_x_and_kappa(kind, problem, U, G)
+
+
+def _unit(name, size):
+    """The size x size diagonal RB matrix of the unit j or k."""
+    eye, zero = np.eye(size), np.zeros((size, size))
+    return (rb.RBMatrix(zero, zero, eye, zero) if name == "j"
+            else rb.RBMatrix(zero, zero, zero, eye))
+
+
+@SETTINGS
+@given(well_posed(), st.sampled_from("jk"))
+def test_rb_units_leave_x_and_kappa(case, unit):
+    """The diagonal RB matrix of j or k permutes and signs the rows of
+    each stack, so X and kappa do not change."""
+    kind, sizes, seed = case
+    problem = gen_instance(kind, sizes, seed)
+    _assert_left_factors_leave_x_and_kappa(
+        kind, problem, _unit(unit, sizes[0]), _unit(unit, sizes[2]))
 
 
 @st.composite
@@ -236,7 +258,7 @@ def test_complex_correction_is_at_most_real(case):
     solve of the same data, so the complex correction norm is at most
     the real one."""
     sizes, seed = case
-    problem, _ = _noisy("real", sizes, seed)
+    problem = gen_instance("real", sizes, seed)
     try:
         real, complex_ = solve_real(problem), solve_complex(problem)
     except RbtlseError:
@@ -249,14 +271,10 @@ def test_complex_correction_is_at_most_real(case):
 # variational oracles: each X is a stationary minimum of its objective
 # ---------------------------------------------------------------------------
 
-def _column(kind):
-    return rb.real_block_column if kind == "real" else rb.complex_block_column
-
-
 def _feasible_direction(kind, problem, rng):
     """Unit N Z, N an orthonormal basis of ker(Cc) and Z drawn in the
     solver's algebra, so X + t N Z keeps Cc X = Dc; None when k = 0."""
-    Cc = _column(kind)(problem.C)
+    Cc = ALGEBRAS[kind].column(problem.C)
     r, n = Cc.shape
     d = problem.sizes[3]
     if r == n:
@@ -290,11 +308,12 @@ def test_tls_objective_is_stationary_along_feasible_directions(case):
     squares objective (Golub & Van Loan 1980), is at a strict local
     minimum at the solver's X along every feasible direction."""
     kind, sizes, seed = case
-    problem, rng = _noisy(kind, sizes, seed)
+    rng = np.random.default_rng(seed)
+    problem = gen_instance("real", sizes, rng)
     X, _ = _base(kind, problem)
     direction = _feasible_direction(kind, problem, rng)
     assume(direction is not None)
-    P = _column(kind)(problem.A, problem.B)
+    P = ALGEBRAS[kind].column(problem.A, problem.B)
     eye = np.eye(sizes[3])
 
     def f(Y):
@@ -318,14 +337,15 @@ def test_lse_objective_is_stationary_along_feasible_directions(case):
     """||Ac X - Bc||_F is at a strict local minimum at the least squares
     baseline's X along every feasible direction."""
     kind, sizes, seed = case
-    problem, rng = _noisy(kind, sizes, seed)
+    rng = np.random.default_rng(seed)
+    problem = gen_instance("real", sizes, rng)
     try:
-        X = KINDS[kind][3](problem.A, problem.B, problem.C, problem.D).X
+        X = ALGEBRAS[kind].lse(problem.A, problem.B, problem.C, problem.D).X
     except RbtlseError:
         assume(False)
     direction = _feasible_direction(kind, problem, rng)
     assume(direction is not None)
-    column = _column(kind)
+    column = ALGEBRAS[kind].column
     Ac, Bc = column(problem.A), column(problem.B)
 
     def f(Y):
@@ -339,9 +359,9 @@ def test_lse_objective_is_stationary_along_feasible_directions(case):
 @given(well_posed(max_n=5))
 def test_kappa_matches_brute_force_jacobian(case):
     kind, sizes, seed = case
-    problem, _ = _noisy(kind, sizes, seed)
+    problem = gen_instance("real", sizes, seed)
     _, kappa = _base(kind, problem)
-    brute, _, _ = oracles.brute_kappa(problem, KINDS[kind][1])
+    brute, _, _ = oracles.brute_kappa(problem, ALGEBRAS[kind].solve)
     assert abs(kappa - brute) <= 1e-6 * brute
 
 
@@ -442,7 +462,7 @@ def test_an_edited_rbmat_file_reads_or_is_refused(P, edit):
 
 
 @SETTINGS
-@given(st.sampled_from(sorted(KINDS)), st.sampled_from("abcd"), EDITS)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.sampled_from("abcd"), EDITS)
 def test_solve_on_an_edited_file_exits_cleanly(kind, key, edit):
     """``solve-<kind>`` on the four files of a t = 1 instance, one of
     them edited, returns 0, 1 or 2 and never raises, and the report

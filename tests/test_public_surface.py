@@ -188,3 +188,31 @@ def test_one_complex_encoder():
                     and any(map(_strided, ast.walk(func)))):
                 encoders.add(f"{path.name}:{getattr(func, 'name', 'lambda')}")
     assert encoders == {"rb_core.py:complex_block_column"}
+
+
+def _over_range_4(node) -> bool:
+    """Whether ``node`` is a comprehension, starred or not, over
+    range(4)."""
+    if isinstance(node, ast.Starred):
+        node = node.value
+    return (isinstance(node, (ast.GeneratorExp, ast.ListComp))
+            and any(ast.unparse(g.iter) == "range(4)"
+                    for g in node.generators))
+
+
+def test_one_four_component_draw_in_the_tests():
+    """Only tests/instances.py builds an RBMatrix from a comprehension
+    over range(4), the draw of four components in turn, so every test
+    draws its RB data through instances.rand_rb or gen_instance and a
+    second copy of the draw fails here."""
+    builders = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "instances.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and "RBMatrix" in {getattr(node.func, key, None)
+                                       for key in ("id", "attr")}
+                    and any(map(_over_range_4, node.args))):
+                builders.append(f"{path.name}:{node.lineno}")
+    assert builders == []

@@ -15,11 +15,8 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
+from instances import rand_rb
 from rbtlse.errors import DimensionMismatch, FileFormatError, NonFiniteInput
-
-
-def _rand_rb(rng, m, n):
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +112,7 @@ def test_matrix_constructors():
 
 def test_equality_and_hash():
     rng = np.random.default_rng(1)
-    a = _rand_rb(rng, 2, 2)
+    a = rand_rb(rng, 2, 2)
     b = rb.RBMatrix(a.p0, a.p1, a.p2, a.p3)
     assert a == b
     assert hash(a) == hash(b)
@@ -156,9 +153,9 @@ def test_storage_is_one_read_only_array():
 
 def test_results_are_read_only():
     rng = np.random.default_rng(6)
-    P, T = _rand_rb(rng, 2, 3), _rand_rb(rng, 2, 3)
+    P, T = rand_rb(rng, 2, 3), rand_rb(rng, 2, 3)
     Y = rb.real_block_column(P)
-    results = [P + T, P - T, -P, P * 2.0, P @ _rand_rb(rng, 3, 2),
+    results = [P + T, P - T, -P, P * 2.0, P @ rand_rb(rng, 3, 2),
                oracles.hstack(P, T), oracles.vstack(P, T),
                rb.from_real_block_column(Y),
                rb.from_complex_block_column(rb.complex_block_column(P))]
@@ -236,7 +233,7 @@ def test_real_repr_matches_dense_grid():
     dense representations."""
     rng = np.random.default_rng(2)
     for m, n in [(1, 1), (3, 2), (4, 5)]:
-        P = _rand_rb(rng, m, n)
+        P = rand_rb(rng, m, n)
         assert np.array_equal(oracles.real_repr(P)[:, :n],
                               rb.real_block_column(P))
         assert np.array_equal(rb.real_block_column(P),
@@ -254,14 +251,14 @@ def test_block_columns_side_by_side(column, rows, widths):
     """Several row-aligned blocks give the hstack of their single-block
     columns, bit for bit, also for 0-row blocks and one-column blocks."""
     rng = np.random.default_rng(5)
-    blocks = [_rand_rb(rng, rows, w) for w in widths]
+    blocks = [rand_rb(rng, rows, w) for w in widths]
     got = column(*blocks)
     want = np.hstack([column(B) for B in blocks])
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatch):
-        column(blocks[0], _rand_rb(rng, rows + 1, 2))
+        column(blocks[0], rand_rb(rng, rows + 1, 2))
 
 
 def test_complex_block_column_keeps_signed_zeros():
@@ -279,7 +276,7 @@ def test_block_column_reconstruction():
     signed block permutations, bit exact."""
     rng = np.random.default_rng(3)
     m, n = 3, 4
-    P = _rand_rb(rng, m, n)
+    P = rand_rb(rng, m, n)
     col = rb.real_block_column(P)
     eye = np.eye(m)
     zero = np.zeros((m, m))
@@ -311,7 +308,7 @@ def test_block_column_reconstruction():
 
 def test_block_column_round_trip():
     rng = np.random.default_rng(4)
-    P = _rand_rb(rng, 5, 3)
+    P = rand_rb(rng, 5, 3)
     assert rb.from_real_block_column(rb.real_block_column(P)) == P
     assert rb.from_complex_block_column(rb.complex_block_column(P)) == P
     r1, r2 = rb.complex_block_column(P).reshape(2, *P.shape)
@@ -332,9 +329,9 @@ def test_block_column_inverses_reject_other_shapes(inverse, shape):
 def test_real_repr_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        P = _rand_rb(rng, 3, 4)
-        Q = _rand_rb(rng, 4, 2)
-        R = _rand_rb(rng, 3, 4)
+        P = rand_rb(rng, 3, 4)
+        Q = rand_rb(rng, 4, 2)
+        R = rand_rb(rng, 3, 4)
         lhs = oracles.real_repr(rb.mat_mul(P, Q))
         rhs = oracles.real_repr(P) @ oracles.real_repr(Q)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-13 * max(1, abs(rhs).max()))
@@ -349,8 +346,8 @@ def test_real_repr_homomorphism():
 def test_complex_repr_homomorphism():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        P = _rand_rb(rng, 3, 4)
-        Q = _rand_rb(rng, 4, 2)
+        P = rand_rb(rng, 3, 4)
+        Q = rand_rb(rng, 4, 2)
         lhs = oracles.complex_repr(rb.mat_mul(P, Q))
         rhs = oracles.complex_repr(P) @ oracles.complex_repr(Q)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-13 * max(1, abs(rhs).max()))
@@ -364,8 +361,8 @@ def test_mat_mul_against_representation_product():
     out of its first block column."""
     rng = np.random.default_rng(7)
     for _ in range(10):
-        P = _rand_rb(rng, 4, 3)
-        Q = _rand_rb(rng, 3, 5)
+        P = rand_rb(rng, 4, 3)
+        Q = rand_rb(rng, 3, 5)
         got = rb.mat_mul(P, Q)
         dense = oracles.real_repr(P) @ np.vstack([Q.p0, Q.p1, Q.p2, Q.p3])
         want = rb.from_real_block_column(dense)
@@ -381,14 +378,14 @@ def test_mat_mul_shape_check():
 
 def test_matmul_operator():
     rng = np.random.default_rng(8)
-    P = _rand_rb(rng, 2, 3)
-    Q = _rand_rb(rng, 3, 2)
+    P = rand_rb(rng, 2, 3)
+    Q = rand_rb(rng, 3, 2)
     assert (P @ Q) == rb.mat_mul(P, Q)
 
 
 def test_scalar_multiplication_rb():
     rng = np.random.default_rng(9)
-    P = _rand_rb(rng, 2, 2)
+    P = rand_rb(rng, 2, 2)
     Z, I = np.zeros((2, 2)), np.eye(2)
     # multiplying by j (j times the identity) swaps the complex pair
     jp = P @ rb.RBMatrix(Z, Z, I, Z)
@@ -455,13 +452,13 @@ def test_text_is_not_a_factor(text):
 
 def test_hstack_vstack():
     rng = np.random.default_rng(10)
-    a = _rand_rb(rng, 2, 3)
-    b = _rand_rb(rng, 2, 4)
+    a = rand_rb(rng, 2, 3)
+    b = rand_rb(rng, 2, 4)
     h = oracles.hstack(a, b)
     assert h.shape == (2, 7)
     assert np.array_equal(h.p2[:, :3], a.p2)
     assert np.array_equal(h.p2[:, 3:], b.p2)
-    c = _rand_rb(rng, 5, 3)
+    c = rand_rb(rng, 5, 3)
     v = oracles.vstack(a, c)
     assert v.shape == (7, 3)
     assert np.array_equal(v.p1[:2], a.p1)
@@ -485,7 +482,7 @@ def test_frobenius_norm_of_unit_sum():
 def test_frobenius_norm_scales_exactly(k):
     """Scaling by a power of two scales the norm exactly, also where the
     plain sum of squares over- or underflows."""
-    P = _rand_rb(np.random.default_rng(3), 6, 5)
+    P = rand_rb(np.random.default_rng(3), 6, 5)
     assert rb.frobenius_norm(P * 2.0 ** k) == 2.0 ** k * rb.frobenius_norm(P)
 
 
@@ -495,7 +492,7 @@ def test_norm_chain():
     for _ in range(50):
         m = int(rng.integers(1, 6))
         n = int(rng.integers(1, 6))
-        P = _rand_rb(rng, m, n)
+        P = rand_rb(rng, m, n)
         f = rb.frobenius_norm(P)
         rr, rr_col = oracles.real_repr(P), rb.real_block_column(P)
         cr, cr_col = oracles.complex_repr(P), rb.complex_block_column(P)
@@ -519,7 +516,7 @@ def test_rbmat_round_trip(tmp_path):
     path = tmp_path / "p.rbmat"
     # a zero-column block is m blank rows
     for shape in ((3, 2), (3, 0), (0, 3), (0, 0)):
-        P = _rand_rb(rng, *shape)
+        P = rand_rb(rng, *shape)
         rb.write_rbmat(path, P)
         Q = rb.read_rbmat(path)
         assert Q.shape == shape

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
+from instances import consistent, rand_rb
 from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
                            NonFiniteInput)
@@ -17,36 +18,21 @@ from rbtlse.tlse import (TlseProblem, solve_complex, solve_real,
                          residuals_complex)
 
 
-def _rand_rb(rng, m, n, uniform=False):
-    draw = rng.random if uniform else rng.standard_normal
-    return rb.RBMatrix(*(draw((m, n)) for _ in range(4)))
-
-
-def _consistent(rng, m, n, p, d, uniform=False):
-    A = _rand_rb(rng, m, n, uniform)
-    C = _rand_rb(rng, p, n, uniform) if p > 0 else rb.RBMatrix.zeros(0, n)
-    Zs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    Zrb = rb.RBMatrix.from_complex(Zs)
-    B = rb.mat_mul(A, Zrb)
-    D = rb.mat_mul(C, Zrb) if p > 0 else rb.RBMatrix.zeros(0, d)
-    return TlseProblem(A=A, B=B, C=C, D=D), Zs
-
-
 def test_problem_shape_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionMismatch):
-        TlseProblem(A=_rand_rb(rng, 5, 3), B=_rand_rb(rng, 4, 2),
-                    C=_rand_rb(rng, 1, 3), D=_rand_rb(rng, 1, 2))
+        TlseProblem(A=rand_rb(rng, 5, 3), B=rand_rb(rng, 4, 2),
+                    C=rand_rb(rng, 1, 3), D=rand_rb(rng, 1, 2))
 
 
 def test_non_finite_input_rejected():
     rng = np.random.default_rng(0)
-    D = _rand_rb(rng, 1, 2)
+    D = rand_rb(rng, 1, 2)
     p3 = D.p3.copy()
     p3[0, 1] = np.inf
     with pytest.raises(NonFiniteInput):
-        TlseProblem(A=_rand_rb(rng, 5, 3), B=_rand_rb(rng, 5, 2),
-                    C=_rand_rb(rng, 1, 3),
+        TlseProblem(A=rand_rb(rng, 5, 3), B=rand_rb(rng, 5, 2),
+                    C=rand_rb(rng, 1, 3),
                     D=rb.RBMatrix(D.p0, D.p1, D.p2, p3))
 
 
@@ -59,7 +45,7 @@ def test_empty_dimensions_rejected(sizes):
 def test_consistent_recovery():
     rng = np.random.default_rng(1)
     for m, n, p, d in [(50, 6, 2, 3), (15, 6, 1, 2), (20, 8, 0, 2)]:
-        prob, Zs = _consistent(rng, m, n, p, d, uniform=True)
+        prob, Zs = consistent("complex", rng, m, n, p, d, uniform=True)
         sol = solve_complex(prob)
         assert np.iscomplexobj(sol.X)
         assert np.linalg.norm(sol.X - Zs) <= 1e-8 * np.linalg.norm(Zs)
@@ -71,10 +57,7 @@ def test_consistent_recovery():
 
 
 def test_solution_satisfies_corrected_system():
-    rng = np.random.default_rng(2)
-    m, n, p, d = 50, 6, 2, 3
-    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = gen_instance("real", (50, 6, 2, 3), 2)
     sol = solve_complex(prob)
     e1, e2 = residuals_complex(prob, sol)
     assert e1 < 1e-10
@@ -82,9 +65,7 @@ def test_solution_satisfies_corrected_system():
 
 
 def test_correction_norm_matches_trailing_singular_values():
-    rng = np.random.default_rng(3)
-    prob = TlseProblem(A=_rand_rb(rng, 50, 6), B=_rand_rb(rng, 50, 3),
-                       C=_rand_rb(rng, 2, 6), D=_rand_rb(rng, 2, 3))
+    prob = gen_instance("real", (50, 6, 2, 3), 3)
     sol = solve_complex(prob)
     k = 6 - 2 * 2
     want = np.sqrt(np.sum(sol.sigma[k:] ** 2))
@@ -95,14 +76,10 @@ def test_correction_norm_matches_trailing_singular_values():
 
 def test_conjugation_symmetry():
     """Negating the i-components of all data conjugates the solution."""
-    rng = np.random.default_rng(4)
-    m, n, p, d = 30, 6, 1, 2
-
     def conj_rb(P):
         return rb.RBMatrix(P.p0, -P.p1, P.p2, -P.p3)
 
-    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = gen_instance("real", (30, 6, 1, 2), 4)
     sol = solve_complex(prob)
     conj_prob = TlseProblem(A=conj_rb(prob.A), B=conj_rb(prob.B),
                             C=conj_rb(prob.C), D=conj_rb(prob.D))
@@ -116,24 +93,15 @@ def test_conjugation_symmetry():
 def test_real_data_agrees_with_real_solver():
     """Consistent data built from a real X*: both solvers recover it, the
     complex answer is real up to rounding."""
-    rng = np.random.default_rng(5)
-    m, n, p, d = 30, 8, 1, 2
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
-    xr = solve_real(TlseProblem(A=A, B=B, C=C, D=D)).X
-    xc = solve_complex(TlseProblem(A=A, B=B, C=C, D=D)).X
+    prob, Xs = consistent("real", np.random.default_rng(5), 30, 8, 1, 2)
+    xr = solve_real(prob).X
+    xc = solve_complex(prob).X
     assert np.linalg.norm(xc.imag) <= 1e-9 * np.linalg.norm(Xs)
     assert np.linalg.norm(xc.real - xr) <= 1e-9 * np.linalg.norm(Xs)
 
 
 def test_scaling_equivariance():
-    rng = np.random.default_rng(6)
-    prob = TlseProblem(A=_rand_rb(rng, 30, 6), B=_rand_rb(rng, 30, 2),
-                       C=_rand_rb(rng, 1, 6), D=_rand_rb(rng, 1, 2))
+    prob = gen_instance("real", (30, 6, 1, 2), 6)
     sol = solve_complex(prob)
     zeta = 0.31
     scaled = TlseProblem(A=prob.A * zeta, B=prob.B * zeta,
@@ -146,8 +114,7 @@ def test_scaling_equivariance():
 
 def test_sign_ambiguity_does_not_move_x():
     rng = np.random.default_rng(7)
-    prob = TlseProblem(A=_rand_rb(rng, 30, 6), B=_rand_rb(rng, 30, 2),
-                       C=_rand_rb(rng, 1, 6), D=_rand_rb(rng, 1, 2))
+    prob = gen_instance("real", (30, 6, 1, 2), rng)
     sol = solve_complex(prob)
     n = 6
     k = n - 2
@@ -160,12 +127,10 @@ def test_sign_ambiguity_does_not_move_x():
 
 
 def test_too_many_constraints_rejected():
-    rng = np.random.default_rng(8)
     # 2p = 8 > n = 6
+    problem = gen_instance("real", (30, 6, 4, 2), 8)
     with pytest.raises(AssumptionViolated):
-        solve_complex(TlseProblem(
-            A=_rand_rb(rng, 30, 6), B=_rand_rb(rng, 30, 2),
-            C=_rand_rb(rng, 4, 6), D=_rand_rb(rng, 4, 2)))
+        solve_complex(problem)
 
 
 def test_too_few_rows_rejected():
@@ -173,7 +138,7 @@ def test_too_few_rows_rejected():
     # 2m = 2 < n + d - 2p = 8
     with pytest.raises(AssumptionViolated):
         solve_complex(TlseProblem(
-            A=_rand_rb(rng, 1, 6), B=_rand_rb(rng, 1, 2),
+            A=rand_rb(rng, 1, 6), B=rand_rb(rng, 1, 2),
             C=rb.RBMatrix.zeros(0, 6), D=rb.RBMatrix.zeros(0, 2)))
 
 
@@ -181,5 +146,5 @@ def test_rank_deficient_constraint_rejected():
     rng = np.random.default_rng(10)
     with pytest.raises(AssumptionViolated):
         solve_complex(TlseProblem(
-            A=_rand_rb(rng, 20, 8), B=_rand_rb(rng, 20, 2),
+            A=rand_rb(rng, 20, 8), B=rand_rb(rng, 20, 2),
             C=rb.RBMatrix.zeros(1, 8), D=rb.RBMatrix.zeros(1, 2)))

@@ -14,50 +14,31 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
+from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            ConditioningUndefined, DegenerateSpectrum,
                            DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
-from rbtlse.perturbation import (PerturbationInstance, condition_complex,
-                                 condition_real, epsilon_n)
+from rbtlse.perturbation import PerturbationInstance, epsilon_n
 from rbtlse.tlse import (_COND_MAX, _GAP_REL, TlseProblem, TlseSolution,
-                         lse_solve_complex, lse_solve_real, solve_complex,
-                         solve_real, residuals_real)
-
-ALGEBRAS = {"real": solve_real, "complex": solve_complex}
-CONDITION = {"real": condition_real, "complex": condition_complex}
-LSE = {"real": lse_solve_real, "complex": lse_solve_complex}
-
-
-def _rand_rb(rng, m, n):
-    return rb.RBMatrix(*(rng.standard_normal((m, n)) for _ in range(4)))
-
-
-def _consistent(rng, m, n, p, d):
-    A = _rand_rb(rng, m, n)
-    C = _rand_rb(rng, p, n) if p > 0 else rb.RBMatrix.zeros(0, n)
-    Xs = rng.standard_normal((n, d))
-    Xrb = rb.RBMatrix.from_real(Xs)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb) if p > 0 else rb.RBMatrix.zeros(0, d)
-    return TlseProblem(A=A, B=B, C=C, D=D), Xs
+                         solve_complex, solve_real, residuals_real)
 
 
 def test_problem_shape_validation():
     rng = np.random.default_rng(0)
-    A = _rand_rb(rng, 5, 3)
-    B = _rand_rb(rng, 4, 2)   # wrong row count
-    C = _rand_rb(rng, 1, 3)
-    D = _rand_rb(rng, 1, 2)
+    A = rand_rb(rng, 5, 3)
+    B = rand_rb(rng, 4, 2)   # wrong row count
+    C = rand_rb(rng, 1, 3)
+    D = rand_rb(rng, 1, 2)
     with pytest.raises(DimensionMismatch):
         TlseProblem(A=A, B=B, C=C, D=D)
-    B2 = _rand_rb(rng, 5, 2)
-    D2 = _rand_rb(rng, 1, 3)  # wrong column count
+    B2 = rand_rb(rng, 5, 2)
+    D2 = rand_rb(rng, 1, 3)  # wrong column count
     with pytest.raises(DimensionMismatch):
         TlseProblem(A=A, B=B2, C=C, D=D2)
-    C2 = _rand_rb(rng, 1, 4)  # column count other than A's
+    C2 = rand_rb(rng, 1, 4)  # column count other than A's
     with pytest.raises(DimensionMismatch, match="cols but C has"):
         TlseProblem(A=A, B=B2, C=C2, D=D)
 
@@ -65,13 +46,13 @@ def test_problem_shape_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_rejected(bad):
     rng = np.random.default_rng(0)
-    A = _rand_rb(rng, 30, 10)
+    A = rand_rb(rng, 30, 10)
     p0 = A.p0.copy()
     p0[3, 4] = bad
     A_bad = rb.RBMatrix(p0, A.p1, A.p2, A.p3)
     with pytest.raises(NonFiniteInput):
-        TlseProblem(A=A_bad, B=_rand_rb(rng, 30, 2),
-                    C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+        TlseProblem(A=A_bad, B=rand_rb(rng, 30, 2),
+                    C=rand_rb(rng, 2, 10), D=rand_rb(rng, 2, 2))
     assert issubclass(NonFiniteInput, RbtlseError)
 
 
@@ -84,7 +65,7 @@ def test_empty_dimensions_rejected(sizes):
 def test_consistent_recovery():
     rng = np.random.default_rng(1)
     for m, n, p, d in [(30, 10, 2, 2), (12, 5, 1, 1), (20, 8, 0, 3)]:
-        prob, Xs = _consistent(rng, m, n, p, d)
+        prob, Xs = consistent("real", rng, m, n, p, d)
         sol = solve_real(prob)
         assert np.linalg.norm(sol.X - Xs) <= 1e-8 * np.linalg.norm(Xs)
         scale = rb.frobenius_norm(oracles.hstack(prob.A, prob.B))
@@ -97,10 +78,7 @@ def test_consistent_recovery():
 def test_solution_satisfies_corrected_system():
     """(A+E)X = B+F and CX = D hold for whatever X the solver returns,
     consistent data or not."""
-    rng = np.random.default_rng(2)
-    m, n, p, d = 30, 10, 2, 2
-    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = gen_instance("real", (30, 10, 2, 2), 2)
     sol = solve_real(prob)
     e1, e2 = residuals_real(prob, sol)
     assert e1 < 1e-10
@@ -108,9 +86,7 @@ def test_solution_satisfies_corrected_system():
 
 
 def test_correction_norm_matches_trailing_singular_values():
-    rng = np.random.default_rng(3)
-    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = gen_instance("real", (30, 10, 2, 2), 3)
     sol = solve_real(prob)
     n = 10
     k = n - 4 * 2
@@ -130,10 +106,10 @@ def test_correction_matches_closed_form(kind, sizes):
     and correction norm are that correction at its own X."""
     if sizes == "t=3":
         sizes = accuracy_sizes(kind, 3)
-    column = rb.real_block_column if kind == "real" else rb.complex_block_column
+    column = ALGEBRAS[kind].column
     for seed in range(20):
         prob = gen_instance(kind, sizes, seed)
-        sol = ALGEBRAS[kind](prob)
+        sol = ALGEBRAS[kind].solve(prob)
         X, norm = sol.X, sol.residual_perturbation_norm
         R = column(prob.A) @ X - column(prob.B)
         w, V = np.linalg.eigh(np.eye(X.shape[1]) + X.conj().T @ X)
@@ -150,7 +126,7 @@ def test_correction_matches_closed_form(kind, sizes):
 def test_correction_is_formed_once(kind):
     """E_bar and F_bar are formed on first read and then kept."""
     prob = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    sol = ALGEBRAS[kind](prob)
+    sol = ALGEBRAS[kind].solve(prob)
     assert sol.E_bar is sol.E_bar
     assert sol.F_bar is sol.F_bar
 
@@ -160,10 +136,10 @@ def test_correction_read_after_conditioning_is_unchanged(kind):
     """The deferred correction reads P and V_check after the solve has
     returned; conditioning the solution first leaves its bits alone."""
     prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
-    before = ALGEBRAS[kind](prob)
+    before = ALGEBRAS[kind].solve(prob)
     E, F = before.E_bar, before.F_bar
-    after = ALGEBRAS[kind](prob)
-    CONDITION[kind](prob, after)
+    after = ALGEBRAS[kind].solve(prob)
+    ALGEBRAS[kind].condition(prob, after)
     assert after.E_bar == E
     assert after.F_bar == F
 
@@ -171,7 +147,7 @@ def test_correction_read_after_conditioning_is_unchanged(kind):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("name", ["P", "V_check", "Q1", "R"])
 def test_kept_factors_are_read_only(kind, name):
-    sol = ALGEBRAS[kind](gen_instance(kind, accuracy_sizes(kind, 1), 0))
+    sol = ALGEBRAS[kind].solve(gen_instance(kind, accuracy_sizes(kind, 1), 0))
     with pytest.raises(ValueError):
         getattr(sol, name)[0, 0] = 0.0
 
@@ -190,9 +166,9 @@ def test_solutions_compare_and_hash_by_identity(kind):
     """Solutions hold arrays, so == is identity and hash() works, for the
     total and the constrained least squares solutions alike."""
     problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    lse = {"real": lse_solve_real, "complex": lse_solve_complex}[kind]
-    for solve in (ALGEBRAS[kind],
-                  lambda pr: lse(pr.A, pr.B, pr.C, pr.D)):
+    algebra = ALGEBRAS[kind]
+    for solve in (algebra.solve,
+                  lambda pr: algebra.lse(pr.A, pr.B, pr.C, pr.D)):
         a, b = solve(problem), solve(problem)
         assert np.array_equal(a.X, b.X)
         assert a == a and a != b
@@ -202,7 +178,7 @@ def test_solutions_compare_and_hash_by_identity(kind):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_solution_keeps_its_problem(kind):
     problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
-    assert ALGEBRAS[kind](problem).problem is problem
+    assert ALGEBRAS[kind].solve(problem).problem is problem
 
 
 @pytest.mark.parametrize("kind,sizes", [
@@ -214,7 +190,7 @@ def test_solution_keeps_its_problem(kind):
 def test_gap_and_v22_condition(kind, sizes):
     """gap is sigma[k-1] - sigma[k] (inf when k = 0) and v22_condition
     the 2-norm condition number of V22 = V_check[n:, k:]."""
-    sol = ALGEBRAS[kind](gen_instance(kind, sizes, 0))
+    sol = ALGEBRAS[kind].solve(gen_instance(kind, sizes, 0))
     n, _ = sol.X.shape
     k = n - sol.R.shape[0]
     assert sol.gap == (np.inf if k == 0 else sol.sigma[k - 1] - sol.sigma[k])
@@ -226,7 +202,7 @@ def test_constraint_residual_identity():
     """For real X, the constraint residual equals ||C_col (X - X*)||_F
     when D was built from X*."""
     rng = np.random.default_rng(4)
-    prob, Xs = _consistent(rng, 20, 8, 1, 2)
+    prob, Xs = consistent("real", rng, 20, 8, 1, 2)
     sol = solve_real(prob)
     delta = rng.standard_normal(sol.X.shape)
     corrupted = sol.X + delta
@@ -239,7 +215,7 @@ def test_constraint_residual_identity():
 
 def test_unconstrained_path():
     rng = np.random.default_rng(5)
-    prob, Xs = _consistent(rng, 25, 6, 0, 2)
+    prob, Xs = consistent("real", rng, 25, 6, 0, 2)
     sol = solve_real(prob)
     assert np.linalg.norm(sol.X - Xs) <= 1e-8 * np.linalg.norm(Xs)
     # with p=0 the trailing block keeps n singular values ahead of the gap
@@ -247,9 +223,7 @@ def test_unconstrained_path():
 
 
 def test_scaling_equivariance():
-    rng = np.random.default_rng(6)
-    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = gen_instance("real", (30, 10, 2, 2), 6)
     sol = solve_real(prob)
     zeta = 3.7
     scaled = TlseProblem(A=prob.A * zeta, B=prob.B * zeta,
@@ -264,8 +238,7 @@ def test_svd_sign_ambiguity_does_not_move_x():
     """X = -V12 V22^{-1} from the retained trailing basis is invariant
     under column sign flips of that basis."""
     rng = np.random.default_rng(7)
-    prob = TlseProblem(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                       C=_rand_rb(rng, 2, 10), D=_rand_rb(rng, 2, 2))
+    prob = gen_instance("real", (30, 10, 2, 2), rng)
     sol = solve_real(prob)
     n, d = 10, 2
     k = n - 8
@@ -281,8 +254,7 @@ def test_optimality_random_search():
     solver's answer; none may undercut the reported minimum."""
     rng = np.random.default_rng(8)
     m, n, p, d = 8, 5, 1, 1
-    prob = TlseProblem(A=_rand_rb(rng, m, n), B=_rand_rb(rng, m, d),
-                       C=_rand_rb(rng, p, n), D=_rand_rb(rng, p, d))
+    prob = gen_instance("real", (m, n, p, d), rng)
     sol = solve_real(prob)
     best = sol.residual_perturbation_norm
 
@@ -346,15 +318,13 @@ def _first_column_scaled(M, factor):
 def test_gap_condition_failure_raised(kind):
     # [Ac, Bc] with orthonormal columns: every singular value is 1, so
     # there is no gap at all
-    solve = ALGEBRAS[kind]
+    solve, from_column = ALGEBRAS[kind].solve, ALGEBRAS[kind].from_column
     rng = np.random.default_rng(9)
     if kind == "real":
         Q = np.linalg.qr(rng.standard_normal((20, 5)))[0]
-        from_column = rb.from_real_block_column
     else:
         Q = np.linalg.qr(rng.standard_normal((10, 5))
                          + 1j * rng.standard_normal((10, 5)))[0]
-        from_column = rb.from_complex_block_column
     problem = _unconstrained(from_column(Q[:, :3]), from_column(Q[:, 3:]))
     with pytest.raises(GapConditionFailed):
         solve(problem)
@@ -363,7 +333,7 @@ def test_gap_condition_failure_raised(kind):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_degenerate_spectrum_raised(kind):
     # all-zero data: every singular value is exactly 0
-    solve = ALGEBRAS[kind]
+    solve = ALGEBRAS[kind].solve
     problem = _unconstrained(rb.RBMatrix.zeros(20, 8),
                              rb.RBMatrix.zeros(20, 2))
     with pytest.raises(DegenerateSpectrum):
@@ -374,10 +344,10 @@ def test_degenerate_spectrum_raised(kind):
 def test_block_not_invertible_raised(kind):
     # a nearly zero column of A puts the trailing right singular vectors
     # almost entirely on that column, so V22 is nearly singular
-    solve = ALGEBRAS[kind]
+    solve = ALGEBRAS[kind].solve
     rng = np.random.default_rng(11)
-    A = _first_column_scaled(_rand_rb(rng, 8, 3), 1e-14)
-    problem = _unconstrained(A, _rand_rb(rng, 8, 2))
+    A = _first_column_scaled(rand_rb(rng, 8, 3), 1e-14)
+    problem = _unconstrained(A, rand_rb(rng, 8, 2))
     with pytest.raises(BlockNotInvertible):
         solve(problem)
 
@@ -386,8 +356,8 @@ def test_block_not_invertible_raised(kind):
 def test_data_norm_is_norm_of_the_stacks(kind):
     """||[J, K]||_F equals the norm of either algebra's stacks P and S,
     which the condition number scales by."""
-    problem, _ = _consistent(np.random.default_rng(12), 12, 4, 1, 2)
-    sol = ALGEBRAS[kind](problem)
+    problem, _ = consistent("real", np.random.default_rng(12), 12, 4, 1, 2)
+    sol = ALGEBRAS[kind].solve(problem)
     assert problem.data_norm == pytest.approx(
         np.linalg.norm(np.vstack([oracles.constraint_stack(sol), sol.P])),
         rel=1e-14)
@@ -399,10 +369,8 @@ def test_data_norm_sums_in_stacked_order():
     for bit; another summation order differs in the last bit on some of
     these instances."""
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        A, B, C, D = (_rand_rb(rng, rows, cols) for rows, cols in
-                      ((40, 10), (40, 3), (2, 10), (2, 3)))
-        problem = TlseProblem(A=A, B=B, C=C, D=D)
+        problem = gen_instance("real", (40, 10, 2, 3), seed)
+        A, B, C, D = problem.A, problem.B, problem.C, problem.D
         stacked = oracles.hstack(oracles.vstack(C, A), oracles.vstack(D, B))
         assert problem.data_norm == rb.frobenius_norm(stacked)
 
@@ -426,10 +394,8 @@ def test_data_norm_matches_the_block_oracle(sizes, scale):
 def test_data_norm_is_computed_once(monkeypatch):
     """data_norm is summed on first read and then kept, with the value of
     the stacked-order sum."""
-    rng = np.random.default_rng(3)
-    A, B, C, D = (_rand_rb(rng, rows, cols) for rows, cols in
-                  ((40, 10), (40, 3), (2, 10), (2, 3)))
-    problem = TlseProblem(A=A, B=B, C=C, D=D)
+    problem = gen_instance("real", (40, 10, 2, 3), 3)
+    A, B, C, D = problem.A, problem.B, problem.C, problem.D
     calls = []
     norm = rb._norm
     monkeypatch.setattr(rb, "_norm", lambda *a: calls.append(1) or norm(*a))
@@ -446,8 +412,7 @@ def test_correction_norm_at_extreme_scale(kind, e):
     where plain sums of squares over- or underflow: the correction norm,
     the residuals eps1 and eps2, the perturbation size eps_n (data and
     deltas scaled alike) and the LSE baseline's X."""
-    solve = ALGEBRAS[kind]
-    lse_solve = lse_solve_real if kind == "real" else lse_solve_complex
+    solve, lse_solve = ALGEBRAS[kind].solve, ALGEBRAS[kind].lse
     prob = gen_instance(kind, accuracy_sizes(kind, 2), 0)
     sol = solve(prob)
     z = 10.0 ** e
@@ -481,8 +446,8 @@ def test_correction_norm_at_extreme_scale(kind, e):
 
 def test_rank_deficient_constraint_rejected():
     rng = np.random.default_rng(12)
-    A = _rand_rb(rng, 20, 8)
-    B = _rand_rb(rng, 20, 2)
+    A = rand_rb(rng, 20, 8)
+    B = rand_rb(rng, 20, 2)
     C = rb.RBMatrix.zeros(1, 8)
     D = rb.RBMatrix.zeros(1, 2)
     with pytest.raises(AssumptionViolated):
@@ -490,18 +455,16 @@ def test_rank_deficient_constraint_rejected():
 
 
 def test_too_many_constraints_rejected():
-    rng = np.random.default_rng(13)
     # 4p = 12 > n = 10
-    prob_args = dict(A=_rand_rb(rng, 30, 10), B=_rand_rb(rng, 30, 2),
-                     C=_rand_rb(rng, 3, 10), D=_rand_rb(rng, 3, 2))
+    problem = gen_instance("real", (30, 10, 3, 2), 13)
     with pytest.raises(AssumptionViolated):
-        solve_real(TlseProblem(**prob_args))
+        solve_real(problem)
 
 
 def test_too_few_rows_rejected():
     rng = np.random.default_rng(14)
     # 4m = 4 < n + d - 4p = 12
-    prob_args = dict(A=_rand_rb(rng, 1, 10), B=_rand_rb(rng, 1, 2),
+    prob_args = dict(A=rand_rb(rng, 1, 10), B=rand_rb(rng, 1, 2),
                      C=rb.RBMatrix.zeros(0, 10), D=rb.RBMatrix.zeros(0, 2))
     with pytest.raises(AssumptionViolated):
         solve_real(TlseProblem(**prob_args))
@@ -521,9 +484,7 @@ def _fail_linalg(*args, **kwargs):
 @pytest.mark.parametrize("p", [0, 1])
 def test_lapack_failure_is_factorization_failed(monkeypatch, routine, solve,
                                                 p):
-    rng = np.random.default_rng(15)
-    problem = TlseProblem(A=_rand_rb(rng, 20, 6), B=_rand_rb(rng, 20, 2),
-                          C=_rand_rb(rng, p, 6), D=_rand_rb(rng, p, 2))
+    problem = gen_instance("real", (20, 6, p, 2), 15)
     monkeypatch.setattr(np.linalg, routine, _fail_linalg)
     with pytest.raises(FactorizationFailed, match="did not converge"):
         solve(problem)
@@ -546,9 +507,9 @@ def test_entry_points_call_the_block_column_map(monkeypatch, kind, solve):
     problem = gen_instance(kind, accuracy_sizes(kind, 1), 0)
     monkeypatch.setattr(rb, name, counting)
     if solve == "solve":
-        ALGEBRAS[kind](problem)
+        ALGEBRAS[kind].solve(problem)
     else:
-        LSE[kind](problem.A, problem.B, problem.C, problem.D)
+        ALGEBRAS[kind].lse(problem.A, problem.B, problem.C, problem.D)
     assert calls == [2, 2]
 
 
@@ -559,7 +520,7 @@ def test_residuals_refuse_another_problem(kind):
     conditioning refuses it; a copy of the solved data is accepted."""
     sizes = accuracy_sizes(kind, 1)
     prob = gen_instance(kind, sizes, 0)
-    sol = ALGEBRAS[kind](prob)
+    sol = ALGEBRAS[kind].solve(prob)
     taller = gen_instance(kind, (sizes[0] + 1, *sizes[1:]), 0)
     with pytest.raises(DimensionMismatch, match="do not match"):
         residuals_real(taller, sol)
