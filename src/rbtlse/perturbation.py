@@ -63,10 +63,12 @@ is ever formed.  W1^-H = W1 + X W2, the Schur complement of V22 in the
 unitary [W1, V12; W2, V22] (with the leading r columns rescaled as
 above), and V22^-T (a plain transpose, also for complex data) are formed
 once; W1 is not factored: the solve's check of V22 covers it.
-||[J, K]||_F is the problem's cached data norm.  Real data uses the same
-code path as complex: every conjugate transpose degrades to a plain
-transpose on reals, and every conjugate to a no-op, which is exactly the
-real variant of the formulas.
+||[J, K]||_F is the problem's cached data norm.  The Gram matrix is that
+of the data scaled by a power of two, which kappa does not see: _gram
+scales R, sigma and its two products with P, never a copy of the
+solution or of P.  Real data uses the same code path as complex: every
+conjugate transpose degrades to a plain transpose on reals, and every
+conjugate to a no-op, which is exactly the real variant of the formulas.
 
 kappa is returned finite and positive, or ConditioningUndefined is raised.
 Callers form the first-order bound U = kappa * eps_n themselves, with
@@ -77,7 +79,7 @@ at finite eps_n <= 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,9 +162,14 @@ class ConditionReport:
     kappa: float
 
 
-def _gram(solution: TlseSolution) -> np.ndarray:
+def _gram(solution: TlseSolution, f: float) -> np.ndarray:
     """(H G Z)(H G Z)^H, an nd-by-nd Hermitian matrix, block by block,
-    from the stacks and factors ``solution`` keeps, reparameterised by S^+.
+    from the stacks and factors ``solution`` keeps, reparameterised by S^+,
+    for the data scaled by the power of two ``f``.
+
+    Of what ``solution`` keeps, P, R and sigma scale with the data: the
+    small R and sigma are scaled here, and f is applied to the two
+    products formed with P, so the data-sized P is read in place.
 
     The local names are those of the formulas: sig1 and sig2 are the
     leading n-r and trailing d singular values of the solve, cross the
@@ -188,9 +195,8 @@ def _gram(solution: TlseSolution) -> np.ndarray:
     Raises ConditioningUndefined when S, whose singular values are read
     off R, has numerical rank below r, or the resolvent is singular.
     """
-    P, R, sigma, V_check, X = (
-        solution.P, solution.R, solution.sigma, solution.V_check,
-        solution.X)
+    P, V_check, X = solution.P, solution.V_check, solution.X
+    R, sigma = f * solution.R, f * solution.sigma
     r = R.shape[0]
     n, d = X.shape
     k = n - r
@@ -204,11 +210,11 @@ def _gram(solution: TlseSolution) -> np.ndarray:
             f"constraint stack rank {rank} < {r}; its pseudoinverse "
             f"is unusable")
     # S^+ = Q1 R^-H from the solve's complete QR of S^H = Q1 R
-    S_pinv = np.linalg.solve(solution.R, solution.Q1.conj().T).conj().T
+    S_pinv = np.linalg.solve(R, solution.Q1.conj().T).conj().T
     # (P V_check)^H P S^+ stacks -cross over YH, so both need only
     # one product with P; P V_check = U diag(sigma)
-    PV = P @ V_check
-    stacked = (PV.conj().T @ P) @ S_pinv
+    PV = f * (P @ V_check)
+    stacked = f * (PV.conj().T @ P) @ S_pinv
     cross, YH = -stacked[:k], stacked[k:]
 
     # W1^-H = W1 + X W2, the Schur complement of V22 in the unitary
@@ -257,27 +263,26 @@ def condition_real(problem: TlseProblem,
     ``solution.problem`` (else DimensionMismatch), and so must its data,
     unless it is that very object (else ConditioningUndefined).  kappa
     comes from the largest eigenvalue of the Gram matrix, which eigvalsh
-    reads from one triangle, formed from P, R and sigma scaled by the
-    power of two that brings sigma_1 into [1/2, 1), so the data's own
-    scale never overflows it.  kappa is returned finite and positive,
-    else ConditioningUndefined is raised, as it is for X = 0, for a
-    LAPACK failure, for a floating-point overflow, division by zero or
-    invalid operation while forming the Gram matrix (blocks scaled far
-    apart, or kappa itself near the floating-point range, where the
-    solve still succeeds), and for a MemoryError while forming
-    or reading the Gram matrix (where the operating system lets the
-    allocation fail; Linux may kill the process instead).
+    reads from one triangle, formed by _gram with its products scaled by
+    the power of two that brings sigma_1 into [1/2, 1), so the data's own
+    scale never overflows it; no scaled copy of the solution is made.
+    kappa is returned finite and positive, else ConditioningUndefined is
+    raised, as it is for X = 0, for a LAPACK failure, for a floating-point
+    overflow, division by zero or invalid operation while forming the
+    Gram matrix (blocks scaled far apart, or kappa itself near the
+    floating-point range, where the solve still succeeds), and for a
+    MemoryError while forming or reading the Gram matrix (where the
+    operating system lets the allocation fail; Linux may kill the process
+    instead).
     """
     _own_problem(problem, solution)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # kappa is unchanged by a joint scaling of the data; of what
-            # the solution keeps, P, R and sigma scale with it, and the
+            # kappa is unchanged by a joint scaling of the data, and the
             # power of two f = 2^-e, sigma_1 = g * 2^e with 1/2 <= g < 1,
-            # scales them exactly unless an entry becomes subnormal
+            # scales exactly unless an entry becomes subnormal
             f = np.ldexp(1.0, -np.frexp(solution.sigma[0])[1])
-            gram = _gram(replace(solution, P=f * solution.P, R=f * solution.R,
-                                 sigma=f * solution.sigma))
+            gram = _gram(solution, f)
         x_norm = float(np.linalg.norm(solution.X))
         if x_norm == 0.0:
             raise ConditioningUndefined(

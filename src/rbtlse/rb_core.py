@@ -115,10 +115,6 @@ class RBMatrix:
         return cls._wrap(np.zeros((4, m, n)))
 
     @classmethod
-    def eye(cls, n: int) -> "RBMatrix":
-        return cls.from_real(np.eye(n))
-
-    @classmethod
     def from_real(cls, x) -> "RBMatrix":
         """Embed a plain real matrix (components 1..3 zero)."""
         return cls(x, *[np.zeros(np.shape(x))] * 3)

@@ -10,6 +10,9 @@ nothing from ``rbtlse``, so they never share code with what they check:
   stacked concatenations of two such matrices, component by component;
 * the Moore-Penrose pseudoinverse, the commutation matrix and column-major
   vec/unvec that the dense condition-number formula is written in;
+* stacks P = [Ac, Bc] and S = [Cc, Dc] whose reduced matrix P Q2
+  has prescribed singular values, and with p = 0 a prescribed spectrum
+  of the block V22 the solve inverts (randsvd in stack space);
 * the constraint stack S = [Cc, Dc] of a solution's problem, rebuilt
   from the data with the representations above;
 * that formula's factors H, G and Z, built densely from the stack P and
@@ -112,6 +115,65 @@ def vec(X: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v).reshape(shape, order="F")
+
+
+# ---------------------------------------------------------------------------
+# stacks with a prescribed spectrum
+# ---------------------------------------------------------------------------
+
+def _normal(rng, rows: int, cols: int, complex_: bool) -> np.ndarray:
+    """A standard normal rows-by-cols draw, normal + 1j * normal if
+    ``complex_``."""
+    M = rng.standard_normal((rows, cols))
+    return M + 1j * rng.standard_normal((rows, cols)) if complex_ else M
+
+
+def _orthonormal(rng, rows: int, cols: int, complex_: bool) -> np.ndarray:
+    """A random rows-by-cols matrix with orthonormal columns."""
+    return np.linalg.qr(_normal(rng, rows, cols, complex_))[0]
+
+
+def prescribed_stacks(rng, complex_: bool, rows: int, n: int, d: int,
+                      r: int, sigma, v22_sv=None):
+    """Stacks P (rows x (n+d)) and S (r x (n+d)) whose reduced matrix
+    P Q2 has the singular values ``sigma`` (n+d-r of them, nonincreasing),
+    Q2 spanning ker(S): randsvd (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 28) in stack space.
+
+    S is standard normal; with Q = [Q1, Q2] from the complete QR of S^H,
+    P = U diag(sigma) W^H Q2^H + F Q1^H for U with orthonormal columns,
+    W unitary and F standard normal, so P Q2 = U diag(sigma) W^H.  Any
+    real 4m-row or complex 2m-row stack is the leading block column of
+    exactly one RB matrix, so the stacks are a problem's.  With r = 0,
+    ``v22_sv`` (d cosines in (0, 1]) prescribes the singular values of
+    the trailing d x d block of W, the block V22 the solve inverts:
+    W = diag(Ua, Ub) J diag(Va, Vb)^H with J the CS matrix
+    [I, 0, 0; 0, c, -s; 0, s, c], which needs n >= d.
+    """
+    k = n + d - r
+    S = _normal(rng, r, n + d, complex_)
+    Q = np.linalg.qr(S.conj().T, mode="complete")[0]
+    Q1, Q2 = Q[:, :r], Q[:, r:]
+    if v22_sv is None:
+        W = _orthonormal(rng, k, k, complex_)
+    else:
+        if r or n < d:
+            raise ValueError("v22_sv needs r = 0 and n >= d")
+        c = np.asarray(v22_sv, dtype=float)
+        J = np.eye(n + d)
+        J[n - d:n, n - d:n] = J[n:, n:] = np.diag(c)
+        J[n:, n - d:n] = np.diag(np.sqrt(1.0 - c ** 2))
+        J[n - d:n, n:] = -J[n:, n - d:n]
+        left, right = (np.zeros((n + d, n + d), dtype=Q.dtype)
+                       for _ in range(2))
+        for M in (left, right):
+            M[:n, :n] = _orthonormal(rng, n, n, complex_)
+            M[n:, n:] = _orthonormal(rng, d, d, complex_)
+        W = left @ J @ right.conj().T
+    U = _orthonormal(rng, rows, k, complex_)
+    F = _normal(rng, rows, r, complex_)
+    P = (U * np.asarray(sigma, dtype=float)) @ W.conj().T @ Q2.conj().T
+    return P + F @ Q1.conj().T, S
 
 
 # ---------------------------------------------------------------------------

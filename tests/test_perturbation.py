@@ -340,7 +340,7 @@ def test_kappa_matches_dense_oracle(kind, sizes):
     dense = oracles.spectral_norm(op) * scale
     assert condition(prob, sol).kappa == pytest.approx(dense, rel=1e-12)
     gram = op @ op.conj().T
-    assert np.allclose(_gram(sol), gram, rtol=0,
+    assert np.allclose(_gram(sol, 1.0), gram, rtol=0,
                        atol=1e-12 * np.abs(gram).max())
     # the kept factors of the QR S^H = Q1 R give S^+ = Q1 R^-H
     S_pinv = np.linalg.pinv(oracles.constraint_stack(sol))
@@ -381,7 +381,7 @@ def test_kappa_is_attained_at_experiment_size(kind, t):
     prob = gen_instance(kind, accuracy_sizes(kind, t), 0)
     sol = solve(prob)
     kappa = condition_real(prob, sol).kappa
-    u = np.linalg.eigh(_gram(sol))[1][:, -1]
+    u = np.linalg.eigh(_gram(sol, 1.0))[1][:, -1]
     adjoint, to_data = oracles.condition_adjoint(sol)
     dS, dP = to_data(adjoint(u))
     n = prob.A.cols
@@ -616,7 +616,7 @@ def test_factor_shapes():
     assert G.shape == (nd, 2 * nd)
     assert Z.shape == (2 * nd, q_in)
     assert Q.shape == (4 * p + 4 * m, 4 * m)
-    gram = _gram(sol)
+    gram = _gram(sol, 1.0)
     assert gram.shape == (nd, nd)
     assert np.allclose(gram, gram.conj().T, rtol=0,
                        atol=1e-13 * np.abs(gram).max())

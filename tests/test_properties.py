@@ -5,7 +5,8 @@ from that seed, through ``gen_instance`` or ``tests/instances.py``.
 Both algebras and the least squares baseline run through the same
 strategies, which include an empty constraint (p = 0), a fully
 constrained solution (k = n - r = 0) and several right-hand sides.
-Examples are derandomized so the suite is reproducible.  Besides the
+Each test's examples come from an explicit seed, so the suite is
+reproducible and an edit to a test keeps its examples.  Besides the
 exact-recovery and error-taxonomy oracles, five invariances of the
 problem check the solve on noisy data: jointly scaling (A, B, C, D)
 leaves X and kappa unchanged, so does permuting the rows of A and B
@@ -28,6 +29,7 @@ import os
 import re
 import tempfile
 
+import hypothesis
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -40,6 +42,9 @@ from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import FileFormatError, RbtlseError
 from rbtlse.tlse import TlseProblem, solve_complex, solve_real
 
+# Each property's seed is the one derandomize drew from a hash of its
+# source when it was pinned, int_from_bytes(function_digest(test)); a seed
+# takes precedence over derandomize, which only the hash would feed.
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -58,6 +63,8 @@ def well_posed(draw, max_n=8):
 
 
 @SETTINGS
+@hypothesis.seed(int("c47a057b6d0c21fb799ec6595346df514fb299f774f21a1f"
+                     "0f42a4c9891fd2a25b19acb28e1a8cc4487970eb9f9bb88e", 16))
 @given(well_posed())
 @example(("real", (3, 8, 0, 3), 0))      # p = 0, d > 1
 @example(("real", (2, 8, 2, 2), 1))      # k = n - 4p = 0
@@ -84,6 +91,8 @@ def any_case(draw):
 
 
 @SETTINGS
+@hypothesis.seed(int("3c603fc9caf3f6f5e5b9b2f007e1045ac93c7472fcf81572"
+                     "e2ab6a7b9e68e9e6890c9d7523da31cffc1dc682943fb987", 16))
 @given(any_case())
 def test_every_failure_is_an_rbtlse_error(case):
     kind, (m, n, p, d), poison, seed = case
@@ -129,6 +138,8 @@ def _close(X, Y, kappa):
 
 
 @SETTINGS
+@hypothesis.seed(int("b7847faebaad3880b602502488cfb3d5dcc749b4281f2ba6"
+                     "2d921bf7e6109a64e1eee2fd0c8ac1831c7064c3c03f8648", 16))
 @given(well_posed(), st.floats(1e-3, 1e3))
 def test_joint_scaling_leaves_x_and_kappa(case, zeta):
     kind, sizes, seed = case
@@ -146,6 +157,8 @@ def _rows(M, order):
 
 
 @SETTINGS
+@hypothesis.seed(int("7f98caa8a4846aa5dedaa678ddc3d70e1030120e4ac46929"
+                     "69a164eba49667ce7848415d61efec14b73445f43c90580c", 16))
 @given(well_posed())
 def test_row_permutation_leaves_x(case):
     kind, sizes, seed = case
@@ -171,6 +184,8 @@ def _orthogonal(kind, rng, size):
 
 
 @SETTINGS
+@hypothesis.seed(int("1881f51d22db8e957be35247d5f1620a58514db7ffcfd6bc"
+                     "1473e6ced960bf3d662f6d0651fc65c867fd66cec3bc3e32", 16))
 @given(well_posed())
 def test_right_factors_move_x_and_leave_correction_and_kappa(case):
     """A and C times an orthogonal T (unitary for the complex solve), B
@@ -210,6 +225,8 @@ def _assert_left_factors_leave_x_and_kappa(kind, problem, U, G):
 
 
 @SETTINGS
+@hypothesis.seed(int("d42a175869b31491e46eb57baa07af01a3046ef402718b64"
+                     "462bff23205fbd1637b57843233db7c54348851c6f36d25a", 16))
 @given(well_posed())
 def test_left_unitary_factors_leave_x_and_kappa(case):
     """U (m x m) and G (p x p) complex unitary, embedded by
@@ -230,6 +247,8 @@ def _unit(name, size):
 
 
 @SETTINGS
+@hypothesis.seed(int("c59a8d2b77a124cd4af4db05d7ed2f1005a536005250ba91"
+                     "ba787ba95ffca9bb74a80d4c98fdbac74ef199e0f0be4496", 16))
 @given(well_posed(), st.sampled_from("jk"))
 def test_rb_units_leave_x_and_kappa(case, unit):
     """The diagonal RB matrix of j or k permutes and signs the rows of
@@ -252,6 +271,8 @@ def shared_data(draw):
 
 
 @SETTINGS
+@hypothesis.seed(int("3a287677d7f1de8c5745a61534637c5424218ffb94e39f53"
+                     "32c9e8788bde7e74d9909656e9dcc87b3f02e4b1ad0c9226", 16))
 @given(shared_data())
 def test_complex_correction_is_at_most_real(case):
     """The real solve's X and correction are feasible for the complex
@@ -302,6 +323,8 @@ def _assert_stationary_minimum(f, X, direction, t):
 
 
 @SETTINGS
+@hypothesis.seed(int("97547536e44dc9f5da4759eafc14e2482f6c968eabdeb6aa"
+                     "c2deeebc92518bd8958471e29ed492b1889ebae1e9f0a56b", 16))
 @given(well_posed())
 def test_tls_objective_is_stationary_along_feasible_directions(case):
     """f(X) = ||(Ac X - Bc)(I + X^H X)^(-1/2)||_F^2, the total least
@@ -332,6 +355,8 @@ def test_tls_objective_is_stationary_along_feasible_directions(case):
 
 
 @SETTINGS
+@hypothesis.seed(int("b6d2658534c23edd55b83c5fe5512d027ee7e58178d5f069"
+                     "af016cdd1e16d54de1810f18a824d2f5ffee98fd73bbd1ce", 16))
 @given(well_posed())
 def test_lse_objective_is_stationary_along_feasible_directions(case):
     """||Ac X - Bc||_F is at a strict local minimum at the least squares
@@ -356,6 +381,8 @@ def test_lse_objective_is_stationary_along_feasible_directions(case):
 
 
 @SETTINGS
+@hypothesis.seed(int("428befe03b1de1a3f8c8b8c8f0ec0703c8804fb1f97b2273"
+                     "56e161034c5541c23e5c8694e485f51273586b85611aac20", 16))
 @given(well_posed(max_n=5))
 def test_kappa_matches_brute_force_jacobian(case):
     kind, sizes, seed = case
@@ -374,6 +401,8 @@ def finite_rb_matrices(draw):
 
 
 @SETTINGS
+@hypothesis.seed(int("0c7ddd10b3dfda3c994849f1cecf1fd184368c262fc1150e"
+                     "6ba554dcc7839ca40046189c08c1ae7966cdeb003977933d", 16))
 @given(finite_rb_matrices())
 @example(rb.RBMatrix(*np.array([-0.0, 5e-324, -2.5e-310, 1.0])
                      .reshape(4, 1, 1)))        # -0.0 and subnormals
@@ -406,6 +435,7 @@ EDITS = st.one_of(
               st.binary(min_size=1, max_size=8)),
     st.tuples(st.just("header"), st.just(0),
               st.tuples(DIMS, DIMS).map(lambda mn: b"RBMAT %d %d" % mn)))
+EYE2 = rb.RBMatrix.from_real(np.eye(2))
 
 
 def _edited(path, edit) -> None:
@@ -437,12 +467,14 @@ def _edited(path, edit) -> None:
 
 
 @SETTINGS
+@hypothesis.seed(int("1b827fab3ca295f0b03fb756cd0513c82f0fd27dd1fc4a28"
+                     "64747e2506675302d8f0f07768d19e2d011afda7cd7b63a7", 16))
 @given(finite_rb_matrices(), EDITS)
 @example(rb.RBMatrix.zeros(2, 0), ("header", 0, b"RBMAT 0 1000000000000"))
-@example(rb.RBMatrix.eye(2), ("header", 0, b"RBMAT 1000000000000 2"))
-@example(rb.RBMatrix.eye(2), ("header", 0, b"RBMAT 2 1000000000000"))
-@example(rb.RBMatrix.eye(2), ("token", 3, b"+1e-5"))     # still valid
-@example(rb.RBMatrix.eye(2), ("bytes", 13, b"\r"))      # CR before LF
+@example(EYE2, ("header", 0, b"RBMAT 1000000000000 2"))
+@example(EYE2, ("header", 0, b"RBMAT 2 1000000000000"))
+@example(EYE2, ("token", 3, b"+1e-5"))     # still valid
+@example(EYE2, ("bytes", 13, b"\r"))      # CR before LF
 def test_an_edited_rbmat_file_reads_or_is_refused(P, edit):
     """After one edit a file either reads to a matrix that round-trips
     bit for bit or is refused with FileFormatError; no other error, a
@@ -462,6 +494,8 @@ def test_an_edited_rbmat_file_reads_or_is_refused(P, edit):
 
 
 @SETTINGS
+@hypothesis.seed(int("afb2a62fa38f837a09f35029afdf3a77ed5e584623ade13e"
+                     "56b1a2d7510eda8c142d40621bffe550a04697a723731744", 16))
 @given(st.sampled_from(sorted(ALGEBRAS)), st.sampled_from("abcd"), EDITS)
 def test_solve_on_an_edited_file_exits_cleanly(kind, key, edit):
     """``solve-<kind>`` on the four files of a t = 1 instance, one of

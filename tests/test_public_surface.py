@@ -216,3 +216,30 @@ def test_one_four_component_draw_in_the_tests():
                     and any(map(_over_range_4, node.args))):
                 builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def test_only_the_solve_builds_a_solution():
+    """tlse._solve is the one place a TlseSolution is built, and no module
+    copies a dataclass with dataclasses.replace: code that needs a
+    solution's arrays scaled or changed works on them, so every
+    TlseSolution holds the factors of its own problem's solve."""
+    builders, copiers = set(), []
+    for path in sorted((ROOT / "src" / "rbtlse").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                builders |= {
+                    f"{path.name}:{getattr(func, 'name', 'lambda')}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and "TlseSolution" in {getattr(node.func, key, None)
+                                           for key in ("id", "attr")}}
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.ImportFrom)
+                 and node.module == "dataclasses"
+                 and "replace" in {alias.name for alias in node.names})
+                    or (isinstance(node, ast.Attribute)
+                        and ast.unparse(node) == "dataclasses.replace")):
+                copiers.append(f"{path.name}:{node.lineno}")
+    assert builders == {"tlse.py:_solve"}
+    assert copiers == []

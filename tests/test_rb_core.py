@@ -95,7 +95,7 @@ def test_matrix_constructors():
     assert z.shape == (2, 3)
     assert np.all(z.p0 == 0) and np.all(z.p3 == 0)
 
-    e = rb.RBMatrix.eye(3)
+    e = rb.RBMatrix.from_real(np.eye(3))
     assert np.array_equal(e.p0, np.eye(3))
     assert np.all(e.p1 == 0)
 
@@ -116,7 +116,7 @@ def test_equality_and_hash():
     b = rb.RBMatrix(a.p0, a.p1, a.p2, a.p3)
     assert a == b
     assert hash(a) == hash(b)
-    c = b + rb.RBMatrix.eye(2)
+    c = b + rb.RBMatrix.from_real(np.eye(2))
     assert a != c
     assert a != "not a matrix"
 
@@ -129,7 +129,7 @@ def test_repr_names_shape_and_norm():
 
 
 def test_immutability():
-    a = rb.RBMatrix.eye(2)
+    a = rb.RBMatrix.from_real(np.eye(2))
     with pytest.raises((ValueError, AttributeError)):
         a.p0[0, 0] = 5.0
 
@@ -219,7 +219,7 @@ def test_real_repr_of_units():
     ], dtype=float)
     assert np.array_equal(oracles.real_repr(i), expect_i)
 
-    one = rb.RBMatrix.eye(1)
+    one = rb.RBMatrix.from_real(np.eye(1))
     assert np.array_equal(oracles.real_repr(one), np.eye(4))
 
     j = rb.RBMatrix([[0.0]], [[0.0]], [[1.0]], [[0.0]])
@@ -568,7 +568,7 @@ def test_rbmat_golden_bytes(tmp_path, P, text):
 ], ids=["truncated", "ragged", "blank", "non-numeric"])
 def test_rbmat_error_names_block_and_row(tmp_path, mutate, message):
     path = tmp_path / "bad.rbmat"
-    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    rb.write_rbmat(path, rb.RBMatrix.from_real(np.eye(2)))
     lines = path.read_text().splitlines()
     # no final newline, so a dropped last row truncates the block
     path.write_text("\n".join(mutate(lines)))
@@ -577,7 +577,7 @@ def test_rbmat_error_names_block_and_row(tmp_path, mutate, message):
 
 
 def test_rbmat_header_format(tmp_path):
-    P = rb.RBMatrix.eye(2)
+    P = rb.RBMatrix.from_real(np.eye(2))
     path = tmp_path / "e.rbmat"
     rb.write_rbmat(path, P)
     first = path.read_text().splitlines()[0]
@@ -601,7 +601,7 @@ def test_rbmat_header_format(tmp_path):
     lambda lines: ["RBMAT -1 2"] + lines[1:],           # negative dimension
 ])
 def test_rbmat_malformed(tmp_path, mutate):
-    P = rb.RBMatrix.eye(2)
+    P = rb.RBMatrix.from_real(np.eye(2))
     path = tmp_path / "bad.rbmat"
     rb.write_rbmat(path, P)
     lines = path.read_text().splitlines()
@@ -613,7 +613,7 @@ def test_rbmat_malformed(tmp_path, mutate):
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
 def test_rbmat_rejects_non_finite(tmp_path, token):
     path = tmp_path / "bad.rbmat"
-    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    rb.write_rbmat(path, rb.RBMatrix.from_real(np.eye(2)))
     lines = path.read_text().splitlines()
     lines[-1] = f"0.0 {token}"
     path.write_text("\n".join(lines) + "\n")
@@ -625,7 +625,7 @@ def test_rbmat_write_non_finite_leaves_file(tmp_path):
     """A nan matrix is refused before anything is written, so the file it
     would have replaced stays byte-identical."""
     path = tmp_path / "p.rbmat"
-    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    rb.write_rbmat(path, rb.RBMatrix.from_real(np.eye(2)))
     before = path.read_bytes()
     bad = rb.RBMatrix([[np.nan, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]],
                       [[0.0, 0.0]])
@@ -636,7 +636,7 @@ def test_rbmat_write_non_finite_leaves_file(tmp_path):
 
 
 def test_rbmat_missing_blank_separator(tmp_path):
-    P = rb.RBMatrix.eye(1)
+    P = rb.RBMatrix.from_real(np.eye(1))
     path = tmp_path / "sep.rbmat"
     rb.write_rbmat(path, P)
     text = path.read_text().replace("\n\n", "\n", 1)
@@ -649,7 +649,7 @@ def test_rbmat_write_is_atomic(tmp_path, monkeypatch):
     """A failed write leaves an existing file byte-identical and no temp
     file behind."""
     path = tmp_path / "p.rbmat"
-    rb.write_rbmat(path, rb.RBMatrix.eye(2))
+    rb.write_rbmat(path, rb.RBMatrix.from_real(np.eye(2)))
     before = path.read_bytes()
 
     def fail(src, dst):
@@ -664,7 +664,8 @@ def test_rbmat_write_is_atomic(tmp_path, monkeypatch):
 
 def test_rbmat_write_to_missing_directory(tmp_path):
     with pytest.raises(OSError):
-        rb.write_rbmat(tmp_path / "nope" / "p.rbmat", rb.RBMatrix.eye(2))
+        rb.write_rbmat(tmp_path / "nope" / "p.rbmat",
+                       rb.RBMatrix.from_real(np.eye(2)))
     assert list(tmp_path.iterdir()) == []
 
 

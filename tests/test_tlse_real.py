@@ -352,6 +352,69 @@ def test_block_not_invertible_raised(kind):
         solve(problem)
 
 
+def _prescribed(kind, p, sigma, v22_sv=None) -> TlseProblem:
+    """The problem of sizes (6, 6, p, 2) whose stacks
+    oracles.prescribed_stacks builds with the spectrum ``sigma`` (and of
+    V22 ``v22_sv``), drawn from seed 0."""
+    algebra, n = ALGEBRAS[kind], 6
+    P, S = oracles.prescribed_stacks(
+        np.random.default_rng(0), kind == "complex", algebra.q * 6, n, 2,
+        algebra.q * p, sigma, v22_sv)
+    return TlseProblem(*(algebra.from_column(M) for M in (
+        P[:, :n], P[:, n:], S[:, :n], S[:, n:])))
+
+
+def _meets_criteria_1_2(problem, solution) -> bool:
+    """eps1 and eps2 of criteria 1-2 below 1e-10, normwise relative
+    (over ||A|| ||X|| + ||B|| and ||C|| ||X|| + ||D||) as the benchmark's
+    solve check applies them: an X near 1/sigma_min(V22) = 5e11 has an
+    absolute residual of ~eps * 5e11 however backward stable the solve."""
+    eps1, eps2 = residuals_real(problem, solution)
+    x, norm = np.linalg.norm(solution.X), rb.frobenius_norm
+    return (eps1 <= 1e-10 * (norm(problem.A) * x + norm(problem.B))
+            and eps2 <= 1e-10 * (norm(problem.C) * x + norm(problem.D)))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_gap_rule_at_its_threshold(kind, factor):
+    """A prescribed gap sigma_k - sigma_{k+1} of ``factor`` times
+    _GAP_REL * sigma_1, with one constraint row: at half the threshold
+    the solve refuses, at twice it returns a solution meeting criteria
+    1-2."""
+    k = 6 - ALGEBRAS[kind].q     # n - r, with sigma_1 = 1
+    sigma = np.r_[np.linspace(1.0, 0.5, k), 0.5 - factor * _GAP_REL, 0.25]
+    problem = _prescribed(kind, 1, sigma)
+    solve = ALGEBRAS[kind].solve
+    if factor < 1:
+        with pytest.raises(GapConditionFailed):
+            solve(problem)
+        return
+    solution = solve(problem)
+    assert solution.gap == pytest.approx(factor * _GAP_REL, rel=1e-3)
+    assert _meets_criteria_1_2(problem, solution)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_v22_rule_at_its_threshold(kind, factor):
+    """A prescribed sigma_min(V22) of ``factor`` / _COND_MAX (p = 0, so
+    V22 is a block of the right singular vectors): at half the threshold
+    the solve refuses, at twice it returns a solution meeting criteria
+    1-2."""
+    sigma = np.r_[np.linspace(1.0, 0.5, 6), 0.1, 0.05]
+    problem = _prescribed(kind, 0, sigma, [1.0, factor / _COND_MAX])
+    solve = ALGEBRAS[kind].solve
+    if factor < 1:
+        with pytest.raises(BlockNotInvertible):
+            solve(problem)
+        return
+    solution = solve(problem)
+    assert solution.v22_condition == pytest.approx(_COND_MAX / factor,
+                                                   rel=1e-3)
+    assert _meets_criteria_1_2(problem, solution)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_data_norm_is_norm_of_the_stacks(kind):
     """||[J, K]||_F equals the norm of either algebra's stacks P and S,
