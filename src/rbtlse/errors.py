@@ -2,9 +2,8 @@
 
 __all__ = [
     "RbtlseError", "DimensionMismatch", "AssumptionViolated",
-    "GapConditionFailed", "BlockNotInvertible", "DegenerateSpectrum",
-    "ConditioningUndefined", "FactorizationFailed", "NonFiniteInput",
-    "FileFormatError",
+    "GapConditionFailed", "BlockNotInvertible", "ConditioningUndefined",
+    "FactorizationFailed", "NonFiniteInput", "FileFormatError",
 ]
 
 
@@ -19,8 +18,8 @@ class DimensionMismatch(RbtlseError):
 class AssumptionViolated(RbtlseError):
     """A structural precondition of the solver does not hold.
 
-    Raised when the data matrix is not tall enough for the reduced problem
-    or when the stacked constraint block is numerically rank deficient.
+    Raised when the stacked constraint block is numerically rank
+    deficient, or when the baseline's reduced block Ac Q2 is.
     """
 
 
@@ -35,10 +34,6 @@ class GapConditionFailed(RbtlseError):
 class BlockNotInvertible(RbtlseError):
     """The trailing block of the partitioned singular vectors is too
     ill-conditioned to invert."""
-
-
-class DegenerateSpectrum(RbtlseError):
-    """The smallest retained singular value is not strictly positive."""
 
 
 class ConditioningUndefined(RbtlseError):

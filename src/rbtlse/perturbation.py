@@ -193,7 +193,7 @@ def _gram(solution: TlseSolution, f: float) -> np.ndarray:
     both sides by the d entries of D^-1 at unconstrained column j.
 
     Raises ConditioningUndefined when S, whose singular values are read
-    off R, has numerical rank below r, or the resolvent is singular.
+    off R, has numerical rank below r.
     """
     P, V_check, X = solution.P, solution.V_check, solution.X
     R, sigma = f * solution.R, f * solution.sigma
@@ -225,12 +225,10 @@ def _gram(solution: TlseSolution, f: float) -> np.ndarray:
     V = np.linalg.inv(V_check[n:, k:].T)
 
     # D at the unconstrained columns j (rows) and right-hand sides i
-    # (columns); at the constrained columns it is 1 (module docstring)
+    # (columns); at the constrained columns it is 1 (module docstring).
+    # The solve's gap rule keeps it positive: sig1[k-1] - sig2[0] >
+    # _GAP_REL * sigma_1 holds after the scaling by f as well
     denom = sig1[:, None] ** 2 - sig2 ** 2
-    if np.any(denom <= 0.0):
-        raise ConditioningUndefined(
-            "diagonal resolvent in G is singular: gap condition violated, "
-            "or squared singular values underflow at this data scale")
 
     Wf = W[:, r:]
     WfD = Wf / denom.T[:, None, :]

@@ -35,10 +35,12 @@ stacks), with r = q*p the row count of S:
    (with p = 0, S^H has no columns and Q2 is the identity), and the
    leading r columns Q1 and the triangle R are kept for the condition
    number, which needs nothing else of S;
-3. singular values and right singular vectors of P @ Q2, taken from the
-   SVD of its small R factor, so the tall left factor U is never formed;
-   the d trailing right singular vectors, pushed back through Q2 into
-   V_check and partitioned, give X = -V12 @ inv(V22);
+3. all n+d-r singular values and right singular vectors of P @ Q2,
+   taken from the SVD of its small R factor (padded with zero rows to
+   square when P @ Q2 has fewer rows than columns), so the tall left
+   factor U is never formed; the d trailing right singular vectors,
+   pushed back through Q2 into V_check and partitioned, give
+   X = -V12 @ inv(V22);
 4. the norm of the minimizing perturbation is sqrt(sum S2^2), by the
    scale-safe norm of rb_core, so that it neither overflows nor
    underflows.  The perturbation itself is formed only when it is first
@@ -48,12 +50,16 @@ stacks), with r = q*p the row count of S:
    stacks, from_real_block_column otherwise).  Callers that read only X
    never pay for it.
 
-Uniqueness needs a strict gap between singular values n-r and n-r+1 of
-P @ Q2, strictly positive singular values and an invertible V22; each is
-checked against a fixed threshold (_GAP_REL, _COND_MAX below; the V22
-check also covers the block W1 that the condition number inverts) and
-reported through the error taxonomy rather than patched over.  The QRs
-and SVDs are numpy's (LAPACK), called directly.
+The solution exists and is unique when Cc has full row rank, singular
+values n-r and n-r+1 of P @ Q2 are separated by a strict gap and V22 is
+invertible (Van Huffel and Vandewalle, The Total Least Squares Problem,
+ch. 3); these are the solve's only refusals.  A zero trailing singular
+value only means the system is compatible, and fewer than n-r rows
+leave no gap.  The gap and V22 are checked against fixed thresholds
+(_GAP_REL, _COND_MAX below; the V22 check also covers the block W1 that
+the condition number inverts) and reported through the error taxonomy
+rather than patched over.  The QRs and SVDs are numpy's (LAPACK), called
+directly.
 
 The baseline, equality-constrained least squares, treats only the
 right-hand side as uncertain:
@@ -81,9 +87,8 @@ import numpy as np
 
 from . import rb_core as rb
 from .errors import (AssumptionViolated, BlockNotInvertible,
-                     ConditioningUndefined, DegenerateSpectrum,
-                     DimensionMismatch, FactorizationFailed,
-                     GapConditionFailed, NonFiniteInput)
+                     ConditioningUndefined, DimensionMismatch,
+                     FactorizationFailed, GapConditionFailed, NonFiniteInput)
 
 __all__ = [
     "TlseProblem",
@@ -202,8 +207,8 @@ class TlseSolution:
     S = [Cc, Dc] (r rows) only the leading factors of the complete QR of
     S^H that gave the null space are kept, Q1 ((n+d)-by-r) and the
     triangle R (r-by-r), S^H = Q1 R: the conditioning module forms S^+ =
-    Q1 R^-H and reads the singular values of S off R.  P, V_check, Q1
-    and R are read-only.  problem is the TlseProblem solved,
+    Q1 R^-H and reads the singular values of S off R.  sigma, P,
+    V_check, Q1 and R are read-only.  problem is the TlseProblem solved,
     kept by reference, not copied, so the conditioning module reads its
     sizes from the solution.
 
@@ -268,37 +273,30 @@ def _stacks(problem: TlseProblem,
 
 @_lapack_failures
 def _solve(problem: TlseProblem, column: Callable) -> TlseSolution:
-    n, d = problem.A.cols, problem.B.cols
+    n = problem.A.cols
     P, S = _stacks(problem, column)
     r = S.shape[0]
-    # the reduced matrix P @ Q2 (n+d-r cols) must be tall for the
-    # trailing singular subspace to have dimension d
-    if P.shape[0] < n + d - r:
-        raise AssumptionViolated(
-            f"not enough rows: P has {P.shape[0]}, fewer than "
-            f"n+d-r = {n + d - r}")
     Q, R = np.linalg.qr(S.conj().T, mode="complete")
     Q1, R, Q2 = Q[:, :r], R[:r], Q[:, r:]
     # P @ Q2 shares singular values and right singular vectors with the
-    # small triangle of its own QR, so the tall left factor is never formed
-    _, sigma, Vh = np.linalg.svd(np.linalg.qr(P @ Q2, mode="r"),
-                                 full_matrices=False)
+    # small triangle of its own QR, so the tall left factor is never
+    # formed; a wide triangle (fewer rows than n+d-r) gets zero rows, so
+    # sigma holds all n+d-r values
+    T = np.linalg.qr(P @ Q2, mode="r")
+    square = np.zeros((T.shape[1],) * 2, dtype=T.dtype)
+    square[:len(T)] = T
+    _, sigma, Vh = np.linalg.svd(square, full_matrices=False)
     V_check = Q2 @ Vh.conj().T
 
     k = n - r
-    if sigma[-1] <= 0.0:
-        raise DegenerateSpectrum(
-            f"smallest retained singular value {sigma[-1]:.3e} is not "
-            f"strictly positive")
     gap = np.inf if k == 0 else float(sigma[k - 1] - sigma[k])
-    if k > 0 and gap <= _GAP_REL * sigma[0]:
+    if gap <= _GAP_REL * sigma[0]:
         raise GapConditionFailed(
             f"singular value gap {gap:.3e} at position {k} is not above "
             f"{_GAP_REL:.0e} * sigma_1; the solution is not unique")
 
     V12, V22 = V_check[:n, k:], V_check[n:, k:]
     sv = np.linalg.svd(V22, compute_uv=False)
-    v22_cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if not sv[-1] * _COND_MAX > 1.0:
         raise BlockNotInvertible(
             f"trailing block V22 smallest singular value {sv[-1]:.3e} is "
@@ -308,10 +306,10 @@ def _solve(problem: TlseProblem, column: Callable) -> TlseSolution:
 
     # the deferred correction and the conditioning read these after the
     # solve returns
-    for kept in (P, V_check, Q1, R):
+    for kept in (sigma, P, V_check, Q1, R):
         kept.setflags(write=False)
     return TlseSolution(
-        X=X, sigma=sigma, gap=gap, v22_condition=v22_cond,
+        X=X, sigma=sigma, gap=gap, v22_condition=float(sv[0] / sv[-1]),
         residual_perturbation_norm=rb._norm(sigma[k:]),
         P=P, V_check=V_check, Q1=Q1, R=R, problem=problem)
 
@@ -320,9 +318,10 @@ def solve_real(problem: TlseProblem) -> TlseSolution:
     """Solve for the unique real X over the 4m-row real stacks; see the
     module docstring for the steps.
 
-    Raises AssumptionViolated, GapConditionFailed, BlockNotInvertible or
-    DegenerateSpectrum when the data leaves the theory's premises, and
-    FactorizationFailed when a LAPACK call fails.
+    Raises AssumptionViolated (Cc without full row rank),
+    GapConditionFailed or BlockNotInvertible when the data leaves the
+    premises of the uniqueness theorem, and FactorizationFailed when a
+    LAPACK call fails.
     """
     return _solve(problem, rb.real_block_column)
 

@@ -4,7 +4,9 @@ Every test that draws reduced biquaternion data draws it here or through
 ``rbtlse.bench.gen_instance``, which takes the same stream: an m x n RB
 matrix is its four components drawn one after the other.  A consistent
 system draws A, then C, then its exact solution X, and takes B = A X and
-D = C X.  ``ALGEBRAS`` names, per algebra, the rows of the stacks per
+D = C X.  The random orthogonal or unitary factors and the diagonal RB
+units j and k that the invariance tests multiply the data by are built
+here too.  ``ALGEBRAS`` names, per algebra, the rows of the stacks per
 matrix row, the four entry points the tests call and the block-column
 map and its inverse.  Unlike ``tests/oracles.py``, this module builds
 on ``rbtlse``.
@@ -16,6 +18,8 @@ path).
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 import rbtlse.rb_core as rb
 from rbtlse.perturbation import condition_complex, condition_real
@@ -64,3 +68,22 @@ def consistent(kind, rng, m, n, p, d, uniform=False):
     if kind == "complex":
         X = X + 1j * rng.standard_normal((n, d))
     return solved_by(A, C, X), X
+
+
+def orthogonal(kind, rng, size):
+    """A random size x size real orthogonal matrix (complex unitary for
+    the complex kind), the Q of a standard normal draw from ``rng``, and
+    its RB embedding."""
+    M = rng.standard_normal((size, size))
+    if kind == "real":
+        T = np.linalg.qr(M)[0]
+        return T, rb.RBMatrix.from_real(T)
+    T = np.linalg.qr(M + 1j * rng.standard_normal((size, size)))[0]
+    return T, rb.RBMatrix.from_complex(T)
+
+
+def rb_unit(name, size):
+    """The size x size diagonal RB matrix of the unit j or k."""
+    eye, zero = np.eye(size), np.zeros((size, size))
+    return (rb.RBMatrix(zero, zero, eye, zero) if name == "j"
+            else rb.RBMatrix(zero, zero, zero, eye))

@@ -21,7 +21,8 @@ import pytest
 import oracles
 import rbtlse.perturbation as perturbation
 import rbtlse.rb_core as rb
-from instances import ALGEBRAS, consistent, rand_rb, solved_by
+from instances import (ALGEBRAS, consistent, orthogonal, rand_rb, rb_unit,
+                       solved_by)
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
                            ConditioningUndefined, DimensionMismatch,
@@ -217,28 +218,14 @@ def test_kappa_at_experiment_size(kind):
     assert 0.99 <= fwd / (kappa * eps) <= 1.01
 
 
-def _unitary(kind, size):
-    """A size x size real orthogonal matrix (complex unitary for the
-    complex kind) drawn from a generator seeded by ``size``, and its RB
-    embedding."""
-    rng = np.random.default_rng(size)
-    M = rng.standard_normal((size, size))
-    if kind == "real":
-        T = np.linalg.qr(M)[0]
-        return T, rb.RBMatrix.from_real(T)
-    T = np.linalg.qr(M + 1j * rng.standard_normal((size, size)))[0]
-    return T, rb.RBMatrix.from_complex(T)
-
-
 def _left_factor(unit, size):
     """The size x size RB matrix that left-multiplies the data: the
     diagonal matrix of the unit j or k, or for "unitary" a random complex
-    unitary matrix embedded by RBMatrix.from_complex."""
+    unitary matrix, drawn from a generator seeded by ``size`` and
+    embedded by RBMatrix.from_complex."""
     if unit == "unitary":
-        return _unitary("complex", size)[1]
-    eye, zero = np.eye(size), np.zeros((size, size))
-    return (rb.RBMatrix(zero, zero, eye, zero) if unit == "j"
-            else rb.RBMatrix(zero, zero, zero, eye))
+        return orthogonal("complex", np.random.default_rng(size), size)[1]
+    return rb_unit(unit, size)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -274,7 +261,8 @@ def test_right_factors_move_x_at_experiment_size(kind, t):
     solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
     prob = gen_instance(kind, accuracy_sizes(kind, t), 3)
     _, n, _, d = prob.sizes
-    (T, T_rb), (Td, Td_rb) = _unitary(kind, n), _unitary(kind, d)
+    (T, T_rb), (Td, Td_rb) = (orthogonal(kind, np.random.default_rng(k), k)
+                              for k in (n, d))
     moved = TlseProblem(A=prob.A @ T_rb, B=prob.B @ Td_rb, C=prob.C @ T_rb,
                         D=prob.D @ Td_rb)
     sol, sol2 = solve(prob), solve(moved)

@@ -36,7 +36,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import rbtlse.rb_core as rb
-from instances import ALGEBRAS, consistent, rand_rb
+from instances import ALGEBRAS, consistent, orthogonal, rand_rb, rb_unit
 from rbtlse import cli
 from rbtlse.bench import accuracy_sizes, gen_instance
 from rbtlse.errors import FileFormatError, RbtlseError
@@ -172,17 +172,6 @@ def test_row_permutation_leaves_x(case):
     assert _close(X, X2, kappa)
 
 
-def _orthogonal(kind, rng, size):
-    """A random size x size real orthogonal matrix (complex unitary for
-    the complex kind) and its RB embedding."""
-    M = rng.standard_normal((size, size))
-    if kind == "real":
-        T = np.linalg.qr(M)[0]
-        return T, rb.RBMatrix.from_real(T)
-    T = np.linalg.qr(M + 1j * rng.standard_normal((size, size)))[0]
-    return T, rb.RBMatrix.from_complex(T)
-
-
 @SETTINGS
 @hypothesis.seed(int("1881f51d22db8e957be35247d5f1620a58514db7ffcfd6bc"
                      "1473e6ced960bf3d662f6d0651fc65c867fd66cec3bc3e32", 16))
@@ -200,7 +189,7 @@ def test_right_factors_move_x_and_leave_correction_and_kappa(case):
         kappa = condition(problem, solution).kappa
     except RbtlseError:
         assume(False)
-    (T, T_rb), (Td, Td_rb) = (_orthogonal(kind, rng, k)
+    (T, T_rb), (Td, Td_rb) = (orthogonal(kind, rng, k)
                               for k in (sizes[1], sizes[3]))
     moved = TlseProblem(A=problem.A @ T_rb, B=problem.B @ Td_rb,
                         C=problem.C @ T_rb, D=problem.D @ Td_rb)
@@ -235,15 +224,8 @@ def test_left_unitary_factors_leave_x_and_kappa(case):
     kind, sizes, seed = case
     rng = np.random.default_rng(seed)
     problem = gen_instance(kind, sizes, rng)
-    U, G = (_orthogonal("complex", rng, k)[1] for k in (sizes[0], sizes[2]))
+    U, G = (orthogonal("complex", rng, k)[1] for k in (sizes[0], sizes[2]))
     _assert_left_factors_leave_x_and_kappa(kind, problem, U, G)
-
-
-def _unit(name, size):
-    """The size x size diagonal RB matrix of the unit j or k."""
-    eye, zero = np.eye(size), np.zeros((size, size))
-    return (rb.RBMatrix(zero, zero, eye, zero) if name == "j"
-            else rb.RBMatrix(zero, zero, zero, eye))
 
 
 @SETTINGS
@@ -256,13 +238,14 @@ def test_rb_units_leave_x_and_kappa(case, unit):
     kind, sizes, seed = case
     problem = gen_instance(kind, sizes, seed)
     _assert_left_factors_leave_x_and_kappa(
-        kind, problem, _unit(unit, sizes[0]), _unit(unit, sizes[2]))
+        kind, problem, rb_unit(unit, sizes[0]), rb_unit(unit, sizes[2]))
 
 
 @st.composite
 def shared_data(draw):
-    """(m, n, p, d) that both the real (4p <= n) and the complex
-    (2m >= n + d - 2p) solve accept, and a seed."""
+    """(m, n, p, d) with 4p <= n, so that the real solve accepts the
+    constraints, and 2m >= n + d - 2p, so that P Q2 is tall in both
+    algebras, and a seed."""
     n = draw(st.integers(1, 8))
     p = draw(st.integers(0, n // 4))
     d = draw(st.integers(1, 3))

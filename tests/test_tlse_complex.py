@@ -13,7 +13,7 @@ import rbtlse.rb_core as rb
 from instances import consistent, rand_rb
 from rbtlse.bench import gen_instance
 from rbtlse.errors import (AssumptionViolated, DimensionMismatch,
-                           NonFiniteInput)
+                           GapConditionFailed, NonFiniteInput)
 from rbtlse.tlse import (TlseProblem, solve_complex, solve_real,
                          residuals_complex)
 
@@ -135,8 +135,8 @@ def test_too_many_constraints_rejected():
 
 def test_too_few_rows_rejected():
     rng = np.random.default_rng(9)
-    # 2m = 2 < n + d - 2p = 8
-    with pytest.raises(AssumptionViolated):
+    # 2m = 2 < n - 2p = 6: singular values 6 and 7 of P are both 0
+    with pytest.raises(GapConditionFailed):
         solve_complex(TlseProblem(
             A=rand_rb(rng, 1, 6), B=rand_rb(rng, 1, 2),
             C=rb.RBMatrix.zeros(0, 6), D=rb.RBMatrix.zeros(0, 2)))

@@ -17,8 +17,7 @@ import rbtlse.rb_core as rb
 from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
-                           ConditioningUndefined, DegenerateSpectrum,
-                           DimensionMismatch,
+                           ConditioningUndefined, DimensionMismatch,
                            FactorizationFailed, GapConditionFailed,
                            NonFiniteInput, RbtlseError)
 from rbtlse.perturbation import PerturbationInstance, epsilon_n
@@ -145,11 +144,11 @@ def test_correction_read_after_conditioning_is_unchanged(kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("name", ["P", "V_check", "Q1", "R"])
+@pytest.mark.parametrize("name", ["sigma", "P", "V_check", "Q1", "R"])
 def test_kept_factors_are_read_only(kind, name):
     sol = ALGEBRAS[kind].solve(gen_instance(kind, accuracy_sizes(kind, 1), 0))
     with pytest.raises(ValueError):
-        getattr(sol, name)[0, 0] = 0.0
+        getattr(sol, name).flat[0] = 0.0
 
 
 def test_solution_fields():
@@ -332,12 +331,72 @@ def test_gap_condition_failure_raised(kind):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_degenerate_spectrum_raised(kind):
-    # all-zero data: every singular value is exactly 0
+    # all-zero data: every singular value is exactly 0, so the gap of 0
+    # is not above 1e-10 * 0
     solve = ALGEBRAS[kind].solve
     problem = _unconstrained(rb.RBMatrix.zeros(20, 8),
                              rb.RBMatrix.zeros(20, 2))
-    with pytest.raises(DegenerateSpectrum):
+    with pytest.raises(GapConditionFailed):
         solve(problem)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_zero_right_hand_sides_solve_with_zero_correction(kind, p):
+    """B = D = 0: X = 0 solves with no correction, so the trailing
+    singular values are 0, which only says the system is compatible;
+    kappa, relative to ||X||_F = 0, is undefined."""
+    algebra = ALGEBRAS[kind]
+    rng = np.random.default_rng(1)
+    problem = TlseProblem(A=rand_rb(rng, 6, 5), B=rb.RBMatrix.zeros(6, 2),
+                          C=rand_rb(rng, p, 5), D=rb.RBMatrix.zeros(p, 2))
+    sol = algebra.solve(problem)
+    assert np.all(sol.X == 0)
+    assert sol.sigma[-1] == 0.0
+    assert sol.residual_perturbation_norm == 0.0
+    assert residuals_real(problem, sol) == (0.0, 0.0)
+    with pytest.raises(ConditioningUndefined, match="X = 0"):
+        algebra.condition(problem, sol)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_constraints_that_fix_x_solve_zero_data(kind):
+    """A = B = 0 with r = n: every singular value of P @ Q2 is 0 and
+    there is no gap to check (k = 0), and X is the one solution Cc^-1 Dc
+    of the constraints."""
+    algebra = ALGEBRAS[kind]
+    n = algebra.q  # r = q p with p = 1
+    rng = np.random.default_rng(2)
+    problem = TlseProblem(A=rb.RBMatrix.zeros(3, n), B=rb.RBMatrix.zeros(3, 2),
+                          C=rand_rb(rng, 1, n), D=rand_rb(rng, 1, 2))
+    sol = algebra.solve(problem)
+    S = algebra.column(problem.C, problem.D)
+    X = np.linalg.solve(S[:, :n], S[:, n:])
+    assert np.linalg.norm(sol.X - X) <= 1e-14 * np.linalg.norm(X)
+    brute, _, _ = oracles.brute_kappa(problem, algebra.solve)
+    assert algebra.condition(problem, sol).kappa == pytest.approx(
+        brute, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, n, d", [("real", 3, 2), ("complex", 2, 1)])
+def test_wide_reduced_matrix_solves(kind, n, d):
+    """One matrix row, p = 0: P has q < n + d rows, yet its n + d
+    singular values (the last n + d - q of them 0) have a gap at n, so X
+    is unique and its correction norm is that of the trailing d."""
+    algebra = ALGEBRAS[kind]
+    rng = np.random.default_rng(1)
+    problem = _unconstrained(rand_rb(rng, 1, n), rand_rb(rng, 1, d))
+    sol = algebra.solve(problem)
+    assert sol.sigma.shape == (n + d,)
+    assert sol.sigma[-1] == 0.0
+    trailing = float(np.linalg.norm(sol.sigma[n:]))
+    assert sol.residual_perturbation_norm == pytest.approx(trailing,
+                                                           rel=1e-12)
+    correction = rb.frobenius_norm(oracles.hstack(sol.E_bar, sol.F_bar))
+    assert abs(correction - trailing) <= 1e-12 * problem.data_norm
+    brute, _, _ = oracles.brute_kappa(problem, algebra.solve)
+    assert algebra.condition(problem, sol).kappa == pytest.approx(
+        brute, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -526,10 +585,10 @@ def test_too_many_constraints_rejected():
 
 def test_too_few_rows_rejected():
     rng = np.random.default_rng(14)
-    # 4m = 4 < n + d - 4p = 12
+    # 4m = 4 < n - 4p = 10: singular values 10 and 11 of P are both 0
     prob_args = dict(A=rand_rb(rng, 1, 10), B=rand_rb(rng, 1, 2),
                      C=rb.RBMatrix.zeros(0, 10), D=rb.RBMatrix.zeros(0, 2))
-    with pytest.raises(AssumptionViolated):
+    with pytest.raises(GapConditionFailed):
         solve_real(TlseProblem(**prob_args))
 
 
