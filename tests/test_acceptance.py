@@ -16,8 +16,7 @@ import golden
 import oracles
 import rbtlse.rb_core as rb
 from instances import ALGEBRAS, consistent, rand_rb, solved_by
-from rbtlse.bench import gen_instance
-from rbtlse.perturbation import PerturbationInstance, scaled_to
+from rbtlse.bench import gen_instance, random_perturbation
 from rbtlse.tlse import solve_complex, solve_real
 
 
@@ -184,8 +183,7 @@ def _sampling_criterion(kind: str) -> bool:
         kappa = condition(prob, sol).kappa
         xn = np.linalg.norm(sol.X)
         for _ in range(5):
-            inst = scaled_to(PerturbationInstance(
-                prob, gen_instance("real", sizes, rng)), eps)
+            inst = random_perturbation(prob, rng, eps)
             fwd = np.linalg.norm(solve(inst.perturbed()).X - sol.X) / xn
             if fwd > kappa * eps * 1.001:
                 return False

@@ -16,16 +16,12 @@ from rbtlse.bench import gen_compare_instance
 from rbtlse.tlse import lse_solve_complex, lse_solve_real, solve_real
 
 
-def test_consistent_recovery_real():
-    prob, Xs = consistent("real", np.random.default_rng(0), 30, 10, 2, 2)
-    sol = lse_solve_real(prob.A, prob.B, prob.C, prob.D)
+@pytest.mark.parametrize("kind, n, seed", [("real", 10, 0), ("complex", 8, 1)],
+                         ids=["real", "complex"])
+def test_consistent_recovery(kind, n, seed):
+    prob, Xs = consistent(kind, np.random.default_rng(seed), 30, n, 2, 2)
+    sol = ALGEBRAS[kind].lse(prob.A, prob.B, prob.C, prob.D)
     assert np.linalg.norm(sol.X - Xs) <= 1e-9 * np.linalg.norm(Xs)
-
-
-def test_consistent_recovery_complex():
-    prob, Zs = consistent("complex", np.random.default_rng(1), 30, 8, 2, 2)
-    sol = lse_solve_complex(prob.A, prob.B, prob.C, prob.D)
-    assert np.linalg.norm(sol.X - Zs) <= 1e-9 * np.linalg.norm(Zs)
 
 
 def test_constraint_exactly_satisfied_on_noisy_data():
@@ -224,7 +220,7 @@ def test_left_unitary_invariance_at_compare_size(variant):
         M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         return rb.RBMatrix.from_complex(np.linalg.qr(M)[0])
 
-    solve = lse_solve_real if variant == "real" else lse_solve_complex
+    solve = ALGEBRAS[variant].lse
     U, G = unitary(pert.A.rows), unitary(pert.C.rows)
     X = solve(pert.A, pert.B, pert.C, pert.D).X
     moved = solve(U @ pert.A, U @ pert.B, G @ pert.C, G @ pert.D).X

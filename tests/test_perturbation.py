@@ -169,24 +169,18 @@ def _consistent_twin(problem, solve, seed):
     return solved_by(problem.A, problem.C, X)
 
 
-def test_kappa_equals_brute_force_jacobian_real():
-    noisy = gen_instance("real", (8, 4, 1, 2), 10)
-    for prob in (noisy, _consistent_twin(noisy, solve_real, 26),
-                 gen_instance("real", (12, 9, 2, 2), 0),
-                 gen_instance("real", (8, 5, 1, 5), 0)):
-        brute, sol, _ = oracles.brute_kappa(prob, solve_real)
-        kappa = condition_real(prob, sol).kappa
+@pytest.mark.parametrize("kind, seed, twin_seed, more", [
+    ("real", 10, 26, [(12, 9, 2, 2), (8, 5, 1, 5)]),
+    ("complex", 11, 27, [(12, 5, 2, 2), (8, 3, 1, 3)]),
+], ids=["real", "complex"])
+def test_kappa_equals_brute_force_jacobian(kind, seed, twin_seed, more):
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
+    noisy = gen_instance(kind, (8, 4, 1, 2), seed)
+    for prob in (noisy, _consistent_twin(noisy, solve, twin_seed),
+                 *(gen_instance(kind, sizes, 0) for sizes in more)):
+        brute, sol, _ = oracles.brute_kappa(prob, solve)
+        kappa = condition(prob, sol).kappa
         assert kappa == pytest.approx(brute, rel=1e-6)
-
-
-def test_kappa_equals_brute_force_jacobian_complex():
-    noisy = gen_instance("complex", (8, 4, 1, 2), 11)
-    for prob in (noisy, _consistent_twin(noisy, solve_complex, 27),
-                 gen_instance("complex", (12, 5, 2, 2), 0),
-                 gen_instance("complex", (8, 3, 1, 3), 0)):
-        brute, sol, _ = oracles.brute_kappa(prob, solve_complex)
-        kappa = condition_complex(prob, sol).kappa
-        assert brute == pytest.approx(kappa, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -396,16 +390,13 @@ def _check_paths_agree(prob, sol, kappa):
         kappa, rel=1e-8)
 
 
-def test_kappa_finite_and_paths_agree_real():
-    prob = gen_instance("real", (30, 10, 2, 2), 12)
-    sol = solve_real(prob)
-    _check_paths_agree(prob, sol, condition_real(prob, sol).kappa)
-
-
-def test_kappa_finite_and_paths_agree_complex():
-    prob = gen_instance("complex", (30, 6, 2, 3), 13)
-    sol = solve_complex(prob)
-    _check_paths_agree(prob, sol, condition_complex(prob, sol).kappa)
+@pytest.mark.parametrize("kind, sizes, seed", [("real", (30, 10, 2, 2), 12),
+                                               ("complex", (30, 6, 2, 3), 13)],
+                         ids=["real", "complex"])
+def test_kappa_finite_and_paths_agree(kind, sizes, seed):
+    prob = gen_instance(kind, sizes, seed)
+    sol = ALGEBRAS[kind].solve(prob)
+    _check_paths_agree(prob, sol, ALGEBRAS[kind].condition(prob, sol).kappa)
 
 
 def test_kappa_scale_invariance():
@@ -437,7 +428,7 @@ def test_kappa_at_extreme_scale(kind, e):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("e", [-300, -200, -170, -160, 160, 170, 200, 300])
-def test_kappa_refuses_out_of_range_scale(kind, e):
+def test_kappa_answers_at_out_of_range_scale(kind, e):
     """Scaled by 10**e, the t = 1 accuracy instance still solves, and
     kappa still answers, equal to the unit-scale kappa, although a Gram
     matrix of the unscaled factors would overflow (+-160 and beyond) or
@@ -665,63 +656,39 @@ def test_kappa_not_finite_and_positive_is_undefined(monkeypatch, lam):
 # first-order bound
 # ---------------------------------------------------------------------------
 
-def test_directional_sampling_respects_kappa_real():
-    prob = gen_instance("real", (30, 10, 2, 2), 20)
-    sol = solve_real(prob)
-    kappa = condition_real(prob, sol).kappa
+@pytest.mark.parametrize("kind, sizes, seed, rng_seed, samples", [
+    ("real", (30, 10, 2, 2), 20, 21, 200),
+    ("complex", (30, 6, 2, 3), 22, 23, 100),
+], ids=["real", "complex"])
+def test_directional_sampling_respects_kappa(kind, sizes, seed, rng_seed,
+                                             samples):
+    solve = ALGEBRAS[kind].solve
+    prob = gen_instance(kind, sizes, seed)
+    sol = solve(prob)
+    kappa = ALGEBRAS[kind].condition(prob, sol).kappa
     xn = np.linalg.norm(sol.X)
-    rng = np.random.default_rng(21)
-    eps = 1e-8
-    ratios = []
-    for _ in range(200):
-        inst = scaled_to(_rand_instance(prob, rng), eps)
-        sol2 = solve_real(inst.perturbed())
-        fwd = np.linalg.norm(sol2.X - sol.X) / xn
-        ratios.append(fwd / (kappa * eps))
-    assert max(ratios) <= 1 + 1e-3
-    assert max(ratios) >= 1e-2  # sampling is not vacuous
-
-
-def test_directional_sampling_respects_kappa_complex():
-    prob = gen_instance("complex", (30, 6, 2, 3), 22)
-    sol = solve_complex(prob)
-    kappa = condition_complex(prob, sol).kappa
-    xn = np.linalg.norm(sol.X)
-    rng = np.random.default_rng(23)
+    rng = np.random.default_rng(rng_seed)
     eps = 1e-8
     worst = 0.0
-    for _ in range(100):
-        inst = scaled_to(_rand_instance(prob, rng), eps)
-        sol2 = solve_complex(inst.perturbed())
-        worst = max(worst, np.linalg.norm(sol2.X - sol.X) / xn / (kappa * eps))
+    for _ in range(samples):
+        inst = random_perturbation(prob, rng, eps)
+        worst = max(worst, np.linalg.norm(solve(inst.perturbed()).X - sol.X)
+                    / xn / (kappa * eps))
     assert worst <= 1 + 1e-3
-    assert worst >= 1e-2
+    assert worst >= 1e-2  # sampling is not vacuous
 
 
+@pytest.mark.parametrize("kind, rng_seed, first_seed", [
+    ("real", 24, 1000), ("complex", 25, 2000)], ids=["real", "complex"])
 @pytest.mark.parametrize("eps", [1e-11, 1e-8, 1e-5])
-def test_bound_holds_across_magnitudes_real(eps):
-    rng = np.random.default_rng(24)
-    held = 0
+def test_bound_holds_across_magnitudes(eps, kind, rng_seed, first_seed):
+    solve, condition = ALGEBRAS[kind].solve, ALGEBRAS[kind].condition
+    rng = np.random.default_rng(rng_seed)
     for trial in range(20):
-        prob = gen_instance("real", (15, 6, 1, 2), 1000 + trial)
-        sol = solve_real(prob)
-        report = condition_real(prob, sol)
-        inst = scaled_to(_rand_instance(prob, rng), eps)
-        sol2 = solve_real(inst.perturbed())
-        fwd = np.linalg.norm(sol2.X - sol.X) / np.linalg.norm(sol.X)
-        assert fwd <= report.kappa * eps * 1.05
-        held += 1
-    assert held == 20
-
-
-@pytest.mark.parametrize("eps", [1e-11, 1e-8, 1e-5])
-def test_bound_holds_across_magnitudes_complex(eps):
-    rng = np.random.default_rng(25)
-    for trial in range(20):
-        prob = gen_instance("complex", (15, 6, 1, 2), 2000 + trial)
-        sol = solve_complex(prob)
-        report = condition_complex(prob, sol)
-        inst = scaled_to(_rand_instance(prob, rng), eps)
-        sol2 = solve_complex(inst.perturbed())
+        prob = gen_instance(kind, (15, 6, 1, 2), first_seed + trial)
+        sol = solve(prob)
+        report = condition(prob, sol)
+        inst = random_perturbation(prob, rng, eps)
+        sol2 = solve(inst.perturbed())
         fwd = np.linalg.norm(sol2.X - sol.X) / np.linalg.norm(sol.X)
         assert fwd <= report.kappa * eps * 1.05

@@ -4,7 +4,9 @@ Hypothesis draws the algebra, the shape and a seed; numpy draws the data
 from that seed, through ``gen_instance`` or ``tests/instances.py``.
 Both algebras and the least squares baseline run through the same
 strategies, which include an empty constraint (p = 0), a fully
-constrained solution (k = n - r = 0) and several right-hand sides.
+constrained solution (k = n - r = 0) and several right-hand sides; the
+invariances also run explicit examples with a wide reduced matrix
+(q m < n + d - r), which the strategies do not draw.
 Each test's examples come from an explicit seed, so the suite is
 reproducible and an edit to a test keeps its examples.  Besides the
 exact-recovery and error-taxonomy oracles, five invariances of the
@@ -141,6 +143,8 @@ def _close(X, Y, kappa):
 @hypothesis.seed(int("b7847faebaad3880b602502488cfb3d5dcc749b4281f2ba6"
                      "2d921bf7e6109a64e1eee2fd0c8ac1831c7064c3c03f8648", 16))
 @given(well_posed(), st.floats(1e-3, 1e3))
+@example(("real", (1, 3, 0, 2), 0), 3.7)     # wide: q m < n + d - r
+@example(("complex", (1, 2, 0, 1), 0), 3.7)
 def test_joint_scaling_leaves_x_and_kappa(case, zeta):
     kind, sizes, seed = case
     problem = gen_instance("real", sizes, seed)
@@ -176,6 +180,8 @@ def test_row_permutation_leaves_x(case):
 @hypothesis.seed(int("1881f51d22db8e957be35247d5f1620a58514db7ffcfd6bc"
                      "1473e6ced960bf3d662f6d0651fc65c867fd66cec3bc3e32", 16))
 @given(well_posed())
+@example(("real", (1, 3, 0, 2), 0))     # wide: q m < n + d - r
+@example(("complex", (1, 2, 0, 1), 0))
 def test_right_factors_move_x_and_leave_correction_and_kappa(case):
     """A and C times an orthogonal T (unitary for the complex solve), B
     and D times T_d: X becomes T^H X T_d, and the correction norm and
@@ -217,6 +223,8 @@ def _assert_left_factors_leave_x_and_kappa(kind, problem, U, G):
 @hypothesis.seed(int("d42a175869b31491e46eb57baa07af01a3046ef402718b64"
                      "462bff23205fbd1637b57843233db7c54348851c6f36d25a", 16))
 @given(well_posed())
+@example(("real", (1, 3, 0, 2), 0))     # wide: q m < n + d - r
+@example(("complex", (1, 2, 0, 1), 0))
 def test_left_unitary_factors_leave_x_and_kappa(case):
     """U (m x m) and G (p x p) complex unitary, embedded by
     RBMatrix.from_complex, multiply each stack by a unitary matrix (real
@@ -232,6 +240,8 @@ def test_left_unitary_factors_leave_x_and_kappa(case):
 @hypothesis.seed(int("c59a8d2b77a124cd4af4db05d7ed2f1005a536005250ba91"
                      "ba787ba95ffca9bb74a80d4c98fdbac74ef199e0f0be4496", 16))
 @given(well_posed(), st.sampled_from("jk"))
+@example(("real", (1, 3, 0, 2), 0), "j")     # wide: q m < n + d - r
+@example(("complex", (1, 2, 0, 1), 0), "k")
 def test_rb_units_leave_x_and_kappa(case, unit):
     """The diagonal RB matrix of j or k permutes and signs the rows of
     each stack, so X and kappa do not change."""

@@ -1,7 +1,10 @@
 """The public surface resolves: every name in the ``__all__`` of
 ``rbtlse`` and of each of its submodules, and every ``rbtlse.<name>`` the
 benchmark workloads reach, so a refactor that drops or renames one fails
-here instead of in a benchmark run.  The README's Python examples run."""
+here instead of in a benchmark run.  The README's Python examples run.
+AST checks keep the layout of the package and of its tests: each test
+file is named after a module or a listed suite, and no test module keeps
+a behaviour as _real/_complex twins."""
 
 import ast
 import functools
@@ -215,6 +218,43 @@ def test_one_four_component_draw_in_the_tests():
                     and any(map(_over_range_4, node.args))):
                 builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def test_no_test_module_has_algebra_twins():
+    """No test module defines both <name>_real and <name>_complex: a
+    behaviour of both algebras is one test over instances.ALGEBRAS, its
+    per-algebra data parametrized."""
+    twins = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        names = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+        twins += [f"{path.name}:{name}" for name in sorted(names)
+                  if name.endswith("_real")
+                  and name.removesuffix("_real") + "_complex" in names]
+    assert twins == []
+
+
+# the test files named after a suite rather than a module of src/rbtlse,
+# each with what it tests
+SUITES = {
+    "acceptance": "the acceptance criteria, on the paper's experiments",
+    "golden": "the seeded runs and reports pinned in tests/golden.json",
+    "properties": "property-based tests over the solve, RBMAT and the CLI",
+    "public_surface": "the package's names and the code and test layout",
+    "oracles": "the dense reference builds in tests/oracles.py",
+    "lse": "the paper's RBLSE baseline, which lives in tlse",
+}
+
+
+def test_every_test_file_names_a_module_or_a_suite():
+    """Each tests/test_<stem>.py names a module of src/rbtlse or a suite
+    of SUITES, and each suite has its file, so a test file cannot outlive
+    the module it is named after."""
+    modules = {path.stem for path in (ROOT / "src" / "rbtlse").glob("*.py")}
+    stems = {path.stem.removeprefix("test_")
+             for path in (ROOT / "tests").glob("test_*.py")}
+    assert stems - modules - SUITES.keys() == set()
+    assert SUITES.keys() <= stems
 
 
 def test_only_the_solve_builds_a_solution():

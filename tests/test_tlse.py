@@ -1,10 +1,14 @@
-"""Real-solution solver tests.
+"""Solver tests, each over both algebras.
 
 The strongest oracle is construction: build a consistent system from a
-known real X*, solve, and demand recovery plus near-zero fitted
-correction.  Optimality is spot-checked by sampling feasible
-correction/solution pairs around the solver's own answer and verifying
-none beats the reported minimum.
+known real or complex X*, solve, and demand recovery plus near-zero
+fitted correction.  Optimality is spot-checked by sampling feasible
+correction/solution pairs around the real solver's own answer and
+verifying none beats the reported minimum.  Two structural symmetries
+hold for the complex solve: conjugating all data conjugates the
+solution, and on real data it agrees with the real solve.  The solve's
+own factorization steps, its values-only rank rule and the SVD of the R
+factor of P Q2, are checked against numpy's SVD.
 """
 
 import dataclasses
@@ -14,6 +18,7 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
+import rbtlse.tlse as tlse
 from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
@@ -42,30 +47,44 @@ def test_problem_shape_validation():
         TlseProblem(A=A, B=B2, C=C2, D=D)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input_rejected(bad):
+@pytest.mark.parametrize("block, bad", [("A", np.nan), ("A", np.inf),
+                                        ("A", -np.inf), ("D", np.inf)])
+def test_non_finite_input_rejected(block, bad):
+    """A nan or inf entry in A or in D is NonFiniteInput.  The block that
+    holds it is drawn first, then the others in the order A, B, C, D."""
+    (m, n, p, d), entry = {"A": ((30, 10, 2, 2), (0, 3, 4)),
+                           "D": ((5, 3, 1, 2), (3, 0, 1))}[block]
+    shapes = {"A": (m, n), "B": (m, d), "C": (p, n), "D": (p, d)}
     rng = np.random.default_rng(0)
-    A = rand_rb(rng, 30, 10)
-    p0 = A.p0.copy()
-    p0[3, 4] = bad
-    A_bad = rb.RBMatrix(p0, A.p1, A.p2, A.p3)
+    blocks = {name: rand_rb(rng, *shapes[name])
+              for name in block + "ABCD".replace(block, "")}
+    components = blocks[block].components.copy()
+    components[entry] = bad
+    blocks[block] = rb.RBMatrix(*components)
     with pytest.raises(NonFiniteInput):
-        TlseProblem(A=A_bad, B=rand_rb(rng, 30, 2),
-                    C=rand_rb(rng, 2, 10), D=rand_rb(rng, 2, 2))
+        TlseProblem(**blocks)
     assert issubclass(NonFiniteInput, RbtlseError)
 
 
-@pytest.mark.parametrize("sizes", [(30, 10, 2, 0), (30, 0, 0, 2)])
-def test_empty_dimensions_rejected(sizes):
+@pytest.mark.parametrize("kind, sizes", [
+    ("real", (30, 10, 2, 0)), ("real", (30, 0, 0, 2)),
+    ("complex", (50, 6, 2, 0)), ("complex", (50, 0, 0, 3))],
+    ids=["real-d0", "real-n0", "complex-d0", "complex-n0"])
+def test_empty_dimensions_rejected(kind, sizes):
     with pytest.raises(DimensionMismatch):
-        gen_instance("real", sizes, 0)
+        gen_instance(kind, sizes, 0)
 
 
-def test_consistent_recovery():
+@pytest.mark.parametrize("kind, cases, uniform", [
+    ("real", [(30, 10, 2, 2), (12, 5, 1, 1), (20, 8, 0, 3)], False),
+    ("complex", [(50, 6, 2, 3), (15, 6, 1, 2), (20, 8, 0, 2)], True),
+], ids=["real", "complex"])
+def test_consistent_recovery(kind, cases, uniform):
     rng = np.random.default_rng(1)
-    for m, n, p, d in [(30, 10, 2, 2), (12, 5, 1, 1), (20, 8, 0, 3)]:
-        prob, Xs = consistent("real", rng, m, n, p, d)
-        sol = solve_real(prob)
+    for m, n, p, d in cases:
+        prob, Xs = consistent(kind, rng, m, n, p, d, uniform=uniform)
+        sol = ALGEBRAS[kind].solve(prob)
+        assert np.iscomplexobj(sol.X) == np.iscomplexobj(Xs)
         assert np.linalg.norm(sol.X - Xs) <= 1e-8 * np.linalg.norm(Xs)
         scale = rb.frobenius_norm(oracles.hstack(prob.A, prob.B))
         assert sol.residual_perturbation_norm <= 1e-10 * scale
@@ -74,21 +93,27 @@ def test_consistent_recovery():
         assert e2 < 1e-10
 
 
-def test_solution_satisfies_corrected_system():
+@pytest.mark.parametrize("kind, sizes", [("real", (30, 10, 2, 2)),
+                                         ("complex", (50, 6, 2, 3))],
+                         ids=["real", "complex"])
+def test_solution_satisfies_corrected_system(kind, sizes):
     """(A+E)X = B+F and CX = D hold for whatever X the solver returns,
     consistent data or not."""
-    prob = gen_instance("real", (30, 10, 2, 2), 2)
-    sol = solve_real(prob)
+    prob = gen_instance("real", sizes, 2)
+    sol = ALGEBRAS[kind].solve(prob)
     e1, e2 = residuals_real(prob, sol)
     assert e1 < 1e-10
     assert e2 < 1e-10
 
 
-def test_correction_norm_matches_trailing_singular_values():
-    prob = gen_instance("real", (30, 10, 2, 2), 3)
-    sol = solve_real(prob)
-    n = 10
-    k = n - 4 * 2
+@pytest.mark.parametrize("kind, sizes", [("real", (30, 10, 2, 2)),
+                                         ("complex", (50, 6, 2, 3))],
+                         ids=["real", "complex"])
+def test_correction_norm_matches_trailing_singular_values(kind, sizes):
+    prob = gen_instance("real", sizes, 3)
+    sol = ALGEBRAS[kind].solve(prob)
+    _, n, p, _ = sizes
+    k = n - ALGEBRAS[kind].q * p
     want = np.sqrt(np.sum(sol.sigma[k:] ** 2))
     assert sol.residual_perturbation_norm == pytest.approx(want, rel=1e-12)
     assert rb.frobenius_norm(oracles.hstack(sol.E_bar, sol.F_bar)) == \
@@ -221,13 +246,16 @@ def test_unconstrained_path():
     assert sol.sigma.shape[0] == 6 + 2
 
 
-def test_scaling_equivariance():
-    prob = gen_instance("real", (30, 10, 2, 2), 6)
-    sol = solve_real(prob)
-    zeta = 3.7
+@pytest.mark.parametrize("kind, sizes, zeta", [("real", (30, 10, 2, 2), 3.7),
+                                               ("complex", (30, 6, 1, 2), 0.31)],
+                         ids=["real", "complex"])
+def test_scaling_equivariance(kind, sizes, zeta):
+    prob = gen_instance("real", sizes, 6)
+    solve = ALGEBRAS[kind].solve
+    sol = solve(prob)
     scaled = TlseProblem(A=prob.A * zeta, B=prob.B * zeta,
                          C=prob.C * zeta, D=prob.D * zeta)
-    sol2 = solve_real(scaled)
+    sol2 = solve(scaled)
     assert np.allclose(sol2.X, sol.X, atol=1e-12 * np.linalg.norm(sol.X))
     assert sol2.residual_perturbation_norm == pytest.approx(
         zeta * sol.residual_perturbation_norm, rel=1e-10)
@@ -246,6 +274,48 @@ def test_svd_sign_ambiguity_does_not_move_x():
     trail = trail * signs
     X = -np.linalg.solve(trail[n:, :].T, trail[:n, :].T).T
     assert np.allclose(X, sol.X, atol=1e-10 * max(1, np.linalg.norm(sol.X)))
+
+
+def test_svd_phase_ambiguity_does_not_move_x():
+    """The complex solve's X is invariant under any unimodular factor on
+    each column of the trailing basis, not just a sign."""
+    rng = np.random.default_rng(7)
+    prob = gen_instance("real", (30, 6, 1, 2), rng)
+    sol = solve_complex(prob)
+    n = 6
+    k = n - 2
+    trail = sol.V_check[:, k:].copy()
+    phases = np.exp(2j * np.pi * rng.random(trail.shape[1]))
+    trail = trail * phases
+    X = -np.linalg.solve(trail[n:, :].T, trail[:n, :].T).T
+    assert np.allclose(X, sol.X, atol=1e-10 * max(1, np.linalg.norm(sol.X)))
+
+
+def test_conjugation_symmetry():
+    """Negating the i-components of all data conjugates the complex
+    solution."""
+    def conj_rb(P):
+        return rb.RBMatrix(P.p0, -P.p1, P.p2, -P.p3)
+
+    prob = gen_instance("real", (30, 6, 1, 2), 4)
+    sol = solve_complex(prob)
+    conj_prob = TlseProblem(A=conj_rb(prob.A), B=conj_rb(prob.B),
+                            C=conj_rb(prob.C), D=conj_rb(prob.D))
+    conj_sol = solve_complex(conj_prob)
+    assert np.allclose(conj_sol.X, sol.X.conj(),
+                       atol=1e-12 * max(1, np.linalg.norm(sol.X)))
+    assert conj_sol.residual_perturbation_norm == pytest.approx(
+        sol.residual_perturbation_norm, rel=1e-10)
+
+
+def test_real_data_agrees_with_real_solver():
+    """Consistent data built from a real X*: both solvers recover it, the
+    complex answer is real up to rounding."""
+    prob, Xs = consistent("real", np.random.default_rng(5), 30, 8, 1, 2)
+    xr = solve_real(prob).X
+    xc = solve_complex(prob).X
+    assert np.linalg.norm(xc.imag) <= 1e-9 * np.linalg.norm(Xs)
+    assert np.linalg.norm(xc.real - xr) <= 1e-9 * np.linalg.norm(Xs)
 
 
 def test_optimality_random_search():
@@ -330,7 +400,7 @@ def test_gap_condition_failure_raised(kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_degenerate_spectrum_raised(kind):
+def test_all_zero_data_fails_the_gap_rule(kind):
     # all-zero data: every singular value is exactly 0, so the gap of 0
     # is not above 1e-10 * 0
     solve = ALGEBRAS[kind].solve
@@ -566,30 +636,38 @@ def test_correction_norm_at_extreme_scale(kind, e):
     assert np.linalg.norm(lse.X - base.X) <= 1e-12 * np.linalg.norm(base.X)
 
 
-def test_rank_deficient_constraint_rejected():
-    rng = np.random.default_rng(12)
+@pytest.mark.parametrize("kind, seed", [("real", 12), ("complex", 10)],
+                         ids=["real", "complex"])
+def test_rank_deficient_constraint_rejected(kind, seed):
+    rng = np.random.default_rng(seed)
     A = rand_rb(rng, 20, 8)
     B = rand_rb(rng, 20, 2)
     C = rb.RBMatrix.zeros(1, 8)
     D = rb.RBMatrix.zeros(1, 2)
     with pytest.raises(AssumptionViolated):
-        solve_real(TlseProblem(A=A, B=B, C=C, D=D))
+        ALGEBRAS[kind].solve(TlseProblem(A=A, B=B, C=C, D=D))
 
 
-def test_too_many_constraints_rejected():
-    # 4p = 12 > n = 10
-    problem = gen_instance("real", (30, 10, 3, 2), 13)
+@pytest.mark.parametrize("kind, sizes, seed", [("real", (30, 10, 3, 2), 13),
+                                               ("complex", (30, 6, 4, 2), 8)],
+                         ids=["real", "complex"])
+def test_too_many_constraints_rejected(kind, sizes, seed):
+    # r = q p exceeds n: 12 > 10 real, 8 > 6 complex
+    problem = gen_instance("real", sizes, seed)
     with pytest.raises(AssumptionViolated):
-        solve_real(problem)
+        ALGEBRAS[kind].solve(problem)
 
 
-def test_too_few_rows_rejected():
-    rng = np.random.default_rng(14)
-    # 4m = 4 < n - 4p = 10: singular values 10 and 11 of P are both 0
-    prob_args = dict(A=rand_rb(rng, 1, 10), B=rand_rb(rng, 1, 2),
-                     C=rb.RBMatrix.zeros(0, 10), D=rb.RBMatrix.zeros(0, 2))
+@pytest.mark.parametrize("kind, n, seed", [("real", 10, 14),
+                                           ("complex", 6, 9)],
+                         ids=["real", "complex"])
+def test_too_few_rows_rejected(kind, n, seed):
+    # q m < n - q p (4 < 10 real, 2 < 6 complex): singular values n and
+    # n + 1 of P are both 0
+    rng = np.random.default_rng(seed)
     with pytest.raises(GapConditionFailed):
-        solve_real(TlseProblem(**prob_args))
+        ALGEBRAS[kind].solve(_unconstrained(rand_rb(rng, 1, n),
+                                            rand_rb(rng, 1, 2)))
 
 
 def test_default_tolerances():
@@ -650,3 +728,51 @@ def test_residuals_refuse_another_problem(kind):
         residuals_real(gen_instance(kind, sizes, 1), sol)
     copy = TlseProblem(A=prob.A, B=prob.B, C=prob.C, D=prob.D)
     assert residuals_real(copy, sol) == residuals_real(prob, sol)
+
+
+# ---------------------------------------------------------------------------
+# the factorization steps the solver runs on numpy directly
+# ---------------------------------------------------------------------------
+
+def _rank(M):
+    return tlse._rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 4), (0, 3), (3, 0)])
+def test_numerical_rank_matches_svd_skinny(shape):
+    """The rank rule counts the k singular values of a rank-k product,
+    the k triples a rank-truncated SVD keeps; none of a zero matrix, all
+    of a random one."""
+    rng = np.random.default_rng(6)
+    k = min(shape) // 2
+    M = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
+    assert _rank(M) == k
+    assert _rank(np.zeros((3, 3))) == 0
+    if min(shape) > 0:
+        assert _rank(rng.standard_normal(shape)) == min(shape)
+
+
+@pytest.mark.parametrize("shape", [(10, 4, 0, 2), (12, 6, 1, 2),
+                                   (30, 10, 2, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_svd_right_matches_thin_svd(shape, dtype):
+    """The solve takes sigma and V from the SVD of the R factor of
+    P Q2; they must match the thin SVD of P Q2 itself (Q2 from the
+    constraint stack rebuilt from the problem), each right singular vector
+    up to a unimodular factor.  P V = U diag(sigma) shows in the norms
+    of P V's columns.  p = 0 (Q2 the identity) and p > 0, both algebras."""
+    kind, solve = (("real", tlse.solve_real) if dtype is float
+                   else ("complex", tlse.solve_complex))
+    sol = solve(gen_instance(kind, shape, 7))
+    S = oracles.constraint_stack(sol)
+    r = S.shape[0]
+    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
+    _, s, Vh = np.linalg.svd(sol.P @ Q2, full_matrices=False)
+    V = Q2 @ Vh.conj().T
+    assert sol.V_check.shape == V.shape
+    assert np.allclose(sol.sigma, s, rtol=1e-13, atol=0)
+    phases = np.sum(V.conj() * sol.V_check, axis=0)
+    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+    assert np.allclose(sol.V_check, V * phases, atol=1e-12)
+    assert np.allclose(np.linalg.norm(sol.P @ sol.V_check, axis=0),
+                       sol.sigma, rtol=1e-12)
