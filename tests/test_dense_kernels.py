@@ -1,15 +1,70 @@
 """Tests of the dense oracles in ``tests/oracles.py`` that other tests
-rely on.
+rely on, and of the two factorization steps the solver runs on numpy
+directly.
 
-The pseudoinverse must satisfy the Penrose conditions, the commutation
-matrix must equal its defining sum of elementary Kronecker products, and
-power iteration must agree with the dense spectral norm.
+The solver's values-only rank rule (``tlse._rank``) must count the
+singular values of rank-k products, and the singular values and right
+singular vectors a solve takes from the R factor of P Q2 must match the
+thin SVD of P Q2.  Of the oracles, the pseudoinverse must satisfy the
+Penrose conditions, the commutation matrix must equal its defining sum of
+elementary Kronecker products, and power iteration must agree with the
+dense spectral norm.
 """
 
 import numpy as np
 import pytest
 
 import oracles
+import rbtlse.tlse as tlse
+from rbtlse.bench import gen_instance
+
+
+# ---------------------------------------------------------------------------
+# the factorization steps the solver runs inline
+# ---------------------------------------------------------------------------
+
+def _rank(M):
+    return tlse._rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 4), (0, 3), (3, 0)])
+def test_numerical_rank_matches_svd_skinny(shape):
+    """The rank rule counts the k singular values of a rank-k product,
+    the k triples a rank-truncated SVD keeps; none of a zero matrix, all
+    of a random one."""
+    rng = np.random.default_rng(6)
+    k = min(shape) // 2
+    M = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
+    assert _rank(M) == k
+    assert _rank(np.zeros((3, 3))) == 0
+    if min(shape) > 0:
+        assert _rank(rng.standard_normal(shape)) == min(shape)
+
+
+@pytest.mark.parametrize("shape", [(10, 4, 0, 2), (12, 6, 1, 2),
+                                   (30, 10, 2, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_svd_right_matches_thin_svd(shape, dtype):
+    """The solve takes sigma and V from the SVD of the R factor of
+    P Q2; they must match the thin SVD of P Q2 itself (Q2 from the
+    constraint stack rebuilt from the problem), each right singular vector
+    up to a unimodular factor.  P V = U diag(sigma) shows in the norms
+    of P V's columns.  p = 0 (Q2 the identity) and p > 0, both algebras."""
+    kind, solve = (("real", tlse.solve_real) if dtype is float
+                   else ("complex", tlse.solve_complex))
+    sol = solve(gen_instance(kind, shape, 7))
+    S = oracles.constraint_stack(sol)
+    r = S.shape[0]
+    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
+    _, s, Vh = np.linalg.svd(sol.P @ Q2, full_matrices=False)
+    V = Q2 @ Vh.conj().T
+    assert sol.V_check.shape == V.shape
+    assert np.allclose(sol.sigma, s, rtol=1e-13, atol=0)
+    phases = np.sum(V.conj() * sol.V_check, axis=0)
+    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+    assert np.allclose(sol.V_check, V * phases, atol=1e-12)
+    assert np.allclose(np.linalg.norm(sol.P @ sol.V_check, axis=0),
+                       sol.sigma, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 benchmark workloads reach, so a refactor that drops or renames one fails
 here instead of in a benchmark run.  The README's Python examples run.
 AST checks keep the layout of the package and of its tests: each test
-file is named after a module or a listed suite, and no test module keeps
-a behaviour as _real/_complex twins."""
+file is named after a module or a listed suite, or waits in a list of
+stale names, and no test module keeps a behaviour as _real/_complex
+twins."""
 
 import ast
 import functools
@@ -241,20 +242,28 @@ SUITES = {
     "golden": "the seeded runs and reports pinned in tests/golden.json",
     "properties": "property-based tests over the solve, RBMAT and the CLI",
     "public_surface": "the package's names and the code and test layout",
-    "oracles": "the dense reference builds in tests/oracles.py",
-    "lse": "the paper's RBLSE baseline, which lives in tlse",
+}
+
+# the test files whose name is stale, each with the stem it is to take;
+# a rename changes the id of every test the file holds, so they move one
+# at a time, and the entry goes with the move
+TO_RENAME = {
+    "dense_kernels": "oracles: dense_kernels is gone; it tests oracles.py",
+    "lse_baseline": "lse: the paper's RBLSE baseline, which lives in tlse",
+    "tlse_real": "tlse: its solver tests run over both algebras",
+    "tlse_complex": "tlse: the complex solve's own symmetries",
 }
 
 
 def test_every_test_file_names_a_module_or_a_suite():
     """Each tests/test_<stem>.py names a module of src/rbtlse or a suite
-    of SUITES, and each suite has its file, so a test file cannot outlive
-    the module it is named after."""
+    of SUITES, or waits in TO_RENAME, and each entry of both has its
+    file, so a test file cannot outlive the module it is named after."""
     modules = {path.stem for path in (ROOT / "src" / "rbtlse").glob("*.py")}
     stems = {path.stem.removeprefix("test_")
              for path in (ROOT / "tests").glob("test_*.py")}
-    assert stems - modules - SUITES.keys() == set()
-    assert SUITES.keys() <= stems
+    assert stems - modules - SUITES.keys() - TO_RENAME.keys() == set()
+    assert SUITES.keys() | TO_RENAME.keys() <= stems
 
 
 def test_only_the_solve_builds_a_solution():

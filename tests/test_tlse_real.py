@@ -1,14 +1,11 @@
-"""Solver tests, each over both algebras.
+"""Solver tests, most of them over both algebras.
 
 The strongest oracle is construction: build a consistent system from a
 known real or complex X*, solve, and demand recovery plus near-zero
 fitted correction.  Optimality is spot-checked by sampling feasible
 correction/solution pairs around the real solver's own answer and
-verifying none beats the reported minimum.  Two structural symmetries
-hold for the complex solve: conjugating all data conjugates the
-solution, and on real data it agrees with the real solve.  The solve's
-own factorization steps, its values-only rank rule and the SVD of the R
-factor of P Q2, are checked against numpy's SVD.
+verifying none beats the reported minimum.  The complex solve's own
+symmetries are in ``test_tlse_complex.py``.
 """
 
 import dataclasses
@@ -18,7 +15,6 @@ import pytest
 
 import oracles
 import rbtlse.rb_core as rb
-import rbtlse.tlse as tlse
 from instances import ALGEBRAS, consistent, rand_rb
 from rbtlse.bench import accuracy_sizes, gen_instance, random_perturbation
 from rbtlse.errors import (AssumptionViolated, BlockNotInvertible,
@@ -274,48 +270,6 @@ def test_svd_sign_ambiguity_does_not_move_x():
     trail = trail * signs
     X = -np.linalg.solve(trail[n:, :].T, trail[:n, :].T).T
     assert np.allclose(X, sol.X, atol=1e-10 * max(1, np.linalg.norm(sol.X)))
-
-
-def test_svd_phase_ambiguity_does_not_move_x():
-    """The complex solve's X is invariant under any unimodular factor on
-    each column of the trailing basis, not just a sign."""
-    rng = np.random.default_rng(7)
-    prob = gen_instance("real", (30, 6, 1, 2), rng)
-    sol = solve_complex(prob)
-    n = 6
-    k = n - 2
-    trail = sol.V_check[:, k:].copy()
-    phases = np.exp(2j * np.pi * rng.random(trail.shape[1]))
-    trail = trail * phases
-    X = -np.linalg.solve(trail[n:, :].T, trail[:n, :].T).T
-    assert np.allclose(X, sol.X, atol=1e-10 * max(1, np.linalg.norm(sol.X)))
-
-
-def test_conjugation_symmetry():
-    """Negating the i-components of all data conjugates the complex
-    solution."""
-    def conj_rb(P):
-        return rb.RBMatrix(P.p0, -P.p1, P.p2, -P.p3)
-
-    prob = gen_instance("real", (30, 6, 1, 2), 4)
-    sol = solve_complex(prob)
-    conj_prob = TlseProblem(A=conj_rb(prob.A), B=conj_rb(prob.B),
-                            C=conj_rb(prob.C), D=conj_rb(prob.D))
-    conj_sol = solve_complex(conj_prob)
-    assert np.allclose(conj_sol.X, sol.X.conj(),
-                       atol=1e-12 * max(1, np.linalg.norm(sol.X)))
-    assert conj_sol.residual_perturbation_norm == pytest.approx(
-        sol.residual_perturbation_norm, rel=1e-10)
-
-
-def test_real_data_agrees_with_real_solver():
-    """Consistent data built from a real X*: both solvers recover it, the
-    complex answer is real up to rounding."""
-    prob, Xs = consistent("real", np.random.default_rng(5), 30, 8, 1, 2)
-    xr = solve_real(prob).X
-    xc = solve_complex(prob).X
-    assert np.linalg.norm(xc.imag) <= 1e-9 * np.linalg.norm(Xs)
-    assert np.linalg.norm(xc.real - xr) <= 1e-9 * np.linalg.norm(Xs)
 
 
 def test_optimality_random_search():
@@ -729,50 +683,3 @@ def test_residuals_refuse_another_problem(kind):
     copy = TlseProblem(A=prob.A, B=prob.B, C=prob.C, D=prob.D)
     assert residuals_real(copy, sol) == residuals_real(prob, sol)
 
-
-# ---------------------------------------------------------------------------
-# the factorization steps the solver runs on numpy directly
-# ---------------------------------------------------------------------------
-
-def _rank(M):
-    return tlse._rank(np.linalg.svd(M, compute_uv=False), M.shape)
-
-
-@pytest.mark.parametrize("shape", [(6, 4), (4, 4), (0, 3), (3, 0)])
-def test_numerical_rank_matches_svd_skinny(shape):
-    """The rank rule counts the k singular values of a rank-k product,
-    the k triples a rank-truncated SVD keeps; none of a zero matrix, all
-    of a random one."""
-    rng = np.random.default_rng(6)
-    k = min(shape) // 2
-    M = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
-    assert _rank(M) == k
-    assert _rank(np.zeros((3, 3))) == 0
-    if min(shape) > 0:
-        assert _rank(rng.standard_normal(shape)) == min(shape)
-
-
-@pytest.mark.parametrize("shape", [(10, 4, 0, 2), (12, 6, 1, 2),
-                                   (30, 10, 2, 2)])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_svd_right_matches_thin_svd(shape, dtype):
-    """The solve takes sigma and V from the SVD of the R factor of
-    P Q2; they must match the thin SVD of P Q2 itself (Q2 from the
-    constraint stack rebuilt from the problem), each right singular vector
-    up to a unimodular factor.  P V = U diag(sigma) shows in the norms
-    of P V's columns.  p = 0 (Q2 the identity) and p > 0, both algebras."""
-    kind, solve = (("real", tlse.solve_real) if dtype is float
-                   else ("complex", tlse.solve_complex))
-    sol = solve(gen_instance(kind, shape, 7))
-    S = oracles.constraint_stack(sol)
-    r = S.shape[0]
-    Q2 = np.linalg.qr(S.conj().T, mode="complete")[0][:, r:]
-    _, s, Vh = np.linalg.svd(sol.P @ Q2, full_matrices=False)
-    V = Q2 @ Vh.conj().T
-    assert sol.V_check.shape == V.shape
-    assert np.allclose(sol.sigma, s, rtol=1e-13, atol=0)
-    phases = np.sum(V.conj() * sol.V_check, axis=0)
-    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
-    assert np.allclose(sol.V_check, V * phases, atol=1e-12)
-    assert np.allclose(np.linalg.norm(sol.P @ sol.V_check, axis=0),
-                       sol.sigma, rtol=1e-12)
