@@ -239,9 +239,9 @@ def gen_compare_instance(case: int, m: int, seed, variant: str = "real"):
     A = _rb_randn(rng, m, n)
     C = _rb_randn(rng, p, n)
     X = draw((n, d))
-    Xrb = rb.RBMatrix.from_complex(X)
-    B = rb.mat_mul(A, Xrb)
-    D = rb.mat_mul(C, Xrb)
+    # X is plain (X + 0*j), so each product is the nonzero half of mat_mul
+    B, D = (rb.from_complex_block_column(rb.complex_block_column(M) @ X)
+            for M in (A, C))
     w = n + d if case == 1 else d
     G = draw((w, w))
     H = 0.01 * draw((m, w)) @ G

@@ -15,11 +15,14 @@ Every reduced biquaternion splits into a pair of ordinary complex numbers,
     a0 + a1*i + a2*j + a3*k = (a0 + a1*i) + (a2 + a3*i)*j,
 
 and the product of two such pairs (b1 + b2*j)(c1 + c2*j) is
-(b1*c1 + b2*c2) + (b1*c2 + b2*c1)*j.  The one product, :func:`mat_mul`
-(``@``), is computed in that pair form, which is both the cheapest route
-and the one that keeps complex conjugation semantics obvious.  A single
-reduced biquaternion is a 1-by-1 :class:`RBMatrix`, multiplied with ``@``;
-``*`` scales a matrix by a real or complex factor only.
+(b1*c1 + b2*c2) + (b1*c2 + b2*c1)*j.  The product of two RB matrices,
+:func:`mat_mul` (``@``), is computed in that pair form, which is both the
+cheapest route and the one that keeps complex conjugation semantics
+obvious.  A plain real or complex matrix X is the pair (X, 0), so A X is
+the one complex product ``complex_block_column(A) @ X``, read back by
+:func:`from_complex_block_column`: the half of mat_mul that is not zero.
+A single reduced biquaternion is a 1-by-1 :class:`RBMatrix`, multiplied
+with ``@``; ``*`` scales a matrix by a real or complex factor only.
 
 An m-by-n matrix over this algebra is stored component-major, as one
 read-only real (4, m, n) array (components of 1, i, j, k).  Its two linear
@@ -269,7 +272,7 @@ def mat_mul(P: RBMatrix, T: RBMatrix) -> RBMatrix:
 
 
 def _norm(*arrays: np.ndarray) -> float:
-    """Frobenius norm of real or complex arrays taken together.
+    """Frobenius norm of real arrays taken together.
 
     A plain sum of squares that overflows or falls below 2**-900 is redone
     with every entry scaled by the power of two of the largest magnitude
@@ -279,15 +282,14 @@ def _norm(*arrays: np.ndarray) -> float:
     with np.errstate(over="ignore", under="ignore"):
         total = 0.0
         for a in arrays:
-            total += np.sum(a ** 2 if np.isrealobj(a) else np.abs(a) ** 2)
+            total += np.sum(a ** 2)
         if np.isfinite(total) and total >= 2.0 ** -900:
             return float(np.sqrt(total))
-        parts = [c for a in arrays for c in (a.real, a.imag)]
-        peak = max((np.max(np.abs(c)) for c in parts if c.size), default=0.0)
+        peak = max((np.max(np.abs(a)) for a in arrays if a.size), default=0.0)
         if peak == 0.0:
             return 0.0
         e = np.frexp(peak)[1]
-        total = sum(np.sum(np.ldexp(c, -e) ** 2) for c in parts)
+        total = sum(np.sum(np.ldexp(a, -e) ** 2) for a in arrays)
         return float(np.ldexp(np.sqrt(total), e))
 
 

@@ -348,13 +348,15 @@ def residuals_real(problem: TlseProblem,
                    solution: TlseSolution) -> tuple[float, float]:
     """Accuracy metrics ||(A+E)X - (B+F)||_F and ||C X - D||_F of the
     problem ``solution`` solves (another is refused, as by condition_*),
-    for a real or a complex X (a real X embeds as from_real embeds it)."""
+    for a real or a complex X.  X is plain, X + 0*j, so M X is the one
+    complex product [R1; R2] @ X on M's complex block column, read back
+    through its inverse."""
     _own_problem(problem, solution)
-    XR = rb.RBMatrix.from_complex(solution.X)
-    eps1 = rb.frobenius_norm(
-        rb.mat_mul(problem.A + solution.E_bar, XR)
-        - (problem.B + solution.F_bar))
-    eps2 = rb.frobenius_norm(rb.mat_mul(problem.C, XR) - problem.D)
+    AX, CX = (rb.from_complex_block_column(rb.complex_block_column(M)
+                                           @ solution.X)
+              for M in (problem.A + solution.E_bar, problem.C))
+    eps1 = rb.frobenius_norm(AX - (problem.B + solution.F_bar))
+    eps2 = rb.frobenius_norm(CX - problem.D)
     return eps1, eps2
 
 

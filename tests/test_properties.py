@@ -153,7 +153,7 @@ def test_joint_scaling_leaves_x_and_kappa(case, zeta):
                          C=problem.C * zeta, D=problem.D * zeta)
     X2, kappa2 = _solve_and_condition(kind, scaled)
     assert _close(X, X2, kappa)
-    assert abs(kappa2 - kappa) <= 1e-10 * kappa
+    assert abs(kappa2 - kappa) <= 1e-11 * kappa
 
 
 def _rows(M, order):
@@ -204,19 +204,20 @@ def test_right_factors_move_x_and_leave_correction_and_kappa(case):
     assert (abs(solution2.residual_perturbation_norm
                 - solution.residual_perturbation_norm)
             <= 1e-12 * problem.data_norm)
+    # not 1e-11: a real draw at kappa ~ 1e4 moves kappa by 2.2e-11
     assert (abs(condition(moved, solution2).kappa - kappa)
             <= 1e-10 * kappa)
 
 
 def _assert_left_factors_leave_x_and_kappa(kind, problem, U, G):
     """Solving (U A, U B, G C, G D) gives the X and kappa of (A, B, C, D)
-    to 1e-10 relative."""
+    to 1e-11 relative."""
     X, kappa = _base(kind, problem)
     moved = TlseProblem(A=U @ problem.A, B=U @ problem.B, C=G @ problem.C,
                         D=G @ problem.D)
     X2, kappa2 = _solve_and_condition(kind, moved)
-    assert np.linalg.norm(X2 - X) <= 1e-10 * np.linalg.norm(X)
-    assert abs(kappa2 - kappa) <= 1e-10 * kappa
+    assert np.linalg.norm(X2 - X) <= 1e-11 * np.linalg.norm(X)
+    assert abs(kappa2 - kappa) <= 1e-11 * kappa
 
 
 @SETTINGS

@@ -683,3 +683,17 @@ def test_residuals_refuse_another_problem(kind):
     copy = TlseProblem(A=prob.A, B=prob.B, C=prob.C, D=prob.D)
     assert residuals_real(copy, sol) == residuals_real(prob, sol)
 
+
+@pytest.mark.parametrize("t", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_residuals_are_the_rb_product_formula(kind, t):
+    """The residuals, which multiply the plain X on the complex block
+    column, equal bit for bit the RB-product formula with X embedded as
+    X + 0*j, on the seed-0 accuracy run's instance of each t."""
+    problem = gen_instance(kind, accuracy_sizes(kind, t), 1000 * t)
+    sol = ALGEBRAS[kind].solve(problem)
+    x_rb = rb.RBMatrix.from_complex(sol.X)
+    want = (rb.frobenius_norm(rb.mat_mul(problem.A + sol.E_bar, x_rb)
+                              - (problem.B + sol.F_bar)),
+            rb.frobenius_norm(rb.mat_mul(problem.C, x_rb) - problem.D))
+    assert residuals_real(problem, sol) == want
